@@ -53,6 +53,7 @@ def check(name: str, produce) -> bool:
 
 
 def main() -> int:
+    from repro.bench.contention import ContentionParams, run_contention_benchmark
     from repro.bench.fleet import FleetParams, run_fleet_benchmark
     from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
 
@@ -70,6 +71,16 @@ def main() -> int:
             FleetParams.from_dict(g["params"])
         ).as_dict(),
     )
+    for name in (
+        "contention_pair_iommu_seeded.json",
+        "contention_tree_sliced_control_seeded.json",
+    ):
+        ok &= check(
+            name,
+            lambda g: run_contention_benchmark(
+                ContentionParams.from_dict(g["params"])
+            ).as_dict(),
+        )
     return 0 if ok else 1
 
 
