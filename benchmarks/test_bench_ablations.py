@@ -16,6 +16,7 @@ from repro.core.config import PCIeConfig
 from repro.core.nic import MODERN_NIC_KERNEL, SIMPLE_NIC
 from repro.sim.dma import DmaEngine
 from repro.sim.host import HostSystem
+from repro.sim.profiles import get_profile
 from repro.units import KIB, MIB
 
 SIZES = (64, 256, 1024)
@@ -74,11 +75,10 @@ def test_ablation_iotlb_capacity(benchmark):
         points = []
         for entries in (16, 64, 256, 1024):
             host = HostSystem.from_profile(
-                "NFP6000-BDW".lower() and "NFP6000-BDW", iommu_enabled=True, seed=7
+                get_profile("NFP6000-BDW").with_(iotlb_entries=entries),
+                iommu_enabled=True,
+                seed=7,
             )
-            host.profile = host.profile.with_(iotlb_entries=entries)
-            host.iommu.config.iotlb_entries = entries
-            host.iommu.iotlb.entries = entries
             engine = DmaEngine(host)
             buffer = host.allocate_buffer(16 * MIB, 64)
             host.prepare(buffer, "host_warm")

@@ -90,6 +90,15 @@ class CacheAccessResult:
     allocated: bool = False
 
 
+#: The statistical model's four possible outcomes, shared by every access.
+_HIT = CacheAccessResult(hit=True)
+_MISS = CacheAccessResult(hit=False)
+_ALLOCATED = CacheAccessResult(hit=False, allocated=True)
+_ALLOCATED_WRITEBACK = CacheAccessResult(
+    hit=False, writeback_required=True, allocated=True
+)
+
+
 class CacheInterface(Protocol):
     """Protocol shared by the faithful and the statistical cache models."""
 
@@ -510,38 +519,35 @@ class StatisticalCache:
         # evicts a dirty DDIO line that must be written back first (§6.3).
         self._writeback_probability = max(0.0, 1.0 - self.ddio_lines / window_lines)
 
-    def _probabilities(self, line_address: int) -> tuple[float, float]:
-        """(resident, writeback) probabilities for a line's owner slice."""
-        if self._partition_of is None:
-            return self._resident_fraction, self._writeback_probability
-        index = self._partition_of(line_address)
-        return (
-            self._partition_resident[index],
-            self._partition_writeback[index],
-        )
-
     def read(self, line_address: int) -> CacheAccessResult:
         """Device DMA read: hit with the owner slice's resident probability."""
-        resident, _ = self._probabilities(line_address)
-        hit = bool(self._random.random() < resident)
-        if hit:
-            self.stats.read_hits += 1
+        if self._partition_of is None:
+            resident = self._resident_fraction
         else:
-            self.stats.read_misses += 1
-        return CacheAccessResult(hit=hit)
+            resident = self._partition_resident[self._partition_of(line_address)]
+        if self._random.random() < resident:
+            self.stats.read_hits += 1
+            return _HIT
+        self.stats.read_misses += 1
+        return _MISS
 
     def write(self, line_address: int) -> CacheAccessResult:
         """Device DMA write: resident lines update in place, misses use DDIO."""
-        resident, writeback_probability = self._probabilities(line_address)
-        hit = bool(self._random.random() < resident)
-        if hit:
+        if self._partition_of is None:
+            resident = self._resident_fraction
+            writeback_probability = self._writeback_probability
+        else:
+            index = self._partition_of(line_address)
+            resident = self._partition_resident[index]
+            writeback_probability = self._partition_writeback[index]
+        if self._random.random() < resident:
             self.stats.write_hits += 1
-            return CacheAccessResult(hit=True)
+            return _HIT
         self.stats.write_misses += 1
         # Write allocation into the DDIO slice: when the benchmark window
         # exceeds the slice, allocations evict dirty DDIO lines which must be
         # written back to memory before the new write can complete.
-        writeback = bool(self._random.random() < writeback_probability)
-        if writeback:
+        if self._random.random() < writeback_probability:
             self.stats.writebacks += 1
-        return CacheAccessResult(hit=False, writeback_required=writeback, allocated=True)
+            return _ALLOCATED_WRITEBACK
+        return _ALLOCATED

@@ -891,14 +891,8 @@ class ArbitratedResource:
         grant: Callable[[float], None],
     ) -> None:
         """Queue a request for ``duration`` of service; ``grant`` fires at start."""
-        if not 0 <= client < self.clients:
-            raise ValidationError(
-                f"client must be within [0, {self.clients}), got {client}"
-            )
-        if now < 0:
-            raise ValidationError(f"now must be non-negative, got {now}")
-        if duration < 0:
-            raise ValidationError(f"duration must be non-negative, got {duration}")
+        if not 0 <= client < self.clients or now < 0 or duration < 0:
+            self._reject(client, now, duration)
         self._queues[client].append(
             (now, self._sequence, duration, grant, duration)
         )
@@ -907,41 +901,79 @@ class ArbitratedResource:
         if not self._dispatch_pending and self._busy_until <= now:
             self._dispatch(now)
 
+    def _reject(self, client: int, now: float, duration: float) -> None:
+        if not 0 <= client < self.clients:
+            raise ValidationError(
+                f"client must be within [0, {self.clients}), got {client}"
+            )
+        if now < 0:
+            raise ValidationError(f"now must be non-negative, got {now}")
+        raise ValidationError(f"duration must be non-negative, got {duration}")
+
     # -- scheduling ------------------------------------------------------------
 
-    def _pick(self, eligible: list[int], now: float) -> int:
-        """Choose the next client to serve among those with arrived requests."""
-        if self.scheme == "fcfs":
+    def _pick(self, now: float) -> int:
+        """The client to serve next, or -1 when no queued request has arrived.
+
+        One pass over the queue heads.  Only requests asked at or before
+        ``now`` are eligible.  Each scheme's order (see the class
+        docstring) with its deterministic tie-break: fcfs by ``(asked,
+        sequence)``; rr the first eligible client after the last grant;
+        wrr/sliced by ``(busy / weight, index)``; age by the largest
+        weighted age, then the lowest index.
+        """
+        queues = self._queues
+        scheme = self.scheme
+        best = -1
+        if scheme == "rr":
+            clients = self.clients
+            last = self._last_granted
+            for offset in range(1, clients + 1):
+                index = (last + offset) % clients
+                queue = queues[index]
+                if queue and queue[0][0] <= now:
+                    return index
+            return best
+        if scheme == "fcfs":
             # Globally oldest request; the per-client queues are FIFO, so
             # comparing heads suffices.  The submission sequence breaks
             # same-time ties in call order, like SerialResource.
-            return min(
-                eligible, key=lambda index: self._queues[index][0][:2]
-            )
-        if self.scheme == "rr":
-            for offset in range(1, self.clients + 1):
-                index = (self._last_granted + offset) % self.clients
-                if index in eligible:
-                    return index
-            return eligible[0]  # pragma: no cover - eligible is non-empty
-        if self.scheme == "age":
-            # Largest weighted age first; max with (-index) makes the
-            # lowest client index win a tie deterministically.
-            return max(
-                eligible,
-                key=lambda index: (
-                    (now - self._queues[index][0][0]) * self.weights[index],
-                    -index,
-                ),
-            )
+            oldest = None
+            for index, queue in enumerate(queues):
+                if queue:
+                    head = queue[0]
+                    asked = head[0]
+                    if asked <= now and (
+                        oldest is None
+                        or asked < oldest[0]
+                        or (asked == oldest[0] and head[1] < oldest[1])
+                    ):
+                        best = index
+                        oldest = head
+            return best
+        weights = self.weights
+        best_score = 0.0
+        if scheme == "age":
+            # Largest weighted age first; strict comparison keeps the
+            # lowest client index on a tie.
+            for index, queue in enumerate(queues):
+                if queue:
+                    asked = queue[0][0]
+                    if asked <= now:
+                        score = (now - asked) * weights[index]
+                        if best < 0 or score > best_score:
+                            best = index
+                            best_score = score
+            return best
         # wrr and sliced: least normalised service first.
-        return min(
-            eligible,
-            key=lambda index: (
-                self.stats[index].busy_ns_total / self.weights[index],
-                index,
-            ),
-        )
+        stats = self.stats
+        for index, queue in enumerate(queues):
+            if queue and queue[0][0] <= now:
+                score = stats[index].busy_ns_total / weights[index]
+                if best < 0 or score < best_score:
+                    best = index
+                    best_score = score
+        return best
 
     def attach_loop(self, loop: "EventLoop | HeapEventLoop") -> None:
         """Enable batched grants against ``loop``.
@@ -956,40 +988,26 @@ class ArbitratedResource:
     def _dispatch(self, now: float) -> None:
         loop = self._loop
         queues = self._queues
+        # Only the sliced scheme has a quantum (checked at construction).
+        quantum = self.quantum_ns
         while True:
             if now < self._busy_until:  # pragma: no cover - defensive guard
                 return
-            backlog = [
-                index for index in range(self.clients) if queues[index]
-            ]
-            if not backlog:
+            client = self._pick(now)
+            if client < 0:
+                self._sleep_until_arrival()
                 return
-            eligible = [
-                index for index in backlog if queues[index][0][0] <= now
-            ]
-            if not eligible:
-                # Every queued request is in the caller's future (only
-                # possible when the resource is driven outside an event
-                # loop); sleep until the earliest one arrives.
-                wake = min(queues[index][0][0] for index in backlog)
-                self._dispatch_pending = True
-                self._schedule(wake, self._on_free)
-                return
-            client = self._pick(eligible, now)
-            asked, sequence, remaining, grant, total = queues[client].popleft()
+            queue = queues[client]
+            asked, sequence, remaining, grant, total = queue.popleft()
             stats = self.stats[client]
-            sliced_remnant = (
-                self.scheme == "sliced"
-                and self.quantum_ns is not None
-                and remaining > self.quantum_ns
-            )
+            sliced_remnant = quantum is not None and remaining > quantum
             if sliced_remnant:
                 # Serve one quantum and put the remnant back at the head
                 # of the client's queue (same asked time and sequence, so
                 # fcfs-style ordering facts about the original request
                 # survive slicing).
-                served = self.quantum_ns
-                queues[client].appendleft(
+                served = quantum
+                queue.appendleft(
                     (asked, sequence, remaining - served, grant, total)
                 )
             else:
@@ -999,22 +1017,34 @@ class ArbitratedResource:
             self._busy_until = end
             self._last_granted = client
             self._dispatch_pending = True
-            if loop is None or not loop.running:
+            batched = loop is not None and loop.running
+            if batched:
+                # Batched path: hold the wake-up's tie-break position while
+                # the grant callback runs (see below).
+                wake_sequence = loop.reserve()
+            else:
                 # Legacy path: wake up through the scheduler.  The wake-up
                 # is scheduled *before* the grant callback runs, so it
                 # sorts ahead of any same-time event the grant schedules.
                 self._schedule(end, self._on_free)
-                if not sliced_remnant:
-                    self._grant(stats, grant, end - total, asked)
-                return
-            # Batched path: hold the wake-up's tie-break position while
-            # the grant callback runs, then either dispatch the next grant
-            # inline (nothing pending before the service end, so the loop
-            # state at ``end`` is already final) or schedule the wake-up
-            # under the reserved sequence — same pop order either way.
-            wake_sequence = loop.reserve()
             if not sliced_remnant:
-                self._grant(stats, grant, end - total, asked)
+                # The virtual start backdates a sliced grant so that
+                # start + total == the true completion time; for unsliced
+                # grants (remaining == total) it is the dispatch time.
+                start = end - total
+                if start > asked:
+                    wait = start - asked
+                    stats.waited += 1
+                    stats.wait_ns_total += wait
+                    if wait > stats.wait_ns_max:
+                        stats.wait_ns_max = wait
+                grant(start)
+            if not batched:
+                return
+            # Either dispatch the next grant inline (nothing pending before
+            # the service end, so the loop state at ``end`` is already
+            # final) or schedule the wake-up under the reserved sequence —
+            # same pop order either way.
             if loop.peek_time() > end:
                 self._dispatch_pending = False
                 now = end
@@ -1022,23 +1052,19 @@ class ArbitratedResource:
             loop.at_sequenced(end, wake_sequence, self._on_free)
             return
 
-    def _grant(
-        self,
-        stats: ArbiterClientStats,
-        grant: Callable[[float], None],
-        start: float,
-        asked: float,
-    ) -> None:
-        # The virtual start backdates a sliced grant so that
-        # start + total == the true completion time; for unsliced grants
-        # (remaining == total) it is exactly the dispatch time.
-        if start > asked:
-            wait = start - asked
-            stats.waited += 1
-            stats.wait_ns_total += wait
-            if wait > stats.wait_ns_max:
-                stats.wait_ns_max = wait
-        grant(start)
+    def _sleep_until_arrival(self) -> None:
+        """Wake at the earliest queued request's arrival, if any is queued.
+
+        Every queued request is in the caller's future only when the
+        resource is driven outside an event loop.
+        """
+        wake = None
+        for queue in self._queues:
+            if queue and (wake is None or queue[0][0] < wake):
+                wake = queue[0][0]
+        if wake is not None:
+            self._dispatch_pending = True
+            self._schedule(wake, self._on_free)
 
     def _on_free(self, now: float) -> None:
         self._dispatch_pending = False

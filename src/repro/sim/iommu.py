@@ -49,7 +49,7 @@ class IommuStats:
         return self.misses / self.translations if self.translations else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranslationResult:
     """Outcome of translating one transaction's address."""
 
@@ -96,7 +96,7 @@ class Iotlb:
         return page in self._lru
 
 
-@dataclass
+@dataclass(frozen=True)
 class IommuConfig:
     """Static configuration of the IOMMU model.
 
@@ -144,6 +144,15 @@ class Iommu:
         self.config = config or IommuConfig()
         self.iotlb = Iotlb(self.config.iotlb_entries)
         self.stats = IommuStats()
+        # The three possible outcomes, built once from the (frozen) config
+        # and shared by every translation.
+        self._untranslated = TranslationResult(hit=True, latency_ns=0.0)
+        self._hit = TranslationResult(hit=True, latency_ns=self.config.hit_latency_ns)
+        self._miss = TranslationResult(
+            hit=False,
+            latency_ns=self.config.walk_latency_ns,
+            walker_occupancy_ns=self.config.walker_occupancy_ns,
+        )
 
     @property
     def enabled(self) -> bool:
@@ -164,20 +173,20 @@ class Iommu:
         cache-line aligned, so a single translation per transaction is the
         common case and the model keeps that simplification.
         """
-        if not self.config.enabled:
-            return TranslationResult(hit=True, latency_ns=0.0)
-        page = self.page_of(address)
-        self.stats.translations += 1
+        config = self.config
+        if not config.enabled:
+            return self._untranslated
+        if address < 0:
+            raise ValidationError(f"address must be non-negative, got {address}")
+        page = address // config.page_size
+        stats = self.stats
+        stats.translations += 1
         if self.iotlb.lookup(page):
-            self.stats.hits += 1
-            return TranslationResult(hit=True, latency_ns=self.config.hit_latency_ns)
-        self.stats.misses += 1
+            stats.hits += 1
+            return self._hit
+        stats.misses += 1
         self.iotlb.insert(page)
-        return TranslationResult(
-            hit=False,
-            latency_ns=self.config.walk_latency_ns,
-            walker_occupancy_ns=self.config.walker_occupancy_ns,
-        )
+        return self._miss
 
     def warm(self, addresses: list[int]) -> None:
         """Pre-load translations (e.g. after the driver maps the buffer)."""

@@ -193,6 +193,11 @@ class HostSideStats:
         )
 
 
+def _unit_layout(buffer: HostBuffer) -> tuple[int, int, int]:
+    """``(address of unit 0, unit size, unit count)`` of a buffer window."""
+    return buffer.unit_address(0), buffer.unit_size, buffer.unit_count
+
+
 class HostCoupling:
     """Runtime host-side state for one host-coupled datapath run.
 
@@ -336,12 +341,20 @@ class HostCoupling:
             else f"nicsim.host.payload_units.dev{device_index}"
         )
         self._unit_stream = self.host.rng.spawn(stream)
+        # (first unit address, unit size, unit count) of the payload window
+        # and of each descriptor ring: every access needs them, and the
+        # HostBuffer properties recompute them on each read.
+        self._payload_layout = _unit_layout(self.payload_buffer)
+        self._ring_layout = {
+            direction: _unit_layout(buffer)
+            for direction, buffer in self.ring_buffers.items()
+        }
+        self._device_node = numa.device_node
         self._ring_cursor = {"tx": 0, "rx": 0}
         self._payload_accesses = 0
         self._payload_cache_hits = 0
         self._descriptor_accesses = 0
         self._descriptor_cache_hits = 0
-        self._iotlb_hits = 0
         self._iotlb_misses = 0
         self._writebacks = 0
         self._remote_accesses = 0
@@ -384,16 +397,14 @@ class HostCoupling:
         return self.host.profile.mmio_read_ns
 
     def _payload_address(self) -> int:
-        unit = int(
-            self._unit_stream.integers(0, self.payload_buffer.unit_count)
-        )
-        return self.payload_buffer.unit_address(unit)
+        first, unit_size, units = self._payload_layout
+        return first + int(self._unit_stream.integers(0, units)) * unit_size
 
     def _descriptor_address(self, direction: str) -> int:
-        buffer = self.ring_buffers[direction]
+        first, unit_size, units = self._ring_layout[direction]
         cursor = self._ring_cursor[direction]
         self._ring_cursor[direction] = cursor + 1
-        return buffer.unit_address(cursor % buffer.unit_count)
+        return first + (cursor % units) * unit_size
 
     def access(
         self, kind: OpKind, *, direction: str, payload: bool, size: int
@@ -408,7 +419,11 @@ class HostCoupling:
                 the payload window) rather than a descriptor-region DMA.
             size: transaction size in bytes (drives ingress occupancy).
         """
-        if kind not in (OpKind.DMA_READ, OpKind.DMA_WRITE):
+        if kind is OpKind.DMA_READ:
+            read = True
+        elif kind is OpKind.DMA_WRITE:
+            read = False
+        else:
             raise ValidationError(
                 f"host coupling only services DMA transactions, got {kind}"
             )
@@ -419,8 +434,8 @@ class HostCoupling:
         else:
             root_complex = self.descriptor_rc
             address = self._descriptor_address(direction)
-            node = self.host.numa.device_node
-        if kind is OpKind.DMA_READ:
+            node = self._device_node
+        if read:
             result = root_complex.read(address, size, buffer_node=node)
         else:
             result = root_complex.write(address, size, buffer_node=node)
@@ -430,7 +445,6 @@ class HostCoupling:
         else:
             self._descriptor_accesses += 1
             self._descriptor_cache_hits += result.cache_hit
-        self._iotlb_hits += result.iotlb_hit
         self._iotlb_misses += not result.iotlb_hit
         self._writebacks += result.writeback
         self._remote_accesses += result.remote
@@ -499,7 +513,9 @@ class HostCoupling:
                 if self._descriptor_accesses
                 else 0.0
             ),
-            iotlb_hit_rate=self._iotlb_hits / total if total else 1.0,
+            iotlb_hit_rate=(
+                (total - self._iotlb_misses) / total if total else 1.0
+            ),
             iotlb_misses=self._iotlb_misses,
             walker_stall_ns_total=self._walker_stall_ns,
             walker_stall_ns_mean=(

@@ -37,11 +37,18 @@ class TightNoise:
         _check_non_negative(self, ("sigma_ns", "tail_probability", "tail_extra_ns"))
         _check_probability(self.tail_probability, "tail_probability")
 
-    def sample(self, generator: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` non-negative jitter values in nanoseconds."""
-        jitter = np.abs(generator.normal(0.0, self.sigma_ns, size=count))
-        outliers = generator.random(count) < self.tail_probability
-        return jitter + outliers * self.tail_extra_ns
+    def sample(self, generator: np.random.Generator) -> float:
+        """Draw one non-negative jitter value in nanoseconds.
+
+        One Gaussian draw, then one uniform draw for the outlier test.  The
+        root complex calls this once per DMA; scalar draws consume the
+        generator exactly like one-element array draws, at a fraction of
+        their cost.
+        """
+        jitter = abs(generator.normal(0.0, self.sigma_ns))
+        if generator.random() < self.tail_probability:
+            return jitter + self.tail_extra_ns
+        return jitter
 
 
 @dataclass(frozen=True)
@@ -79,18 +86,19 @@ class HeavyTailNoise:
         if self.stall_max_ns < self.stall_min_ns:
             raise ValidationError("stall_max_ns must be >= stall_min_ns")
 
-    def sample(self, generator: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` non-negative jitter values in nanoseconds."""
-        jitter = generator.exponential(self.exponential_scale_ns, size=count)
-        stalls = generator.random(count) < self.stall_probability
-        if stalls.any():
+    def sample(self, generator: np.random.Generator) -> float:
+        """Draw one non-negative jitter value in nanoseconds.
+
+        One exponential draw, one uniform draw for the stall test and, on
+        a stall, one more uniform draw for its log-uniform duration.  The
+        rare stall branch keeps numpy's ``log``/``exp`` so its value is
+        the one the array form of this formula computes.
+        """
+        jitter = generator.exponential(self.exponential_scale_ns)
+        if generator.random() < self.stall_probability:
             log_low = np.log(self.stall_min_ns)
             log_high = np.log(self.stall_max_ns)
-            stall_values = np.exp(
-                generator.uniform(log_low, log_high, size=int(stalls.sum()))
-            )
-            jitter = jitter.copy()
-            jitter[stalls] += stall_values
+            jitter += float(np.exp(generator.uniform(log_low, log_high, size=1))[0])
         return jitter
 
 

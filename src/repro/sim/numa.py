@@ -71,6 +71,8 @@ class NumaTopology:
                 "remote_bandwidth_factor must be in (0, 1], got "
                 f"{self.remote_bandwidth_factor}"
             )
+        # Node ids, built once: every DMA's placement check consults them.
+        object.__setattr__(self, "_node_ids", frozenset(node_ids))
 
     @classmethod
     def single_socket(cls) -> "NumaTopology":
@@ -100,7 +102,7 @@ class NumaTopology:
 
     def validate_node(self, node_id: int) -> None:
         """Raise if ``node_id`` does not exist in this topology."""
-        if node_id not in {node.node_id for node in self.nodes}:
+        if node_id not in self._node_ids:
             raise ValidationError(
                 f"NUMA node {node_id} does not exist "
                 f"(nodes: {[node.node_id for node in self.nodes]})"

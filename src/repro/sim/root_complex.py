@@ -29,9 +29,7 @@ here when a host is attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..errors import ValidationError
 from ..units import CACHELINE_BYTES
@@ -142,18 +140,22 @@ class RootComplex:
 
     def read(self, address: int, size: int, *, buffer_node: int = 0) -> HostAccess:
         """Service a DMA read of ``size`` bytes at ``address``."""
-        self._check_access(address, size)
+        if address < 0 or size <= 0:
+            self._check_access(address, size)
         translation = self.iommu.translate(address)
         line = address // CACHELINE_BYTES
         cache_result = self.cache.read(line)
-        self._touch_remaining_lines(address, size, is_write=False)
+        last_line = (address + size - 1) // CACHELINE_BYTES
+        if last_line != line:
+            self._touch_remaining_lines(line, last_line, is_write=False)
         remote = not self.numa.is_local(buffer_node)
+        numa_penalty = self.numa.remote_penalty_ns if remote else 0.0
         latency = (
             self.config.base_read_ns
             + self.memory.read_penalty_ns(cache_hit=cache_result.hit)
             + translation.latency_ns
-            + self.numa.access_penalty_ns(buffer_node)
-            + self._sample_noise()
+            + numa_penalty
+            + self.noise.sample(self._noise_rng)
         )
         return HostAccess(
             latency_ns=latency,
@@ -171,20 +173,24 @@ class RootComplex:
         posted the device never waits for it, but it matters for the ordering
         of a subsequent read (``LAT_WRRD``) and for DDIO write-back effects.
         """
-        self._check_access(address, size)
+        if address < 0 or size <= 0:
+            self._check_access(address, size)
         translation = self.iommu.translate(address)
         line = address // CACHELINE_BYTES
         cache_result = self.cache.write(line)
-        self._touch_remaining_lines(address, size, is_write=True)
+        last_line = (address + size - 1) // CACHELINE_BYTES
+        if last_line != line:
+            self._touch_remaining_lines(line, last_line, is_write=True)
         remote = not self.numa.is_local(buffer_node)
+        numa_penalty = self.numa.remote_penalty_ns if remote else 0.0
         latency = (
             self.config.write_commit_ns
             + self.memory.write_allocation_penalty_ns(
                 writeback_required=cache_result.writeback_required
             )
             + translation.latency_ns
-            + self.numa.access_penalty_ns(buffer_node)
-            + self._sample_noise()
+            + numa_penalty
+            + self.noise.sample(self._noise_rng)
         )
         return HostAccess(
             latency_ns=latency,
@@ -214,7 +220,7 @@ class RootComplex:
             self.config.base_read_ns
             + read_translation.latency_ns
             + self.config.write_to_read_turnaround_ns
-            + self._sample_noise()
+            + self.noise.sample(self._noise_rng)
         )
         write_visible = (
             self.memory.write_allocation_penalty_ns(
@@ -236,19 +242,14 @@ class RootComplex:
 
     # -- helpers -------------------------------------------------------------------------
 
-    def _sample_noise(self) -> float:
-        return float(self.noise.sample(self._noise_rng, 1)[0])
-
     def _ingress_occupancy(self, size: int) -> float:
-        tlps = max(1, -(-size // 256))
-        return self.config.per_tlp_ingress_ns * tlps
+        # One TLP per started 256 bytes; callers have checked size > 0.
+        return self.config.per_tlp_ingress_ns * -(-size // 256)
 
-    def _touch_remaining_lines(self, address: int, size: int, *, is_write: bool) -> None:
+    def _touch_remaining_lines(
+        self, first_line: int, last_line: int, *, is_write: bool
+    ) -> None:
         """Keep line-accurate cache models consistent for multi-line transfers."""
-        first_line = address // CACHELINE_BYTES
-        last_line = (address + max(size, 1) - 1) // CACHELINE_BYTES
-        if last_line == first_line:
-            return
         # Only the faithful model benefits from this; the statistical model
         # draws residency per transaction and extra touches would skew its
         # counters.

@@ -318,6 +318,12 @@ class CompiledTopology:
                 hops.append((node, self._client_index[node][child]))
                 child = node
             self._paths.append(tuple(hops))
+        # Flat attachments resolved once: (root arbiter, client index) per
+        # device attached directly to the root port, None below a switch.
+        self._direct: list[tuple[ArbitratedResource, int] | None] = [
+            (self._arbiters[path[0][0]], path[0][1]) if len(path) == 1 else None
+            for path in self._paths
+        ]
         self._accounting = [
             _DeviceAccounting() for _ in self.device_names
         ]
@@ -389,21 +395,22 @@ class CompiledTopology:
         the resource's service completes — the same contract as a single
         :class:`~repro.sim.engine.ArbitratedResource`.
         """
-        path = self._paths[device]
+        direct = self._direct[device]
         trace = self._trace
-        if len(path) == 1:
-            # Flat attachment: the PR 4 fast path, no indirection.
-            node, client = path[0]
+        if direct is not None:
+            # Flat attachment: straight to the root arbiter.
+            arbiter, client = direct
             if trace is None:
-                self._arbiters[node].request(client, now, duration, grant)
+                arbiter.request(client, now, duration, grant)
                 return
 
             def traced_grant(start: float) -> None:
-                trace(device, node, now, start, duration)
+                trace(device, ROOT, now, start, duration)
                 grant(start)
 
-            self._arbiters[node].request(client, now, duration, traced_grant)
+            arbiter.request(client, now, duration, traced_grant)
             return
+        path = self._paths[device]
         accounting = self._accounting[device]
         hops = len(path)
         held: list[TagPool] = []
@@ -450,10 +457,10 @@ class CompiledTopology:
 
     def client_stats(self, device: int) -> ArbiterClientStats:
         """Per-device end-to-end counters (flat: the root client's own)."""
-        path = self._paths[device]
-        if len(path) == 1:
-            node, client = path[0]
-            return self._arbiters[node].stats[client]
+        direct = self._direct[device]
+        if direct is not None:
+            arbiter, client = direct
+            return arbiter.stats[client]
         return self._accounting[device].stats
 
 

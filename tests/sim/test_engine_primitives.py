@@ -347,12 +347,15 @@ class TestArbitratedResource:
         with pytest.raises(ValidationError):
             ArbitratedResource("x", 2, schedule=loop.at, weights=(1.0, -1.0))
         resource = ArbitratedResource("x", 2, schedule=loop.at)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"client must be within \[0, 2\)"):
             resource.request(5, 0.0, 1.0, lambda t: None)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="now must be non-negative"):
             resource.request(0, -1.0, 1.0, lambda t: None)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="duration must be non-negative"):
             resource.request(0, 0.0, -1.0, lambda t: None)
+        # A rejected request queues nothing.
+        assert resource.pending == 0
+        assert all(stats.requests == 0 for stats in resource.stats)
 
     # -- edge cases pinned as behaviour ------------------------------------
 
