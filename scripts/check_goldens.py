@@ -10,8 +10,10 @@ files, value for value.  Run it after any change to the event core:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
@@ -52,6 +54,27 @@ def check(name: str, produce) -> bool:
     return not problems
 
 
+def traced_record(golden: dict) -> dict:
+    """Attribution, per-stage span counts and a digest of one traced run."""
+    from repro.analysis import attribute_spans
+    from repro.bench.contention import ContentionParams, run_contention_benchmark
+    from repro.obs import Tracer
+
+    tracer = Tracer(golden["tracer_capacity"])
+    run_contention_benchmark(
+        ContentionParams.from_dict(golden["params"]), tracer=tracer
+    )
+    spans = tracer.spans
+    lines = "\n".join(tracer.jsonl_lines()).encode()
+    return {
+        "attribution": attribute_spans(spans),
+        "stage_counts": dict(sorted(Counter(s.stage for s in spans).items())),
+        "recorded": tracer.recorded,
+        "evicted": tracer.evicted,
+        "jsonl_sha256": hashlib.sha256(lines).hexdigest(),
+    }
+
+
 def main() -> int:
     from repro.bench.contention import ContentionParams, run_contention_benchmark
     from repro.bench.fleet import FleetParams, run_fleet_benchmark
@@ -81,6 +104,7 @@ def main() -> int:
                 ContentionParams.from_dict(g["params"])
             ).as_dict(),
         )
+    ok &= check("trace_tree_sliced_seeded.json", traced_record)
     return 0 if ok else 1
 
 
