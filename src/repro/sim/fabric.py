@@ -674,38 +674,63 @@ class _UpstreamPort:
         self._device = device
 
     def claim(self, now, access, coupling, then) -> None:
-        def at_walker(ready: float) -> None:
-            occupancy = access.walker_occupancy_ns
-
-            def granted(start: float) -> None:
-                coupling.note_walker_stall(max(0.0, start - ready))
-                if self._tracer is not None:
-                    self._tracer.record(
-                        self._device, "walker", -1, STAGE_WALKER, start, occupancy
-                    )
-                then(start + occupancy)
-
-            self._walker.request(self._client, ready, occupancy, granted)
-
-        def after_ingress(ready: float) -> None:
-            if access.walker_occupancy_ns > 0.0:
-                if ready > now:
-                    self._schedule(ready, at_walker)
-                else:
-                    at_walker(ready)
-            else:
-                then(ready)
-
+        claim = _HostClaim(self, now, access, coupling, then)
         occupancy = access.ingress_occupancy_ns
         if occupancy > 0.0:
-            self._ingress.request(
-                self._client,
-                now,
-                occupancy,
-                lambda start: after_ingress(start + occupancy),
-            )
+            self._ingress.request(self._client, now, occupancy, claim.at_ingress)
         else:
-            after_ingress(now)
+            claim.after_ingress(now)
+
+
+class _HostClaim:
+    """One host access on its way through a device's :class:`_UpstreamPort`.
+
+    The access's state lives in this slotted record and its bound methods
+    are the grant and event callbacks, so a finished access leaves no
+    reference cycle behind for the garbage collector.
+    """
+
+    __slots__ = ("port", "now", "access", "coupling", "then", "ready")
+
+    def __init__(self, port: _UpstreamPort, now, access, coupling, then) -> None:
+        self.port = port
+        self.now = now
+        self.access = access
+        self.coupling = coupling
+        self.then = then
+        #: When the walker request was submitted (set by ``at_walker``).
+        self.ready = now
+
+    def at_ingress(self, start: float) -> None:
+        """Ingress granted at ``start``: the pipeline frees after its occupancy."""
+        self.after_ingress(start + self.access.ingress_occupancy_ns)
+
+    def after_ingress(self, ready: float) -> None:
+        if self.access.walker_occupancy_ns > 0.0:
+            if ready > self.now:
+                self.port._schedule(ready, self.at_walker)
+            else:
+                self.at_walker(ready)
+        else:
+            self.then(ready)
+
+    def at_walker(self, ready: float) -> None:
+        self.ready = ready
+        port = self.port
+        port._walker.request(
+            port._client, ready, self.access.walker_occupancy_ns, self.granted
+        )
+
+    def granted(self, start: float) -> None:
+        """Walker granted at ``start``: the host can proceed after its service."""
+        occupancy = self.access.walker_occupancy_ns
+        self.coupling.note_walker_stall(max(0.0, start - self.ready))
+        port = self.port
+        if port._tracer is not None:
+            port._tracer.record(
+                port._device, "walker", -1, STAGE_WALKER, start, occupancy
+            )
+        self.then(start + occupancy)
 
 
 # ---------------------------------------------------------------------------

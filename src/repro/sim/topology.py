@@ -227,6 +227,90 @@ class _DeviceAccounting:
                 stats.wait_ns_max = wait
 
 
+class _Ascent:
+    """One request's store-and-forward climb from its device to the root.
+
+    The request's state lives in this slotted record and its bound methods
+    are the callbacks handed to the arbiters, the event loop and the
+    switches' upstream credits.  Nothing the record reaches refers back to
+    it once its last callback has fired, so a finished request is freed by
+    reference counting alone instead of being left to the cyclic garbage
+    collector.
+    """
+
+    __slots__ = ("topology", "device", "level", "asked", "time", "duration", "grant")
+
+    def __init__(
+        self,
+        topology: "CompiledTopology",
+        device: int,
+        now: float,
+        duration: float,
+        grant: Callable[[float], None],
+    ) -> None:
+        self.topology = topology
+        self.device = device
+        #: Index of the current hop on the device's path to the root.
+        self.level = 0
+        #: When the request entered the fabric (end-to-end accounting).
+        self.asked = now
+        #: When the request was submitted at the current hop.
+        self.time = now
+        self.duration = duration
+        self.grant = grant
+
+    def submit(self) -> None:
+        """Queue the request at the arbiter of its current hop."""
+        hops = self.topology._hops[self.device]
+        _, arbiter, client = hops[self.level]
+        callback = self.at_root if self.level == len(hops) - 1 else self.forward
+        arbiter.request(client, self.time, self.duration, callback)
+
+    def forward(self, start: float) -> None:
+        """A switch hop granted: wait out its service, then ask for credit."""
+        # This hop's service ends at start + duration; the request then
+        # waits for the switch's upstream credit before it exists one level
+        # up — a switch can neither pre-book its parent nor flood it with a
+        # backlog.
+        topology = self.topology
+        trace = topology._trace
+        if trace is not None:
+            node = topology._hops[self.device][self.level][0]
+            trace(self.device, node, self.time, start, self.duration)
+        topology._schedule(start + self.duration, self.want_credit)
+
+    def want_credit(self, now: float) -> None:
+        """The hop's service is over: ask for the switch's upstream credit."""
+        credit = self.topology._upstream[self.device][self.level]
+        credit.acquire(now, self.with_credit)
+
+    def with_credit(self, granted: float) -> None:
+        """Credit held: move one level up."""
+        self.level += 1
+        self.time = granted
+        self.submit()
+
+    def at_root(self, start: float) -> None:
+        """The root granted: return the path's credits and grant the caller."""
+        # The request's service completes at start + duration (start is
+        # virtual under slicing); only then do the switches along the path
+        # regain their upstream credit.
+        topology = self.topology
+        device = self.device
+        duration = self.duration
+        completion = start + duration
+        schedule = topology._schedule
+        for credit in topology._upstream[device]:
+            schedule(completion, credit.release)
+        topology._accounting[device].record(
+            self.asked, start, duration, len(topology._hops[device])
+        )
+        trace = topology._trace
+        if trace is not None:
+            trace(device, ROOT, self.time, start, duration)
+        self.grant(start)
+
+
 class CompiledTopology:
     """One shared serial resource arbitrated through a topology tree.
 
@@ -280,53 +364,61 @@ class CompiledTopology:
             children[parent].append(child)
         self._children = {node: tuple(kids) for node, kids in children.items()}
 
-        def subtree_weight(node: str) -> float:
-            if node in device_weight:
-                return float(device_weight[node])
-            return sum(subtree_weight(child) for child in children[node])
-
         self._arbiters: dict[str, ArbitratedResource] = {}
-        for node, kids in children.items():
+        for node, kids in self._children.items():
             label = name if node == ROOT else f"{name}.{node}"
             self._arbiters[node] = ArbitratedResource(
                 label,
                 len(kids),
                 schedule=schedule,
                 scheme=scheme,
-                weights=tuple(subtree_weight(kid) for kid in kids),
+                weights=tuple(
+                    self._subtree_weight(kid, device_weight) for kid in kids
+                ),
                 quantum_ns=quantum_ns,
             )
-        self._client_index = {
-            node: {kid: index for index, kid in enumerate(kids)}
-            for node, kids in children.items()
-        }
         # One upstream credit per switch: a request may only be submitted
         # to the parent while holding its switch's credit, returned when
         # the request's root-level service completes.  This is the
         # PCIe-style flow control that keeps a bulk backlog inside its own
         # switch instead of flooding the parent's queues.
-        self._credits = {
+        credits = {
             switch: TagPool(f"{name}.{switch}.upstream", 1)
             for switch in topology.switch_names
         }
-        # Per-device ascent path as (node, client_index) pairs.
-        self._paths: list[tuple[tuple[str, int], ...]] = []
+        # Per-device ascent as (node, arbiter, client index) hops,
+        # attachment first, and the switch credits the request holds by the
+        # time it reaches the root: one per switch on its path, in ascent
+        # order (every hop but the root's).
+        self._hops: list[tuple[tuple[str, ArbitratedResource, int], ...]] = []
+        self._upstream: list[tuple[TagPool, ...]] = []
         for device in self.device_names:
             hops = []
             child = device
             for node in topology.path_to_root(device):
-                hops.append((node, self._client_index[node][child]))
+                client = self._children[node].index(child)
+                hops.append((node, self._arbiters[node], client))
                 child = node
-            self._paths.append(tuple(hops))
+            self._hops.append(tuple(hops))
+            self._upstream.append(tuple(credits[node] for node, _, _ in hops[:-1]))
         # Flat attachments resolved once: (root arbiter, client index) per
         # device attached directly to the root port, None below a switch.
         self._direct: list[tuple[ArbitratedResource, int] | None] = [
-            (self._arbiters[path[0][0]], path[0][1]) if len(path) == 1 else None
-            for path in self._paths
+            (hops[0][1], hops[0][2]) if len(hops) == 1 else None
+            for hops in self._hops
         ]
         self._accounting = [
             _DeviceAccounting() for _ in self.device_names
         ]
+
+    def _subtree_weight(self, node: str, device_weight: dict[str, float]) -> float:
+        """A device's own weight; for a switch, its subtree's summed weight."""
+        if node in device_weight:
+            return float(device_weight[node])
+        return sum(
+            self._subtree_weight(child, device_weight)
+            for child in self._children[node]
+        )
 
     @property
     def root(self) -> ArbitratedResource:
@@ -360,15 +452,9 @@ class CompiledTopology:
         if any(weight <= 0 for weight in weights):
             raise ValidationError(f"weights must be positive, got {tuple(weights)}")
         device_weight = dict(zip(self.device_names, weights))
-
-        def subtree_weight(node: str) -> float:
-            if node in device_weight:
-                return float(device_weight[node])
-            return sum(subtree_weight(child) for child in self._children[node])
-
         for node, kids in self._children.items():
             self._arbiters[node].set_weights(
-                tuple(subtree_weight(kid) for kid in kids)
+                tuple(self._subtree_weight(kid, device_weight) for kid in kids)
             )
 
     def attach_loop(self, loop) -> None:
@@ -410,50 +496,7 @@ class CompiledTopology:
 
             arbiter.request(client, now, duration, traced_grant)
             return
-        path = self._paths[device]
-        accounting = self._accounting[device]
-        hops = len(path)
-        held: list[TagPool] = []
-
-        def ascend(level: int, time: float) -> None:
-            node, client = path[level]
-            if level == hops - 1:
-                def at_root(start: float) -> None:
-                    # The request's service completes at start + duration
-                    # (start is virtual under slicing); only then do the
-                    # switches along the path regain their upstream credit.
-                    completion = start + duration
-                    for credit in held:
-                        self._schedule(completion, credit.release)
-                    accounting.record(now, start, duration, hops)
-                    if trace is not None:
-                        trace(device, node, time, start, duration)
-                    grant(start)
-
-                self._arbiters[node].request(client, time, duration, at_root)
-            else:
-                credit = self._credits[node]
-
-                def forward(start: float) -> None:
-                    # This hop's service ends at start + duration; the
-                    # request then waits for the switch's upstream credit
-                    # before it exists one level up — a switch can neither
-                    # pre-book its parent nor flood it with a backlog.
-                    if trace is not None:
-                        trace(device, node, time, start, duration)
-
-                    def with_credit(granted: float) -> None:
-                        held.append(credit)
-                        ascend(level + 1, granted)
-
-                    self._schedule(
-                        start + duration,
-                        lambda later: credit.acquire(later, with_credit),
-                    )
-
-                self._arbiters[node].request(client, time, duration, forward)
-
-        ascend(0, now)
+        _Ascent(self, device, now, duration, grant).submit()
 
     def client_stats(self, device: int) -> ArbiterClientStats:
         """Per-device end-to-end counters (flat: the root client's own)."""
