@@ -21,11 +21,6 @@ machine-independent.  Batch must finish the scenario at least
 ``BATCH_SPEEDUP_FLOOR``x faster end to end than the exact engine did in
 the same invocation.
 
-The hybrid engine is recorded but not gated here: on this saturated
-scenario its certificates rarely hold (arrival-gap knees force packet
-mode), so it tracks the exact engine — its behavioural gate is the
-contention re-entry smoke (``benchmarks/hybrid_contend_smoke.py``).
-
 Usage::
 
     PYTHONPATH=src python benchmarks/eventcore_smoke.py              # gate
@@ -44,7 +39,7 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.sim.fastpath import numpy_available  # noqa: E402
+from repro.sim.engine import MODES  # noqa: E402
 from repro.sim.nicsim import NicDatapathSimulator  # noqa: E402
 from repro.workloads import bursty_imix_workload  # noqa: E402
 
@@ -127,7 +122,7 @@ def measure(mode: str) -> dict[str, float | int | str]:
 
 def main(argv: list[str]) -> int:
     rebaseline = "--rebaseline" in argv
-    modes = ["exact", "batch", "hybrid"]
+    modes = list(MODES)
     for index, arg in enumerate(argv):
         if arg == "--mode":
             modes = [m.strip() for m in argv[index + 1].split(",") if m.strip()]
@@ -137,21 +132,10 @@ def main(argv: list[str]) -> int:
                 for m in arg.split("=", 1)[1].split(",")
                 if m.strip()
             ]
-    unknown = [m for m in modes if m not in ("exact", "batch", "hybrid")]
+    unknown = [m for m in modes if m not in MODES]
     if unknown:
         print(f"unknown mode(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    if not numpy_available():
-        skipped = [m for m in modes if m != "exact"]
-        if skipped:
-            print(
-                "numpy unavailable: skipping "
-                + ", ".join(skipped)
-                + " (install the [fast] extra)"
-            )
-        modes = [m for m in modes if m == "exact"]
-        if not modes:
-            return 0
 
     record = json.loads(RESULT_PATH.read_text()) if RESULT_PATH.exists() else {}
     calibration = calibrate()

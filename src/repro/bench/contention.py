@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..errors import ValidationError
+from ..errors import ValidationError, record_reader
+from ..sim.engine import MODES
 from ..sim.fabric import (
     ContentionResult,
     FabricConfig,
@@ -147,11 +148,10 @@ class ContentionParams:
         control_window_ns: the controller's observation window in
             simulated nanoseconds (``None`` uses the control-plane
             default; only valid with a non-static controller).
-        mode: engine selection (``"exact"``/``"batch"``/``"hybrid"``, see
+        mode: engine selection (``"exact"`` or ``"batch"``, see
             :meth:`~repro.sim.fabric.FabricSimulator.run`).  Fabric runs
             always couple the host, so ``"batch"`` runs the exact scalar
-            engine; ``"hybrid"`` runs fluid datapaths that re-enter
-            packet mode on every control action.
+            engine.
         engine_profile: attach the run's
             :class:`~repro.sim.engine.EngineProfile` to the result
             (``result.profile``).  A parameter rather than only a runner
@@ -181,9 +181,9 @@ class ContentionParams:
         object.__setattr__(self, "devices", tuple(self.devices))
         if not self.devices:
             raise ValidationError("a contention run needs at least one device")
-        if self.mode not in ("exact", "batch", "hybrid"):
+        if self.mode not in MODES:
             raise ValidationError(
-                f"mode must be one of exact, batch, hybrid; got {self.mode!r}"
+                f"mode must be one of {', '.join(MODES)}; got {self.mode!r}"
             )
         for index, device in enumerate(self.devices):
             if not isinstance(device, NicSimParams):
@@ -355,6 +355,7 @@ class ContentionParams:
         return record
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict[str, object]) -> "ContentionParams":
         """Rebuild parameters from :meth:`as_dict` output."""
         devices = tuple(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from ..errors import ValidationError
+from ..errors import ValidationError, record_reader
 from ..fleet import (
     canonical_load_profile,
     canonical_placement,
@@ -451,6 +451,7 @@ class FleetResult:
         }
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict[str, object]) -> "FleetResult":
         """Rebuild a fleet record from :meth:`as_dict` output."""
         return cls(

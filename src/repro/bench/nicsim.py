@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..core.nic import model_by_name
-from ..errors import ValidationError
+from ..errors import ValidationError, record_reader
 from ..sim.cache import CacheState
+from ..sim.engine import MODES
 from ..sim.iommu import SUPPORTED_PAGE_SIZES
 from ..sim.nichost import PAYLOAD_UNIT_BYTES, NicHostConfig
 from ..sim.nicsim import NicSimResult, simulate_nic
@@ -71,10 +72,8 @@ class NicSimParams:
             ``False`` streams latencies through an O(1)-memory quantile
             sketch instead — the mode fleet-scale runs use.
         mode: engine selection — ``"exact"`` (default, the scalar event
-            loop every golden rests on), ``"batch"`` (vectorised solver
-            with automatic scalar fallback) or ``"hybrid"`` (fluid
-            fast-path).  Non-exact modes need numpy (the ``[fast]``
-            extra).
+            loop every golden rests on) or ``"batch"`` (vectorised solver
+            with automatic scalar fallback).
     """
 
     model: str = "Simple NIC"
@@ -110,9 +109,9 @@ class NicSimParams:
                 + ", ".join(workload_names())
             )
         object.__setattr__(self, "workload", key)
-        if self.mode not in ("exact", "batch", "hybrid"):
+        if self.mode not in MODES:
             raise ValidationError(
-                f"mode must be one of exact, batch, hybrid; got {self.mode!r}"
+                f"mode must be one of {', '.join(MODES)}; got {self.mode!r}"
             )
         if self.packet_size <= 0:
             raise ValidationError(
@@ -286,6 +285,7 @@ class NicSimParams:
         return record
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict[str, object]) -> "NicSimParams":
         """Rebuild parameters from :meth:`as_dict` output."""
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..errors import AnalysisError, ValidationError
+from ..errors import AnalysisError, ValidationError, record_reader
 from ..sim.fabric import ContentionResult
 from ..sim.nicsim import NicSimResult
 from .fleet import FleetResult
@@ -79,6 +79,7 @@ class BenchmarkResult:
         return record
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict[str, object]) -> "BenchmarkResult":
         """Rebuild a result from :meth:`as_dict` output."""
         params = BenchmarkParams.from_dict(dict(data["params"]))  # type: ignore[arg-type]
@@ -161,6 +162,10 @@ def load_results_json(
         "BenchmarkResult | NicSimResult | ContentionResult | FleetResult"
     ] = []
     for record in records:
+        if not isinstance(record, dict):
+            raise AnalysisError(
+                f"expected result objects in {path}, got {type(record).__name__}"
+            )
         if record.get("kind") == "NICSIM":
             rebuilt.append(NicSimResult.from_dict(record))
         elif record.get("kind") == "CONTENTION":

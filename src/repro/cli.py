@@ -63,7 +63,7 @@ from .errors import ReproError, UsageError, ValidationError
 from .experiments.registry import experiment_ids, run_all, run_experiment
 from .control import CONTROL_POLICIES
 from .obs import DEFAULT_CAPACITY, Tracer
-from .sim.engine import ARBITER_SCHEMES
+from .sim.engine import ARBITER_SCHEMES, MODES
 from .sim.nicsim import cross_validate
 from .sim.profiles import profile_names
 from .units import parse_size
@@ -159,11 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
         "with a two-socket profile)",
     )
     nicsim.add_argument(
-        "--mode", default="exact", choices=["exact", "batch", "hybrid"],
+        "--mode", default="exact", choices=MODES,
         help="engine: exact (scalar event loop, the golden-verified "
-        "default), batch (vectorised solver with automatic scalar "
-        "fallback) or hybrid (fluid fast-path in certified steady state); "
-        "batch/hybrid need numpy (install the [fast] extra)",
+        "default) or batch (vectorised solver with automatic scalar "
+        "fallback)",
     )
     nicsim.add_argument("--seed", type=int, default=None)
     nicsim.add_argument(
@@ -255,11 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: the control plane's default window)",
     )
     contend.add_argument(
-        "--mode", default="exact", choices=["exact", "batch", "hybrid"],
-        help="engine: exact (default), batch (falls back to exact — "
-        "fabric runs always couple the host) or hybrid (fluid fast-path; "
-        "control actions force packet-mode re-entry); batch/hybrid need "
-        "numpy (install the [fast] extra)",
+        "--mode", default="exact", choices=MODES,
+        help="engine: exact (default) or batch (falls back to exact — "
+        "fabric runs always couple the host)",
     )
     contend.add_argument("--seed", type=int, default=None)
     contend.add_argument(
@@ -505,26 +502,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_mode_deps(mode: str) -> None:
-    """Fail ``--mode batch|hybrid`` at the flag when numpy is missing.
-
-    The engine itself would also refuse, but deep in the run with a
-    library-level message; the CLI names the flag and the extra to
-    install instead.
-    """
-    if mode == "exact":
-        return
-    from .sim.fastpath import numpy_available
-
-    if not numpy_available():
-        raise UsageError(
-            f"--mode {mode} needs numpy, which is not installed; "
-            "install the optional extra: pip install 'pcie-bench-repro[fast]'"
-        )
-
-
 def _cmd_nicsim(args: argparse.Namespace) -> int:
-    _require_mode_deps(args.mode)
     if args.compare_analytic and args.workload != "fixed":
         raise ReproError(
             "--compare-analytic requires the fixed-size workload "
@@ -655,7 +633,6 @@ def _parse_device_spec(text: str) -> tuple[str | None, NicSimParams]:
 
 
 def _cmd_contend(args: argparse.Namespace) -> int:
-    _require_mode_deps(args.mode)
     if args.device:
         specs = [_parse_device_spec(text) for text in args.device]
         devices = tuple(params for _, params in specs)

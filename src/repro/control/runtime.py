@@ -197,7 +197,6 @@ class ControlRuntime:
         self._ddio_shares: tuple[float, ...] | None = None
         self._repartition: Callable[[Sequence[float]], None] | None = None
         self.actions: list[ControlAction] = []
-        self._action_listeners: list[Callable[[ControlAction], None]] = []
         self.windows_ticked = 0
         self._now = 0.0
         self.actuators = Actuators(self)
@@ -258,24 +257,7 @@ class ControlRuntime:
         """Schedule the first tick (call after the arrivals are fed)."""
         self._loop.at(self.window_ns, self._tick)
 
-    def add_action_listener(
-        self, listener: Callable[[ControlAction], None]
-    ) -> None:
-        """Invoke ``listener`` with every :class:`ControlAction` as it lands.
-
-        Listeners fire synchronously, after the actuator has been applied
-        and the action recorded.  The hybrid fluid fast-path uses this to
-        drop out of fluid mode the instant any knob moves — a control
-        action invalidates the steady-state certificate by construction.
-        """
-        self._action_listeners.append(listener)
-
     # -- actuation -------------------------------------------------------------
-
-    def _log_action(self, action: ControlAction) -> None:
-        self.actions.append(action)
-        for listener in self._action_listeners:
-            listener(action)
 
     def _apply_weights(
         self, weights: Sequence[float], device: str, reason: str
@@ -292,7 +274,7 @@ class ControlRuntime:
             return False
         for sink in self._weight_sinks:
             sink(new)
-        self._log_action(
+        self.actions.append(
             ControlAction(
                 time_ns=self._now,
                 device=device,
@@ -317,7 +299,7 @@ class ControlRuntime:
             return False
         for steering in state.steerings:
             steering.set_table(new)
-        self._log_action(
+        self.actions.append(
             ControlAction(
                 time_ns=self._now,
                 device=state.name,
@@ -345,7 +327,7 @@ class ControlRuntime:
         if new == self._ddio_shares:
             return False
         self._repartition(new)
-        self._log_action(
+        self.actions.append(
             ControlAction(
                 time_ns=self._now,
                 device=device,

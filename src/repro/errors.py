@@ -7,6 +7,8 @@ able to distinguish configuration problems from runtime simulation problems.
 
 from __future__ import annotations
 
+import functools
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
@@ -51,3 +53,26 @@ class UnknownProfileError(ConfigurationError):
         if self.known:
             msg += f" (known profiles: {', '.join(sorted(self.known))})"
         super().__init__(msg)
+
+
+def record_reader(from_dict):
+    """Report a malformed record passed to a ``from_dict`` classmethod.
+
+    A missing key, a mistyped value or a value the rebuilt object's own
+    validation rejects all raise :class:`ValidationError` naming the
+    record type, so callers reading result files from disk catch one
+    library error instead of whatever the first bad field happens to
+    trip.  Apply it beneath ``@classmethod``.
+    """
+
+    @functools.wraps(from_dict)
+    def read(cls, data):
+        try:
+            return from_dict(cls, data)
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValidationError(
+                f"malformed {cls.__name__} record: {detail}"
+            ) from exc
+
+    return read

@@ -28,7 +28,15 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
-from ..errors import SimulationError, ValidationError
+from ..errors import SimulationError, ValidationError, record_reader
+
+
+#: The engine selection knob shared by the simulators, the bench params
+#: and the CLI: ``exact`` is the scalar event loop (the default, golden-
+#: verified path) and ``batch`` the vectorised solver in
+#: :mod:`repro.sim.fastpath`, which falls back to ``exact`` on any run it
+#: cannot vectorise.
+MODES: tuple[str, ...] = ("exact", "batch")
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,16 +45,17 @@ class EngineProfile:
 
     Filled by the simulators' ``--profile`` hook: ``build_s`` covers
     workload generation and datapath construction, ``events_s`` is the
-    event loop drain (the phase the event-wheel work targets), and
-    ``stats_s`` the statistics summarisation.  ``events`` is the number
-    of events the loop dispatched, so ``events / events_s`` is the
-    engine's raw events-per-second throughput.
+    event loop drain (the phase the scheduler and the datapath walk
+    spend their time in), and ``stats_s`` the statistics summarisation.
+    ``events`` is the number of events the loop dispatched, so
+    ``events / events_s`` is the engine's raw events-per-second
+    throughput.
 
     ``mode`` names the engine that produced the run (``exact`` scalar
-    event loop, ``batch`` vectorised solver, ``hybrid`` fluid fast-path)
-    and ``solve_s`` is the vectorised solve time inside ``events_s``
-    (zero for the scalar engines), so per-mode phase timings stay
-    comparable in one record shape.
+    event loop or ``batch`` vectorised solver) and ``solve_s`` is the
+    vectorised solve time inside ``events_s`` (zero for the scalar
+    engine), so per-mode phase timings stay comparable in one record
+    shape.
     """
 
     label: str
@@ -82,6 +91,7 @@ class EngineProfile:
         }
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict) -> "EngineProfile":
         """Rebuild a profile from :meth:`as_dict` output.
 
@@ -113,16 +123,25 @@ class EngineProfile:
         )
 
 
-class HeapEventLoop:
-    """The reference discrete-event scheduler: one binary heap.
+class EventLoop:
+    """The shared discrete-event scheduler: one binary heap.
 
     Events are ``(time, sequence, fn)`` records popped in time order with
     FIFO tie-break on the insertion sequence — the determinism contract
     every simulator in this package (and every seeded golden) rests on.
-    :class:`EventLoop` is the production scheduler; this class keeps the
-    obviously-correct heap implementation alive as the executable
-    specification the property tests compare the event wheel against,
-    and as a drop-in fallback.
+    Two ingestion paths, by event shape:
+
+    * :meth:`at` — dynamic events scheduled while the loop runs, pushed
+      on the heap.
+    * :meth:`feed` — the pre-generated workload arrivals.  A run begins
+      with every arrival already known and nearly sorted; keeping them
+      out of the heap entirely (one stable sort, then a pointer walk)
+      beats paying per-event scheduling for half of all events, and
+      keeps the heap small.
+
+    ``peek_time`` exposes the earliest pending event so resources can
+    service back-to-back grants without a scheduler round trip per grant
+    (see :meth:`ArbitratedResource.attach_loop`).
     """
 
     __slots__ = (
@@ -139,155 +158,7 @@ class HeapEventLoop:
         self._sequence = 0
         self._stream: list[tuple[float, Callable[[float, object], None], object]] = []
         self._stream_pos = 0
-        #: Events dispatched so far (the profiling hook's events counter).
-        self.processed = 0
-        #: True while :meth:`run` is draining (see ``EventLoop.running``).
-        self.running = False
-
-    def at(self, time: float, fn: Callable[[float], None]) -> None:
-        """Schedule ``fn(time)``; same-time events run in call order."""
-        heapq.heappush(self._heap, (time, self._sequence, fn))
-        self._sequence += 1
-
-    def reserve(self) -> int:
-        """Claim the next insertion sequence without scheduling anything.
-
-        Pairs with :meth:`at_sequenced`: a caller that *may* schedule an
-        event later — after running code that schedules its own events —
-        can reserve its tie-break position up front, so the eventual event
-        sorts exactly as if it had been scheduled at reservation time.
-        """
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        return sequence
-
-    def at_sequenced(
-        self, time: float, sequence: int, fn: Callable[[float], None]
-    ) -> None:
-        """Schedule ``fn(time)`` under a sequence from :meth:`reserve`."""
-        heapq.heappush(self._heap, (time, sequence, fn))
-
-    def feed(self, time: float, fn: Callable[[float, object], None], arg: object) -> None:
-        """Pre-load one externally generated event (see :meth:`EventLoop.feed`)."""
-        self._stream.append((time, fn, arg))
-
-    def feed_many(self, entries) -> None:
-        """Pre-load ``(time, fn, arg)`` tuples in bulk (see :meth:`feed`)."""
-        self._stream.extend(entries)
-
-    def peek_time(self) -> float:
-        """Earliest pending event time (``inf`` when idle)."""
-        head = self._heap[0][0] if self._heap else math.inf
-        if self._stream_pos < len(self._stream):
-            stream_time = self._stream[self._stream_pos][0]
-            if stream_time < head:
-                head = stream_time
-        return head
-
-    def run(self) -> None:
-        """Dispatch events until none remain."""
-        self._stream.sort(key=itemgetter(0))
-        stream = self._stream
-        stream_len = len(stream)
-        heap = self._heap
-        self.running = True
-        try:
-            while True:
-                pos = self._stream_pos
-                if pos < stream_len:
-                    entry = stream[pos]
-                    # Fed events precede any dynamic event at the same time:
-                    # they were all scheduled before the loop started.
-                    if not heap or entry[0] <= heap[0][0]:
-                        self._stream_pos = pos + 1
-                        self.processed += 1
-                        entry[1](entry[0], entry[2])
-                        continue
-                if not heap:
-                    break
-                time, _, fn = heapq.heappop(heap)
-                self.processed += 1
-                fn(time)
-        finally:
-            self.running = False
-
-
-#: Default calendar-queue geometry: 64 ns buckets are of the order of one
-#: small-DMA link serialisation, so in steady state each bucket holds only
-#: a handful of events; 1024 buckets give a 65 µs rotating window, wider
-#: than any causal delay (host round trips are hundreds of ns), so dynamic
-#: events essentially never overflow to the fallback heap.
-DEFAULT_BUCKET_NS = 64.0
-DEFAULT_NUM_BUCKETS = 1024
-
-
-class EventLoop:
-    """The shared discrete-event scheduler: a bucketed calendar queue.
-
-    Drop-in replacement for :class:`HeapEventLoop` with identical pop
-    order (time-ordered, FIFO on same-time ties — pinned by the
-    wheel-vs-heap property test).  Three ingestion paths, by event shape:
-
-    * :meth:`at` — dynamic events scheduled while the loop runs.  These
-      land in a rotating array of time buckets (width ``bucket_ns``);
-      since simulators schedule into the causal near future, insertion
-      and removal touch a bucket of O(1) occupancy instead of a heap of
-      every pending event.
-    * the **fallback heap** — events beyond the wheel's rotating window
-      (sparse horizons: retry timers, a closed-loop source's next cycle).
-      They migrate into the wheel as the cursor advances.
-    * :meth:`feed` — the pre-generated workload arrivals.  A run begins
-      with every arrival already known and nearly sorted; keeping them
-      out of the wheel entirely (one stable sort, then a pointer walk)
-      beats paying per-event scheduling for half of all events.
-
-    ``peek_time`` exposes the earliest pending event so resources can
-    service back-to-back grants without a scheduler round trip per grant
-    (see :meth:`ArbitratedResource.attach_loop`).
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_bucket_ns",
-        "_num_buckets",
-        "_cursor",
-        "_cursor_time",
-        "_wheel_end",
-        "_wheel_count",
-        "_overflow",
-        "_sequence",
-        "_stream",
-        "_stream_pos",
-        "processed",
-        "running",
-    )
-
-    def __init__(
-        self,
-        *,
-        bucket_ns: float = DEFAULT_BUCKET_NS,
-        num_buckets: int = DEFAULT_NUM_BUCKETS,
-    ) -> None:
-        if bucket_ns <= 0:
-            raise ValidationError(f"bucket_ns must be positive, got {bucket_ns}")
-        if num_buckets <= 0:
-            raise ValidationError(
-                f"num_buckets must be positive, got {num_buckets}"
-            )
-        self._bucket_ns = float(bucket_ns)
-        self._num_buckets = num_buckets
-        self._buckets: list[list[tuple[float, int, Callable[[float], None]]]] = [
-            [] for _ in range(num_buckets)
-        ]
-        self._cursor = 0
-        self._cursor_time = 0.0
-        self._wheel_end = self._bucket_ns * num_buckets
-        self._wheel_count = 0
-        self._overflow: list[tuple[float, int, Callable[[float], None]]] = []
-        self._sequence = 0
-        self._stream: list[tuple[float, Callable[[float, object], None], object]] = []
-        self._stream_pos = 0
-        #: Events dispatched so far (the profiling hook's events counter).
+        #: Events dispatched by :meth:`run` (the profiling hook's counter).
         self.processed = 0
         #: True while :meth:`run` is draining.  Batch-granting resources
         #: check this: outside the loop, a ``peek_time``-based "nothing
@@ -299,26 +170,18 @@ class EventLoop:
         """Schedule ``fn(time)``; same-time events run in call order."""
         sequence = self._sequence
         self._sequence = sequence + 1
-        # _insert, open-coded: this is the hottest scheduling entry point.
-        if time >= self._wheel_end:
-            heapq.heappush(self._overflow, (time, sequence, fn))
-            return
-        if time < self._cursor_time:
-            bucket = self._buckets[self._cursor]
-        else:
-            bucket = self._buckets[
-                int(time / self._bucket_ns) % self._num_buckets
-            ]
-        heapq.heappush(bucket, (time, sequence, fn))
-        self._wheel_count += 1
+        heapq.heappush(self._heap, (time, sequence, fn))
 
     def reserve(self) -> int:
         """Claim the next insertion sequence without scheduling anything.
 
-        Pairs with :meth:`at_sequenced` (see :meth:`HeapEventLoop.reserve`
-        for the contract): lets :class:`ArbitratedResource` hold its
-        wake-up's tie-break position while the grant callback runs, then
-        either schedule under it or batch the next grant inline.
+        Pairs with :meth:`at_sequenced`: a caller that *may* schedule an
+        event later — after running code that schedules its own events —
+        can reserve its tie-break position up front, so the eventual event
+        sorts exactly as if it had been scheduled at reservation time.
+        :class:`ArbitratedResource` holds its wake-up's position this way
+        while the grant callback runs, then either schedules under it or
+        batches the next grant inline.
         """
         sequence = self._sequence
         self._sequence = sequence + 1
@@ -328,24 +191,7 @@ class EventLoop:
         self, time: float, sequence: int, fn: Callable[[float], None]
     ) -> None:
         """Schedule ``fn(time)`` under a sequence from :meth:`reserve`."""
-        self._insert(time, sequence, fn)
-
-    def _insert(
-        self, time: float, sequence: int, fn: Callable[[float], None]
-    ) -> None:
-        if time >= self._wheel_end:
-            heapq.heappush(self._overflow, (time, sequence, fn))
-            return
-        if time < self._cursor_time:
-            # An event at (or before) the current instant: the cursor's
-            # bucket heap sorts it first, exactly where the heap would.
-            bucket = self._buckets[self._cursor]
-        else:
-            bucket = self._buckets[
-                int(time / self._bucket_ns) % self._num_buckets
-            ]
-        heapq.heappush(bucket, (time, sequence, fn))
-        self._wheel_count += 1
+        heapq.heappush(self._heap, (time, sequence, fn))
 
     def feed(self, time: float, fn: Callable[[float, object], None], arg: object) -> None:
         """Pre-load one externally generated event, dispatched ``fn(time, arg)``.
@@ -366,48 +212,9 @@ class EventLoop:
         """
         self._stream.extend(entries)
 
-    def _seek(self) -> bool:
-        """Advance the cursor to the next non-empty bucket.
-
-        Returns False when wheel and overflow are both empty.  Advancing
-        migrates matured overflow events into the bucket they map to; an
-        empty wheel jumps straight to the overflow's window instead of
-        scanning idle buckets.
-        """
-        buckets = self._buckets
-        num = self._num_buckets
-        width = self._bucket_ns
-        overflow = self._overflow
-        while self._wheel_count:
-            if buckets[self._cursor]:
-                return True
-            self._cursor = (self._cursor + 1) % num
-            self._cursor_time += width
-            end = self._wheel_end + width
-            self._wheel_end = end
-            while overflow and overflow[0][0] < end:
-                entry = heapq.heappop(overflow)
-                heapq.heappush(buckets[int(entry[0] / width) % num], entry)
-                self._wheel_count += 1
-        if overflow:
-            lap = int(overflow[0][0] / width)
-            self._cursor = lap % num
-            self._cursor_time = lap * width
-            end = self._cursor_time + num * width
-            self._wheel_end = end
-            while overflow and overflow[0][0] < end:
-                entry = heapq.heappop(overflow)
-                heapq.heappush(buckets[int(entry[0] / width) % num], entry)
-                self._wheel_count += 1
-            return True
-        return False
-
     def peek_time(self) -> float:
         """Earliest pending event time (``inf`` when idle)."""
-        head = math.inf
-        if self._wheel_count or self._overflow:
-            self._seek()
-            head = self._buckets[self._cursor][0][0]
+        head = self._heap[0][0] if self._heap else math.inf
         if self._stream_pos < len(self._stream):
             stream_time = self._stream[self._stream_pos][0]
             if stream_time < head:
@@ -419,39 +226,25 @@ class EventLoop:
         self._stream.sort(key=itemgetter(0))
         stream = self._stream
         stream_len = len(stream)
-        buckets = self._buckets
+        heap = self._heap
         heappop = heapq.heappop
         processed = self.processed
         self.running = True
         try:
             while True:
-                if self._wheel_count:
-                    # Fast path: the cursor bucket is usually non-empty in
-                    # steady state, so skip the _seek call entirely.
-                    bucket = buckets[self._cursor]
-                    if not bucket:
-                        self._seek()
-                        bucket = buckets[self._cursor]
-                    head = bucket[0][0]
-                elif self._overflow:
-                    self._seek()
-                    bucket = buckets[self._cursor]
-                    head = bucket[0][0]
-                else:
-                    bucket = None
-                    head = None
                 pos = self._stream_pos
                 if pos < stream_len:
                     entry = stream[pos]
-                    if head is None or entry[0] <= head:
+                    # Fed events precede any dynamic event at the same time:
+                    # they were all scheduled before the loop started.
+                    if not heap or entry[0] <= heap[0][0]:
                         self._stream_pos = pos + 1
                         processed += 1
                         entry[1](entry[0], entry[2])
                         continue
-                if bucket is None:
+                if not heap:
                     break
-                time, _, fn = heappop(bucket)
-                self._wheel_count -= 1
+                time, _, fn = heappop(heap)
                 processed += 1
                 fn(time)
         finally:
@@ -844,7 +637,7 @@ class ArbitratedResource:
         self.weights = tuple(float(weight) for weight in weights)
         self.quantum_ns = None if quantum_ns is None else float(quantum_ns)
         self._schedule = schedule
-        self._loop: "EventLoop | HeapEventLoop | None" = None
+        self._loop: EventLoop | None = None
         # Queue entries are (asked, sequence, remaining, grant, total):
         # remaining == total except for a preempted slice remnant.
         self._queues: tuple[
@@ -975,7 +768,7 @@ class ArbitratedResource:
                     best_score = score
         return best
 
-    def attach_loop(self, loop: "EventLoop | HeapEventLoop") -> None:
+    def attach_loop(self, loop: EventLoop) -> None:
         """Enable batched grants against ``loop``.
 
         ``loop`` must be the event loop behind the ``schedule`` hook this

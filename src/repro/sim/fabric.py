@@ -71,7 +71,7 @@ from ..control import (
 )
 from ..core.config import PAPER_DEFAULT_CONFIG, PCIeConfig
 from ..core.nic import NicModel, model_by_name
-from ..errors import ValidationError
+from ..errors import ValidationError, record_reader
 from ..obs.metrics import MetricsRegistry, metric_segment
 from ..obs.trace import ARB_PREFIX, STAGE_WALKER, Tracer
 from ..units import CACHELINE_BYTES, KIB, MIB
@@ -86,6 +86,7 @@ from .engine import (
     ARBITER_SCHEMES,
     WEIGHTED_SCHEMES,
     DEFAULT_QUANTUM_NS,
+    MODES,
     EngineProfile,
     EventLoop,
     SerialResource,
@@ -922,6 +923,7 @@ class ContentionResult:
         return record
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict) -> "ContentionResult":
         """Rebuild a result from :meth:`as_dict` output."""
         topology = data.get("topology")
@@ -1033,23 +1035,12 @@ class FabricSimulator:
         interaction the vectorised batch solver declares a fallback on —
         so ``"batch"`` here *is* the scalar engine (same fallback the
         single-device path takes, decided up front instead of after a
-        failed solve).  ``"hybrid"`` runs fluid datapaths whose
-        steady-state certificates are additionally invalidated by every
-        control action: a :class:`~repro.control.runtime.ControlRuntime`
-        action listener pokes all fluid queues, forcing packet-mode
-        re-entry (reason ``"control"``) the next arrival after any knob
-        moves.
+        failed solve).
         """
-        if mode not in ("exact", "batch", "hybrid"):
+        if mode not in MODES:
             raise ValidationError(
-                f"mode must be one of exact, batch, hybrid; got {mode!r}"
+                f"mode must be one of {', '.join(MODES)}; got {mode!r}"
             )
-        datapath_cls = _Datapath
-        fluid_result_summary = None
-        if mode == "hybrid":
-            from .fastpath import fluid_datapath_class, fluid_result_summary
-
-            datapath_cls = fluid_datapath_class()
         resolved_seed = DEFAULT_SEED if seed is None else seed
         wall_start = perf_counter()
         fabric = self.fabric
@@ -1160,7 +1151,7 @@ class FabricSimulator:
                     )
                 )
                 queues = [
-                    datapath_cls(
+                    _Datapath(
                         direction,
                         device.model,
                         self.config,
@@ -1280,24 +1271,6 @@ class FabricSimulator:
                 runtime.bind_port_stats(port_totals)
             if shared.partitioned and fabric.cache_model == "statistical":
                 runtime.bind_ddio(fabric.ddio_partition, shared.repartition)
-            if mode == "hybrid":
-                # Any control action (weights, RSS, DDIO) invalidates the
-                # steady-state certificate fleet-wide: an actuator changes
-                # the service rates the residual reservoir was sampled
-                # under, and not only on the device it names (weights and
-                # DDIO shares redistribute capacity across neighbours).
-                fluid_paths = tuple(
-                    path
-                    for device_dirs in device_paths
-                    for _direction, queues in device_dirs
-                    for path in queues
-                )
-
-                def poke_fluid(_action, paths=fluid_paths):
-                    for path in paths:
-                        path.control_poke()
-
-                runtime.add_action_listener(poke_fluid)
             runtime.start()
 
         if metrics is not None:
@@ -1357,11 +1330,6 @@ class FabricSimulator:
                 ),
                 host=shared.couplings[index].stats(),
                 tags=DmaTagStats.from_pool(tags) if tags is not None else None,
-                fluid=(
-                    fluid_result_summary(directions)
-                    if fluid_result_summary is not None
-                    else None
-                ),
             )
             records.append(
                 DeviceContentionResult(
@@ -1385,7 +1353,7 @@ class FabricSimulator:
             events_s=stats_start - events_start,
             stats_s=perf_counter() - stats_start,
             events=loop.processed,
-            mode=mode if mode == "hybrid" else "exact",
+            mode="exact",
         )
         if metrics is not None:
             _finalise_metrics(

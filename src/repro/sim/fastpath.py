@@ -1,74 +1,43 @@
-"""Compiled-speed fast paths for the NIC datapath simulator.
+"""The vectorised batch engine for the NIC datapath simulator.
 
-Two escapes from per-event interpreter dispatch live here, both opt-in
-via ``mode=`` on :class:`~repro.sim.nicsim.NicDatapathSimulator.run`
-(and ``--mode`` on the CLI):
+``mode="batch"`` on :meth:`~repro.sim.nicsim.NicDatapathSimulator.run`
+(and ``--mode batch`` on the CLI) escapes per-event interpreter dispatch
+through :func:`run_batch`.  When a run has no interaction points (no
+host coupling, no bounded DMA tag pool, a single queue pair, and
+descriptor rings that never fill), every transaction instance of the
+whole run can be laid out as numpy columns and the two link directions
+solved by waveform relaxation: each sweep computes every instance's
+*request* time from the previous sweep's link schedule, re-serves each
+link FIFO-in-request-order with a max-plus scan, and repeats until the
+schedule reaches a fixed point.  Per-stage latencies are computed
+column-wise and scattered back into the sketch/stats layer in one call.
+The moment any coupling condition triggers (or the relaxation fails to
+converge) :class:`BatchFallback` is raised and the caller falls back to
+the scalar event loop.
 
-* ``mode="batch"`` — a **vectorised batch engine** (:func:`run_batch`).
-  When a run has no interaction points (no host coupling, no bounded DMA
-  tag pool, a single queue pair, and descriptor rings that never fill),
-  every transaction instance of the whole run can be laid out as numpy
-  columns and the two link directions solved by waveform relaxation:
-  each sweep computes every instance's *request* time from the previous
-  sweep's link schedule, re-serves each link FIFO-in-request-order with
-  a max-plus scan, and repeats until the schedule reaches a fixed point.
-  Per-stage latencies are computed column-wise and scattered back into
-  the sketch/stats layer in one call.  The moment any coupling condition
-  triggers (or the relaxation fails to converge) :class:`BatchFallback`
-  is raised and the caller falls back to the scalar event loop.
-
-  Equivalence contract: on runs whose relaxation converges (everything
-  short of sustained saturation) the batch schedule is **bit-identical**
-  to the scalar event loop — the link solve replays the scalar float
-  association and serves ties in event order.  Saturated runs stop at
-  the sweep cap instead of iterating to the fixed point and are
-  *statistically equivalent*: throughput within 1%, p50 within 3%, p99
-  within 8% (asserted by ``tests/property/test_fastpath_equivalence.py``).
-
-* ``mode="hybrid"`` — the scalar event loop with a **fluid fast path**
-  per queue (:func:`fluid_datapath_class`).  A
-  :class:`SteadyStateMonitor` watches each queue's delivered latencies
-  through :class:`~repro.stats.WindowedStats` windows; once consecutive
-  windows agree (mean and p99 within a relative band) the queue is
-  *certified* steady and stops simulating packet granularity: arrivals
-  are buffered, one aggregate transaction per completion batch claims
-  the links at the model's analytic amortised cost, and per-packet
-  latencies are drawn from the certified residual distribution (a
-  low-discrepancy walk over the recent packet-mode samples).  Any
-  control action, load-curve knee (arrival-gap drift) or contention
-  signal (ring pressure) re-enters packet mode and re-arms the monitor.
-
-numpy is required for both fast paths but is an *optional* extra
-(``pip install .[fast]``): this module imports it behind a guard, the
-scalar path never imports this module, and :func:`require_numpy` turns
-a missing install into a actionable error naming the extra.
+Equivalence contract: on runs whose relaxation converges (everything
+short of sustained saturation) the batch schedule is **bit-identical**
+to the scalar event loop — the link solve replays the scalar float
+association and serves ties in event order.  Saturated runs stop at the
+sweep cap instead of iterating to the fixed point and are *statistically
+equivalent*: throughput within 1%, p50 within 3%, p99 within 8%
+(asserted by ``tests/property/test_fastpath_equivalence.py``).
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - exercised by monkeypatching `np` in tests
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..core.transactions import OpKind
-from ..errors import SimulationError, UsageError, ValidationError
-from ..stats import WindowedStats
+from ..errors import ValidationError
 from .engine import EngineProfile
 
 if TYPE_CHECKING:  # pragma: no cover
     from .nicsim import NicDatapathSimulator, NicSimResult
     from ..workloads import Workload
-
-#: The engine selection knob shared by the simulator, the bench layer and
-#: the CLI.  ``exact`` is the scalar event loop (the default, golden-
-#: verified path); ``batch`` and ``hybrid`` are the fast paths above.
-MODES: tuple[str, ...] = ("exact", "batch", "hybrid")
 
 #: Outer waveform-relaxation sweep cap.  Interaction-free runs reach
 #: their fixed point in a handful of sweeps (the per-packet dependency
@@ -121,32 +90,6 @@ _RANK_STRIDE = 64
 #: packet-major — packet, then walk position, then direction.  Tier-1
 #: keys are offset past every tier-0 key.
 _TIER1_BASE = 1 << 40
-
-_GOLDEN_RATIO_FRACTION = 0.6180339887498949
-
-
-def numpy_available() -> bool:
-    """Whether the optional ``[fast]`` extra (numpy) is importable."""
-    return np is not None
-
-
-def require_numpy(context: str) -> None:
-    """Raise :class:`UsageError` naming the extra when numpy is missing."""
-    if np is None:
-        raise UsageError(
-            f"{context} requires numpy; install the optional extra with "
-            "`pip install repro[fast]` (or use --mode exact)"
-        )
-
-
-def validate_mode(mode: str) -> str:
-    """Normalise and validate an engine mode name."""
-    resolved = str(mode).strip().lower()
-    if resolved not in MODES:
-        raise ValidationError(
-            f"mode must be one of {', '.join(MODES)}; got {mode!r}"
-        )
-    return resolved
 
 
 class BatchFallback(Exception):
@@ -745,7 +688,6 @@ def run_batch(
     end-of-run totals with a single sample row instead of the scalar
     path's window-sampled series.
     """
-    require_numpy("--mode batch")
     from .engine import EventLoop, SerialResource
     from .nicsim import (
         NicSimResult,
@@ -944,419 +886,4 @@ def run_batch(
     )
 
 
-# ---------------------------------------------------------------------------
-# Hybrid fluid mode
-# ---------------------------------------------------------------------------
-
-
-class SteadyStateMonitor:
-    """Certifies steady state from consecutive agreeing latency windows.
-
-    Feeds delivered latencies into :class:`~repro.stats.WindowedStats`;
-    every ``window`` packets the frozen window's mean and p99 are
-    compared to the previous window's, and ``required`` consecutive
-    windows within the relative ``band`` certify the device.  The last
-    packet-mode latencies double as the fluid mode's residual-noise
-    reservoir.  ``reset`` (any re-entry trigger) de-certifies and
-    restarts the agreement count.
-    """
-
-    __slots__ = (
-        "window",
-        "required",
-        "band",
-        "stats",
-        "reservoir",
-        "certified",
-        "_stable",
-        "_prev_mean",
-        "_prev_p99",
-    )
-
-    def __init__(
-        self, window: int = 48, required: int = 2, band: float = 0.2
-    ) -> None:
-        if window < 2:
-            raise ValidationError(f"window must be >= 2, got {window}")
-        if required < 1:
-            raise ValidationError(f"required must be >= 1, got {required}")
-        if band <= 0.0:
-            raise ValidationError(f"band must be positive, got {band}")
-        self.window = window
-        self.required = required
-        self.band = band
-        self.stats = WindowedStats()
-        self.reservoir: deque[float] = deque(maxlen=512)
-        self.certified = False
-        self._stable = 0
-        self._prev_mean: float | None = None
-        self._prev_p99: float | None = None
-
-    def observe(self, latency_ns: float, residual_ns: float | None = None) -> None:
-        """Feed one delivered packet.
-
-        ``latency_ns`` (notify − arrival, the user-visible metric) drives
-        certification; ``residual_ns`` is what lands in the residual
-        reservoir — the fluid mode passes done − arrival here, because
-        its own completion-report mechanics reproduce the notify-batch
-        wait and adding a full-latency residual on top would double-count
-        it.
-        """
-        self.reservoir.append(
-            latency_ns if residual_ns is None else residual_ns
-        )
-        self.stats.record(latency_ns)
-        if self.stats.window_count < self.window:
-            return
-        snap = self.stats.snapshot()
-        mean = snap.moments.mean
-        p99 = snap.quantile(0.99)
-        prev_mean = self._prev_mean
-        prev_p99 = self._prev_p99
-        if (
-            prev_mean is not None
-            and prev_mean > 0.0
-            and prev_p99 is not None
-            and prev_p99 > 0.0
-            and abs(mean - prev_mean) / prev_mean <= self.band
-            and abs(p99 - prev_p99) / prev_p99 <= self.band
-        ):
-            self._stable += 1
-            if self._stable >= self.required:
-                self.certified = True
-        else:
-            self._stable = 0
-        self._prev_mean = mean
-        self._prev_p99 = p99
-
-    def reset(self) -> None:
-        """De-certify: a control action / knee / contention signal fired."""
-        self.certified = False
-        self._stable = 0
-        self._prev_mean = None
-        self._prev_p99 = None
-        # Flush the partial window so stale samples cannot straddle the
-        # re-entry boundary.
-        self.stats.snapshot()
-
-    def residuals(self):
-        """The recent packet-mode latencies, sorted (the noise source)."""
-        return np.sort(np.asarray(self.reservoir, dtype=np.float64))
-
-
-_FLUID_CLASS = None
-
-
-def fluid_datapath_class():
-    """The ``mode="hybrid"`` datapath class (built lazily, cached).
-
-    Lazy so importing this module never imports the scalar simulator —
-    the import direction the optional-numpy contract relies on.
-    """
-    global _FLUID_CLASS
-    if _FLUID_CLASS is not None:
-        return _FLUID_CLASS
-    require_numpy("--mode hybrid")
-    from .nicsim import _Datapath
-
-    class _FluidDatapath(_Datapath):
-        """A datapath that collapses to fluid granularity in steady state.
-
-        Packet mode is the inherited scalar walk plus a
-        :class:`SteadyStateMonitor` fed from ``_record``.  Once
-        certified, arrivals stop walking the gate chain: they buffer,
-        claim their ring entry, and every ``fluid batch`` (the model's
-        completion-report batch) one aggregate transaction claims both
-        links for the batch's amortised serialisation time (routed
-        through the host coupling's aggregate access when coupled).
-        Per-packet completions are the certified residual quantiles
-        sampled by a golden-ratio low-discrepancy walk, floored at the
-        model's analytic wire time.  Control actions (``control_poke``),
-        arrival-gap knees and ring pressure re-enter packet mode and
-        replay any buffered packets through the scalar walk.  Traced
-        runs stay in packet mode (fluid records have no per-packet
-        lifecycle spans to keep the telescoping identity honest).
-        """
-
-        __slots__ = (
-            "monitor",
-            "fluid",
-            "fluid_packets",
-            "certifications",
-            "re_entries",
-            "re_entry_reasons",
-            "_buffer",
-            "_residuals",
-            "_phase",
-            "_fluid_batch",
-            "_amortised",
-            "_gap_ewma",
-            "_cert_gap",
-            "_last_arrival",
-            "_poke",
-            "_done_floor",
-        )
-
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, **kwargs)
-            self.monitor = SteadyStateMonitor()
-            self.fluid = False
-            self.fluid_packets = 0
-            self.certifications = 0
-            self.re_entries = 0
-            self.re_entry_reasons: dict[str, int] = {}
-            self._buffer: list[tuple[float, int]] = []
-            self._residuals = None
-            self._phase = 0.0
-            if self._notify_idx is not None:
-                reference = self._ops_for(_reference_packet())
-                self._fluid_batch = max(
-                    1, int(reference[self._notify_idx].per_packets)
-                )
-            else:
-                self._fluid_batch = 8
-            self._amortised: dict[int, tuple[float, float, float]] = {}
-            self._gap_ewma = None
-            self._cert_gap = None
-            self._last_arrival = None
-            self._poke = False
-            self._done_floor = 0.0
-
-        # -- cost model ---------------------------------------------------------
-
-        def _costs(self, size: int) -> tuple[float, float, float]:
-            """(amortised up ns, amortised down ns, analytic packet ns)."""
-            cached = self._amortised.get(size)
-            if cached is None:
-                up = 0.0
-                down = 0.0
-                for op in self._ops_for(size):
-                    up += op.up_ns / op.per_packets
-                    down += op.down_ns / op.per_packets
-                analytic = (
-                    size * 8.0
-                    / self._model.throughput_gbps(size, self._config)
-                )
-                cached = (up, down, analytic)
-                self._amortised[size] = cached
-            return cached
-
-        # -- packet-mode hooks --------------------------------------------------
-
-        def _record(self, arrival, done, notify, size) -> None:
-            super()._record(arrival, done, notify, size)
-            if not self.fluid:
-                self.monitor.observe(notify - arrival, done - arrival)
-                if self.monitor.certified and self.tracer is None:
-                    self._enter_fluid()
-
-        def _enter_fluid(self) -> None:
-            residuals = self.monitor.residuals()
-            if residuals.size == 0:
-                return
-            self.fluid = True
-            self.certifications += 1
-            self._residuals = residuals
-            self._cert_gap = self._gap_ewma
-            self._done_floor = 0.0
-
-        def _re_enter(self, now: float, reason: str) -> None:
-            self.fluid = False
-            self.re_entries += 1
-            self.re_entry_reasons[reason] = (
-                self.re_entry_reasons.get(reason, 0) + 1
-            )
-            self._poke = False
-            self.monitor.reset()
-            buffered, self._buffer = self._buffer, []
-            for arrival, size in buffered:
-                # Buffered packets already hold their ring entry; resume
-                # them mid-lifecycle through the gate walk.
-                self._step(
-                    self._ops_for(size),
-                    0,
-                    now if now > arrival else arrival,
-                    arrival,
-                    size,
-                )
-
-        def control_poke(self) -> None:
-            """A control action landed: leave (or stay out of) fluid mode."""
-            if self.fluid:
-                self._poke = True
-            else:
-                self.monitor.reset()
-
-        # -- arrivals -----------------------------------------------------------
-
-        def on_arrival(self, now: float, size: int) -> None:
-            last = self._last_arrival
-            self._last_arrival = now
-            if last is not None:
-                gap = now - last
-                ewma = self._gap_ewma
-                self._gap_ewma = (
-                    gap if ewma is None else 0.9 * ewma + 0.1 * gap
-                )
-            if not self.fluid:
-                super().on_arrival(now, size)
-                return
-            if self._poke:
-                self._re_enter(now, "control")
-                super().on_arrival(now, size)
-                return
-            cert_gap = self._cert_gap
-            ewma = self._gap_ewma
-            if (
-                cert_gap is not None
-                and cert_gap > 0.0
-                and ewma is not None
-                and abs(ewma - cert_gap) / cert_gap > 2.0 * self.monitor.band
-            ):
-                self._re_enter(now, "knee")
-                super().on_arrival(now, size)
-                return
-            if self.ring.occupancy >= self.ring.depth:
-                self._re_enter(now, "contention")
-                super().on_arrival(now, size)
-                return
-            self.offered += 1
-            self.offered_bytes += size
-            self.ring.admit(now, _absorb_post, wait=False)
-            self._buffer.append((now, size))
-            if len(self._buffer) >= self._fluid_batch:
-                self._flush_fluid(now)
-
-        # -- fluid transactions -------------------------------------------------
-
-        def _flush_fluid(self, now: float) -> None:
-            batch, self._buffer = self._buffer, []
-            # Claim each packet's amortised link share at its own arrival
-            # (plain occupy calls, no event-loop traffic) so the links
-            # carry the bytes on the schedule the scalar walk would —
-            # the completion report then lands where the analytic rate
-            # says, not a whole batch-service later.
-            wire = now
-            link_up = self._link_up
-            link_down = self._link_down
-            for arrival, size in batch:
-                up, down, _analytic = self._costs(size)
-                if up > 0.0:
-                    wire = max(wire, link_up.occupy(arrival, up) + up)
-                if down > 0.0:
-                    wire = max(wire, link_down.occupy(arrival, down) + down)
-            if self._coupling is None:
-                self._loop.at(
-                    wire, lambda time, b=batch: self._fluid_complete(b, time)
-                )
-            else:
-                payload_kind = self._ops_for(batch[0][1])[self._payload_idx].kind
-                access = self._coupling.aggregate_access(
-                    payload_kind,
-                    direction=self.direction,
-                    sizes=[size for _arrival, size in batch],
-                )
-                self._visit_host(
-                    wire,
-                    access,
-                    lambda ready, b=batch: self._loop.at(
-                        ready + access.latency_ns,
-                        lambda time: self._fluid_complete(b, time),
-                    ),
-                )
-
-        def _sample_residual(self) -> float:
-            self._phase = (self._phase + _GOLDEN_RATIO_FRACTION) % 1.0
-            residuals = self._residuals
-            return float(residuals[int(self._phase * residuals.size)])
-
-        def _fluid_complete(
-            self, batch: list[tuple[float, int]], report: float
-        ) -> None:
-            self.ring.release(report, len(batch))
-            floor = self._done_floor
-            for arrival, size in batch:
-                _up, _down, analytic = self._costs(size)
-                done = arrival + self._sample_residual()
-                wire_floor = arrival + analytic
-                if done < wire_floor:
-                    done = wire_floor
-                if done < floor:
-                    done = floor
-                floor = done
-                notify = done if done > report else report
-                self._record(arrival, done, notify, size)
-            self._done_floor = floor
-            self.fluid_packets += len(batch)
-
-        def finish(self) -> None:
-            buffered, self._buffer = self._buffer, []
-            floor = self._done_floor
-            for arrival, size in buffered:
-                _up, _down, analytic = self._costs(size)
-                done = arrival + self._sample_residual()
-                wire_floor = arrival + analytic
-                if done < wire_floor:
-                    done = wire_floor
-                if done < floor:
-                    done = floor
-                floor = done
-                self._record(arrival, done, done, size)
-            self._done_floor = floor
-            self.fluid_packets += len(buffered)
-            super().finish()
-
-        def fluid_summary(self) -> dict[str, object]:
-            """Serialisable per-queue fluid accounting."""
-            return {
-                "certifications": self.certifications,
-                "fluid_packets": self.fluid_packets,
-                "re_entries": self.re_entries,
-                "re_entry_reasons": dict(
-                    sorted(self.re_entry_reasons.items())
-                ),
-            }
-
-    _FLUID_CLASS = _FluidDatapath
-    return _FluidDatapath
-
-
-def _absorb_post(_now: float) -> None:
-    """Ring-admit sink for fluid arrivals (the buffer holds the packet)."""
-
-
-def fluid_result_summary(directions) -> dict[str, dict[str, object]]:
-    """Aggregate per-direction fluid summaries for ``NicSimResult.fluid``."""
-    summary: dict[str, dict[str, object]] = {}
-    for direction, queues in directions:
-        certifications = 0
-        fluid_packets = 0
-        re_entries = 0
-        reasons: dict[str, int] = {}
-        for queue in queues:
-            per_queue = queue.fluid_summary()
-            certifications += per_queue["certifications"]
-            fluid_packets += per_queue["fluid_packets"]
-            re_entries += per_queue["re_entries"]
-            for reason, count in per_queue["re_entry_reasons"].items():
-                reasons[reason] = reasons.get(reason, 0) + count
-        summary[direction] = {
-            "certifications": certifications,
-            "fluid_packets": fluid_packets,
-            "re_entries": re_entries,
-            "re_entry_reasons": dict(sorted(reasons.items())),
-        }
-    return summary
-
-
-__all__ = [
-    "BatchFallback",
-    "MODES",
-    "SteadyStateMonitor",
-    "fluid_datapath_class",
-    "fluid_result_summary",
-    "numpy_available",
-    "require_numpy",
-    "run_batch",
-    "validate_mode",
-]
+__all__ = ["BatchFallback", "run_batch"]

@@ -450,38 +450,6 @@ class HostCoupling:
         self._remote_accesses += result.remote
         return result
 
-    def aggregate_access(
-        self, kind: OpKind, *, direction: str, sizes: list[int]
-    ) -> HostAccess:
-        """Service a fluid batch of payload DMAs as one combined access.
-
-        The hybrid fast path replaces per-packet payload transactions
-        with one fabric-visible claim per completion batch.  Every packet
-        still takes an individual :meth:`access` internally — cache,
-        IOTLB and NUMA counters stay exact — but the returned record
-        combines them the way a single aggregate claim would hold the
-        shared resources: walker/ingress occupancies *sum* (serial holds)
-        while the latency is the batch *mean* (packets pipeline through
-        the host, they do not serialise on completion latency).
-        """
-        if not sizes:
-            raise ValidationError("aggregate access needs at least one size")
-        latency = 0.0
-        walker = 0.0
-        ingress = 0.0
-        for size in sizes:
-            access = self.access(
-                kind, direction=direction, payload=True, size=size
-            )
-            latency += access.latency_ns
-            walker += access.walker_occupancy_ns
-            ingress += access.ingress_occupancy_ns
-        return HostAccess(
-            latency_ns=latency / len(sizes),
-            walker_occupancy_ns=walker,
-            ingress_occupancy_ns=ingress,
-        )
-
     def note_walker_stall(self, stall_ns: float) -> None:
         """Record time a transaction spent waiting for the busy page walker."""
         self._walker_stall_ns += stall_ns

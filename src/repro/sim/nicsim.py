@@ -79,7 +79,7 @@ import numpy as np
 from ..core.config import PAPER_DEFAULT_CONFIG, PCIeConfig
 from ..core.nic import FIGURE1_MODELS, NicModel, model_by_name
 from ..core.transactions import OpKind
-from ..errors import SimulationError, ValidationError
+from ..errors import SimulationError, ValidationError, record_reader
 from ..obs.metrics import (
     DEFAULT_METRICS_WINDOW_NS,
     MetricsRegistry,
@@ -105,7 +105,7 @@ from ..workloads import (
     rss_buckets,
     rss_queues,
 )
-from .engine import EngineProfile, EventLoop, SerialResource, TagPool
+from .engine import MODES, EngineProfile, EventLoop, SerialResource, TagPool
 from .nichost import HostCoupling, HostSideStats, NicHostConfig
 from .rng import DEFAULT_SEED, SimRng
 
@@ -514,10 +514,6 @@ class NicSimResult:
     #: (and the seeded goldens) round-trip unchanged.
     profile: EngineProfile | None = None
     metrics: dict | None = None
-    #: Hybrid-mode fluid accounting (certifications, fluid packets and
-    #: re-entry reasons per direction); absent for exact/batch runs so
-    #: historical records round-trip unchanged.
-    fluid: dict | None = None
 
     @property
     def throughput_gbps(self) -> float:
@@ -560,11 +556,10 @@ class NicSimResult:
             record["profile"] = self.profile.as_dict()
         if self.metrics is not None:
             record["metrics"] = self.metrics
-        if self.fluid is not None:
-            record["fluid"] = self.fluid
         return record
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict) -> "NicSimResult":
         """Rebuild a result from :meth:`as_dict` output."""
         rx = data.get("rx")
@@ -584,19 +579,12 @@ class NicSimResult:
             tags=DmaTagStats.from_dict(tags) if tags else None,
             profile=EngineProfile.from_dict(profile) if profile else None,
             metrics=data.get("metrics"),
-            fluid=data.get("fluid"),
         )
 
 
 # ---------------------------------------------------------------------------
 # Event-loop machinery
 # ---------------------------------------------------------------------------
-
-#: The scheduler this simulator runs on now lives in :mod:`repro.sim.engine`
-#: (a calendar-queue event wheel with a heap fallback, pop-order-identical
-#: to the heap loop this module used to define); the old private name is
-#: kept as an alias for anything that imported it.
-_EventLoop = EventLoop
 
 
 class _Signal:
@@ -1869,22 +1857,21 @@ class NicDatapathSimulator:
             device: name carried by spans and metric names (fabric runs
                 pass the contending device's name).
             mode: engine selection — ``"exact"`` (default, the scalar
-                event loop every golden is pinned to), ``"batch"`` (the
+                event loop every golden is pinned to) or ``"batch"`` (the
                 vectorised :mod:`repro.sim.fastpath` solver, falling back
                 to the scalar loop whenever an interaction point makes it
-                inapplicable) or ``"hybrid"`` (scalar loop with the fluid
-                steady-state fast path per queue).
+                inapplicable).
         """
         if packets <= 0:
             raise ValidationError(f"packets must be positive, got {packets}")
-        if mode not in ("exact", "batch", "hybrid"):
+        if mode not in MODES:
             raise ValidationError(
-                f"mode must be one of exact, batch, hybrid; got {mode!r}"
+                f"mode must be one of {', '.join(MODES)}; got {mode!r}"
             )
-        datapath_cls = _Datapath
         if mode == "batch":
-            # Lazy import: the scalar path never touches the fastpath
-            # module (which is where the optional-numpy contract lives).
+            # Lazy import: fastpath imports this module itself, and exact
+            # runs (every contended run, and the package-import probe of
+            # perfbench's set-up time) never pay to load it.
             from .fastpath import BatchFallback, run_batch
 
             try:
@@ -1905,10 +1892,6 @@ class NicDatapathSimulator:
                 # scalar run below starts from a clean slate; the profile
                 # keeps mode="exact" so records say which engine ran.
                 pass
-        elif mode == "hybrid":
-            from .fastpath import fluid_datapath_class
-
-            datapath_cls = fluid_datapath_class()
         wall_start = perf_counter()
         resolved_seed = DEFAULT_SEED if seed is None else seed
         rng = SimRng(resolved_seed)
@@ -1946,7 +1929,7 @@ class NicDatapathSimulator:
                 )
             )
             queues = [
-                datapath_cls(
+                _Datapath(
                     direction,
                     self.model,
                     self.config,
@@ -2058,18 +2041,13 @@ class NicDatapathSimulator:
         ]
         tx = results[0]
         rx = results[1] if len(results) > 1 else None
-        fluid = None
-        if mode == "hybrid":
-            from .fastpath import fluid_result_summary
-
-            fluid = fluid_result_summary(directions)
         self.last_profile = EngineProfile(
             label=f"nicsim {self.model.name} {workload.name}",
             build_s=events_start - wall_start,
             events_s=stats_start - events_start,
             stats_s=perf_counter() - stats_start,
             events=loop.processed,
-            mode=mode if mode == "hybrid" else "exact",
+            mode="exact",
         )
         if metrics is not None:
             _finalise_metrics(metrics, [(device, directions)], prefix="nicsim")
@@ -2096,7 +2074,6 @@ class NicDatapathSimulator:
             host=coupling.stats() if coupling is not None else None,
             tags=DmaTagStats.from_pool(tags) if tags is not None else None,
             metrics=metrics.as_dict() if metrics is not None else None,
-            fluid=fluid,
         )
 
 
@@ -2154,8 +2131,8 @@ def simulate_nic(
     result as ``result.metrics``.  Both default to off, which keeps the
     datapath on the exact historical (golden-verified) code path.
 
-    ``mode`` selects the engine (``"exact"``/``"batch"``/``"hybrid"``,
-    see :meth:`NicDatapathSimulator.run`).
+    ``mode`` selects the engine (``"exact"`` or ``"batch"``, see
+    :meth:`NicDatapathSimulator.run`).
     """
     if isinstance(workload, str):
         workload = build_workload(

@@ -1,8 +1,12 @@
 """Tests for benchmark result records and their (de)serialisation."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.bench.contention import ContentionParams
+from repro.bench.nicsim import NicSimParams
 from repro.bench.params import BenchmarkKind, BenchmarkParams
 from repro.bench.results import (
     BenchmarkResult,
@@ -13,6 +17,8 @@ from repro.bench.results import (
 )
 from repro.bench.stats import LatencyStats
 from repro.errors import AnalysisError, ValidationError
+from repro.sim.engine import EngineProfile
+from repro.sim.nicsim import NicSimResult
 
 
 def latency_result(size=64, system="NFP6000-HSW"):
@@ -91,6 +97,12 @@ class TestPersistence:
         with pytest.raises(AnalysisError):
             load_results_json(path)
 
+    def test_json_rejects_non_object_records(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[3]")
+        with pytest.raises(AnalysisError, match="got int"):
+            load_results_json(path)
+
     def test_csv_contains_one_row_per_result(self, tmp_path):
         results = [bandwidth_result(64), bandwidth_result(128, gbps=40.0)]
         path = tmp_path / "results.csv"
@@ -102,6 +114,57 @@ class TestPersistence:
     def test_csv_requires_results(self, tmp_path):
         with pytest.raises(AnalysisError):
             save_results_csv([], tmp_path / "empty.csv")
+
+
+def _load_records(tmp_path, records):
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(records))
+    return load_results_json(path)
+
+
+class TestMalformedRecords:
+    """A malformed record raises the library's ValidationError, naming
+    the record type, instead of whichever built-in error its first bad
+    field trips."""
+
+    @pytest.mark.parametrize(
+        "read,record_type",
+        [
+            (lambda tmp: _load_records(tmp, [{"kind": "NICSIM"}]), "NicSimResult"),
+            (
+                lambda tmp: _load_records(tmp, [{"kind": "CONTENTION"}]),
+                "ContentionResult",
+            ),
+            (lambda tmp: _load_records(tmp, [{"kind": "FLEET"}]), "FleetResult"),
+            (lambda tmp: _load_records(tmp, [{}]), "BenchmarkResult"),
+            (lambda tmp: NicSimResult.from_dict({}), "NicSimResult"),
+            (lambda tmp: EngineProfile.from_dict({}), "EngineProfile"),
+            (
+                lambda tmp: ContentionParams.from_dict({"devices": 3}),
+                "ContentionParams",
+            ),
+            (lambda tmp: NicSimParams.from_dict({"packets": "x"}), "NicSimParams"),
+            # The retired hybrid engine: such records no longer load.
+            (lambda tmp: NicSimParams.from_dict({"mode": "hybrid"}), "NicSimParams"),
+        ],
+        ids=[
+            "load-nicsim-without-model",
+            "load-contention-without-system",
+            "load-fleet-without-params",
+            "load-benchmark-without-params",
+            "nicsim-result-empty",
+            "engine-profile-empty",
+            "contention-params-devices-not-a-list",
+            "nicsim-params-packets-not-a-number",
+            "nicsim-params-hybrid-mode",
+        ],
+    )
+    def test_raises_validation_error_naming_the_record(
+        self, tmp_path, read, record_type
+    ):
+        with pytest.raises(ValidationError, match=f"malformed {record_type} record"):
+            read(tmp_path)
+
 
 
 class TestFiltering:

@@ -1,4 +1,4 @@
-"""Property grid: the fast engines must agree with the exact event loop.
+"""Property grid: the batch engine must agree with the exact event loop.
 
 The batch engine's contract has two regimes, both asserted here with
 their documented tolerances (see the ``repro.sim.fastpath`` module
@@ -10,11 +10,6 @@ docstring):
 * **Saturated** runs — the solver is cut off at its sweep cap and
   polishes only the tail, so aggregate metrics carry a bounded error:
   throughput within 1 %, median latency within 3 %, p99 within 8 %.
-
-The hybrid engine trades per-packet times for certified analytic rates,
-so it gets throughput-level tolerances only (and must actually certify
-on steady scenarios — otherwise it silently degenerated to exact and
-the fast path is dead code).
 
 The fabric mirrors the knob across every arbiter scheme: host coupling
 makes the fabric an interaction point by construction, so fabric batch
@@ -100,38 +95,6 @@ class TestSaturatedTolerances:
             assert batch_path.latency.p99 == pytest.approx(
                 exact_path.latency.p99, rel=P99_RTOL
             ), f"{direction} p99 outside {P99_RTOL:.0%}"
-
-
-class TestHybridThroughput:
-    @pytest.mark.parametrize(
-        "model,workload,size,load,packets,seed",
-        CONVERGED_GRID,
-        ids=[f"{m}-{w}@{l:g}" for m, w, _s, l, _p, _seed in CONVERGED_GRID],
-    )
-    def test_hybrid_tracks_exact_throughput(self, model, workload, size,
-                                            load, packets, seed):
-        exact = _simulate("exact", model, workload, size, load, packets, seed)
-        hybrid = _simulate("hybrid", model, workload, size, load,
-                           packets, seed)
-        assert hybrid.fluid is not None
-        for direction, exact_path in _direction_metrics(exact):
-            hybrid_path = getattr(hybrid, direction)
-            assert hybrid_path.throughput_gbps == pytest.approx(
-                exact_path.throughput_gbps, rel=THROUGHPUT_RTOL
-            ), f"{direction} throughput outside {THROUGHPUT_RTOL:.0%}"
-
-    def test_hybrid_actually_certifies_on_a_steady_workload(self):
-        # Guard against the fluid path silently never engaging (which
-        # would make every other hybrid assertion vacuous).
-        hybrid = _simulate("hybrid", "dpdk", "fixed", 512, 5.0, 2000, 11)
-        total_fluid = sum(
-            summary["fluid_packets"] for summary in hybrid.fluid.values()
-        )
-        total_certs = sum(
-            summary["certifications"] for summary in hybrid.fluid.values()
-        )
-        assert total_certs >= 1
-        assert total_fluid > 0
 
 
 class TestFabricArbiterGrid:

@@ -1,58 +1,51 @@
-"""Tests for the compiled-speed fast paths (``repro.sim.fastpath``).
+"""Tests for the vectorised batch engine (``repro.sim.fastpath``).
 
-Covers the mode knob end to end (validation, CLI-level numpy guard,
-parameter/record round trips), the batch engine's eligibility and
-dynamic fallbacks, its bit-identity contract on converged runs (results
-*and* causal traces), the hybrid fluid machinery (steady-state monitor,
-certification, re-entry triggers) and the per-mode engine profile.
+Covers the mode knob end to end (validation, parameter/record round
+trips, rejection of unknown and retired mode names), the batch engine's
+eligibility and dynamic fallbacks, its bit-identity contract on
+converged runs (results *and* causal traces) and the per-mode engine
+profile.
 """
 
 import pytest
 
 from repro.bench.contention import ContentionParams, run_contention_benchmark
 from repro.bench.nicsim import NicSimParams
-from repro.errors import UsageError, ValidationError
+from repro.cli import main
+from repro.errors import ValidationError
 from repro.obs import Tracer
 from repro.obs.trace import BATCH_PREFIX
-from repro.sim import fastpath
-from repro.sim.engine import EngineProfile, EventLoop
-from repro.sim.fastpath import (
-    MODES,
-    BatchFallback,
-    SteadyStateMonitor,
-    fluid_datapath_class,
-    numpy_available,
-    require_numpy,
-    run_batch,
-    validate_mode,
-)
+from repro.sim.engine import MODES, EngineProfile
+from repro.sim.fastpath import BatchFallback, run_batch
 from repro.sim.nicsim import NicDatapathSimulator, simulate_nic
 from repro.workloads import build_workload
 
 
 class TestModeKnob:
     def test_modes_registry(self):
-        assert MODES == ("exact", "batch", "hybrid")
-
-    def test_validate_mode_normalises(self):
-        assert validate_mode(" Batch ") == "batch"
-        assert validate_mode("EXACT") == "exact"
-
-    def test_validate_mode_rejects_unknown(self):
-        with pytest.raises(ValidationError, match="mode must be one of"):
-            validate_mode("fluid")
+        assert MODES == ("exact", "batch")
 
     def test_simulator_rejects_unknown_mode(self):
         simulator = NicDatapathSimulator("dpdk")
         workload = build_workload("fixed", size=512, load_gbps=5.0)
-        with pytest.raises(ValidationError, match="mode must be one of"):
-            simulator.run(workload, 10, mode="warp")
+        for mode in ("warp", "hybrid"):
+            with pytest.raises(ValidationError, match="mode must be one of"):
+                simulator.run(workload, 10, mode=mode)
 
     def test_params_reject_unknown_mode(self):
-        with pytest.raises(ValidationError, match="mode must be one of"):
-            NicSimParams(mode="warp")
-        with pytest.raises(ValidationError, match="mode must be one of"):
-            ContentionParams(devices=(NicSimParams(),), mode="warp")
+        for mode in ("warp", "hybrid"):
+            with pytest.raises(ValidationError, match="mode must be one of"):
+                NicSimParams(mode=mode)
+            with pytest.raises(ValidationError, match="mode must be one of"):
+                ContentionParams(devices=(NicSimParams(),), mode=mode)
+
+    @pytest.mark.parametrize("command", ["nicsim", "contend"])
+    def test_cli_rejects_hybrid_mode(self, command, capsys):
+        # argparse's choices reject the flag before any run starts.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--mode", "hybrid"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'hybrid'" in capsys.readouterr().err
 
     def test_nicsim_params_round_trip_and_label(self):
         params = NicSimParams(mode="batch")
@@ -72,34 +65,10 @@ class TestModeKnob:
         assert ContentionParams.from_dict(contention).mode == "exact"
 
     def test_contention_params_round_trip_and_label(self):
-        params = ContentionParams(devices=(NicSimParams(),), mode="hybrid")
-        assert "mode=hybrid" in params.label()
+        params = ContentionParams(devices=(NicSimParams(),), mode="batch")
+        assert "mode=batch" in params.label()
         rebuilt = ContentionParams.from_dict(params.as_dict())
-        assert rebuilt.mode == "hybrid"
-
-
-class TestNumpyGuard:
-    def test_numpy_is_available_in_the_test_env(self):
-        assert numpy_available()
-
-    def test_require_numpy_passes_when_present(self):
-        require_numpy("--mode batch")  # must not raise
-
-    def test_missing_numpy_names_the_fast_extra(self, monkeypatch):
-        monkeypatch.setattr(fastpath, "np", None)
-        assert not numpy_available()
-        with pytest.raises(UsageError, match=r"\[fast\]"):
-            require_numpy("--mode batch")
-
-    def test_cli_guard_raises_flag_level_usage_error(self, monkeypatch):
-        from repro.cli import _require_mode_deps
-
-        monkeypatch.setattr(fastpath, "np", None)
-        _require_mode_deps("exact")  # scalar path needs no numpy
-        with pytest.raises(UsageError, match=r"--mode batch.*\[fast\]"):
-            _require_mode_deps("batch")
-        with pytest.raises(UsageError, match=r"--mode hybrid.*\[fast\]"):
-            _require_mode_deps("hybrid")
+        assert rebuilt.mode == "batch"
 
 
 def _run(mode, *, model="dpdk", workload="fixed", size=512, load=5.0,
@@ -259,103 +228,6 @@ class TestEngineProfileModes:
         assert profile.solve_s == 0.0
 
 
-class TestSteadyStateMonitor:
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValidationError):
-            SteadyStateMonitor(window=1)
-        with pytest.raises(ValidationError):
-            SteadyStateMonitor(required=0)
-        with pytest.raises(ValidationError):
-            SteadyStateMonitor(band=0.0)
-
-    def test_certifies_after_agreeing_windows(self):
-        monitor = SteadyStateMonitor(window=16, required=2, band=0.2)
-        for _ in range(16 * 4):
-            monitor.observe(1000.0)
-        assert monitor.certified
-
-    def test_disagreeing_windows_never_certify(self):
-        monitor = SteadyStateMonitor(window=16, required=2, band=0.1)
-        for index in range(16 * 6):
-            # Alternate regimes window by window: never two agreeing.
-            monitor.observe(1000.0 if (index // 16) % 2 == 0 else 5000.0)
-        assert not monitor.certified
-
-    def test_reset_decertifies_and_rearms(self):
-        monitor = SteadyStateMonitor(window=8, required=1, band=0.2)
-        for _ in range(8 * 3):
-            monitor.observe(1000.0)
-        assert monitor.certified
-        monitor.reset()
-        assert not monitor.certified
-        # The residual reservoir survives a reset (it is still the best
-        # noise sample available), and steady traffic re-certifies.
-        assert monitor.residuals().size > 0
-        for _ in range(8 * 3):
-            monitor.observe(1000.0)
-        assert monitor.certified
-
-    def test_residual_argument_feeds_the_reservoir(self):
-        # Certification watches the latency; the reservoir stores the
-        # residual (done - arrival) so fluid completions do not
-        # double-count the completion-report wait.
-        monitor = SteadyStateMonitor(window=8, required=1, band=0.2)
-        for _ in range(8 * 3):
-            monitor.observe(9000.0, 1000.0)
-        assert monitor.certified
-        residuals = monitor.residuals()
-        assert residuals.size > 0
-        assert float(residuals.max()) == 1000.0
-
-
-class TestHybridMode:
-    def test_steady_run_certifies_and_matches_exact_throughput(self):
-        exact = _run("exact", packets=2000, seed=11)
-        hybrid = _run("hybrid", packets=2000, seed=11)
-        fluid = hybrid.fluid
-        assert fluid is not None
-        assert fluid["tx"]["certifications"] >= 1
-        assert fluid["tx"]["fluid_packets"] > 0
-        assert hybrid.tx.throughput_gbps == pytest.approx(
-            exact.tx.throughput_gbps, rel=0.01
-        )
-
-    def test_exact_result_carries_no_fluid_summary(self):
-        assert _run("exact", packets=100).fluid is None
-
-    def test_traced_runs_stay_in_packet_mode(self):
-        tracer = Tracer()
-        hybrid = _run("hybrid", packets=1000, seed=11, tracer=tracer)
-        assert hybrid.fluid["tx"]["fluid_packets"] == 0
-
-    def test_hybrid_profile_reports_hybrid(self):
-        sink = []
-        _run("hybrid", packets=500, profile_sink=sink)
-        assert sink[0].mode == "hybrid"
-
-    def test_control_poke_on_packet_mode_rearms_the_monitor(self):
-        cls = fluid_datapath_class()
-        assert cls.__name__ == "_FluidDatapath"
-        monitor = SteadyStateMonitor(window=8, required=1, band=0.2)
-        for _ in range(8 * 3):
-            monitor.observe(1000.0)
-        assert monitor.certified
-        # control_poke outside fluid mode resets the monitor directly
-        # (no certificate should survive a knob move).
-        poke = cls.control_poke
-
-        class Stub:
-            fluid = False
-
-        stub = Stub()
-        stub.monitor = monitor
-        poke(stub)
-        assert not monitor.certified
-
-    def test_fluid_class_is_cached(self):
-        assert fluid_datapath_class() is fluid_datapath_class()
-
-
 class TestFabricModes:
     """The fabric mirrors the mode knob; batch is exact by construction."""
 
@@ -382,46 +254,11 @@ class TestFabricModes:
             packets=50,
         )
         simulator = FabricSimulator([device], FabricConfig())
-        with pytest.raises(ValidationError, match="mode must be one of"):
-            simulator.run(mode="warp")
+        for mode in ("warp", "hybrid"):
+            with pytest.raises(ValidationError, match="mode must be one of"):
+                simulator.run(mode=mode)
 
     def test_fabric_batch_is_bit_identical_to_exact(self):
         exact = run_contention_benchmark(self._params())
         batch = run_contention_benchmark(self._params(mode="batch"))
         assert batch.as_dict() == exact.as_dict()
-
-    def test_fabric_hybrid_attaches_fluid_summaries(self):
-        result = run_contention_benchmark(self._params(mode="hybrid"))
-        for device in result.devices:
-            assert device.result.fluid is not None
-            assert set(device.result.fluid) == {"tx", "rx"}
-
-
-class TestControlActionListener:
-    def test_listener_fires_on_every_action(self):
-        from repro.control import build_controller
-        from repro.control.runtime import ControlRuntime
-
-        runtime = ControlRuntime(
-            build_controller("threshold"), 20_000.0, EventLoop()
-        )
-        runtime.bind_weights((1.0, 1.0), [lambda weights: None])
-        seen = []
-        runtime.add_action_listener(seen.append)
-        assert runtime._apply_weights((2.0, 1.0), device="a", reason="test")
-        assert len(seen) == 1
-        assert seen[0] is runtime.actions[0]
-        assert seen[0].actuator == "weights"
-
-    def test_unchanged_weights_notify_nobody(self):
-        from repro.control import build_controller
-        from repro.control.runtime import ControlRuntime
-
-        runtime = ControlRuntime(
-            build_controller("threshold"), 20_000.0, EventLoop()
-        )
-        runtime.bind_weights((1.0, 1.0), [lambda weights: None])
-        seen = []
-        runtime.add_action_listener(seen.append)
-        assert not runtime._apply_weights((1.0, 1.0), device="a", reason="t")
-        assert seen == []
