@@ -57,24 +57,35 @@ class Recorder:
         )
 
 
+def run_spec(schedule, stream=()):
+    """Schedule ``schedule`` with ``at``, feed ``stream``, run, and return
+    the recorder plus the dispatch order the specification demands."""
+    recorder = Recorder(EventLoop())
+    for time in schedule:
+        recorder.at(time)
+    recorder.feed_many(stream)
+    recorder.loop.run()
+    expected = sorted(
+        [(time, DYNAMIC, order) for order, time in enumerate(schedule)]
+        + [(time, FED, order) for order, time in enumerate(stream)]
+    )
+    return recorder, expected
+
+
 class TestDispatchOrderIsTheSpecification:
+    @given(schedule=st.lists(coarse_times, min_size=2, max_size=150))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_timestamps_dispatch_in_schedule_order(self, schedule):
+        recorder, expected = run_spec(schedule)
+        assert recorder.keys == expected
+
     @given(
         schedule=st.lists(coarse_times, max_size=80),
         stream=st.lists(coarse_times, max_size=80),
     )
     @settings(max_examples=150, deadline=None)
-    def test_scheduled_and_fed_events_dispatch_in_sorted_order(
-        self, schedule, stream
-    ):
-        recorder = Recorder(EventLoop())
-        for time in schedule:
-            recorder.at(time)
-        recorder.feed_many(stream)
-        recorder.loop.run()
-        expected = sorted(
-            [(time, DYNAMIC, order) for order, time in enumerate(schedule)]
-            + [(time, FED, order) for order, time in enumerate(stream)]
-        )
+    def test_arrival_stream_interleaves_in_sorted_order(self, schedule, stream):
+        recorder, expected = run_spec(schedule, stream)
         assert recorder.keys == expected
         assert recorder.loop.processed == len(expected)
 
@@ -105,6 +116,13 @@ class TestContractCases:
         recorder.feed_many([100.0])
         recorder.loop.run()
         assert recorder.keys == [(100.0, FED, 0), (100.0, DYNAMIC, 0)]
+
+    def test_processed_count_matches_dispatched_events(self):
+        recorder, expected = run_spec(
+            [50.0, 50.0, 4096.0, 0.0], [0.0, 25.0, 50.0]
+        )
+        assert recorder.keys == expected
+        assert recorder.loop.processed == len(expected) == 7
 
     def test_event_scheduled_at_the_current_time_runs_after_queued_ones(self):
         # An event scheduled mid-run at the current instant takes the next
