@@ -54,6 +54,19 @@ def check(name: str, produce) -> bool:
     return not problems
 
 
+def span_record(tracer) -> dict:
+    """Per-stage span counts, recorded/evicted and a digest of the JSONL export."""
+    lines = "\n".join(tracer.jsonl_lines()).encode()
+    return {
+        "stage_counts": dict(
+            sorted(Counter(span.stage for span in tracer.spans).items())
+        ),
+        "recorded": tracer.recorded,
+        "evicted": tracer.evicted,
+        "jsonl_sha256": hashlib.sha256(lines).hexdigest(),
+    }
+
+
 def traced_record(golden: dict) -> dict:
     """Attribution, per-stage span counts and a digest of one traced run."""
     from repro.analysis import attribute_spans
@@ -64,14 +77,29 @@ def traced_record(golden: dict) -> dict:
     run_contention_benchmark(
         ContentionParams.from_dict(golden["params"]), tracer=tracer
     )
-    spans = tracer.spans
-    lines = "\n".join(tracer.jsonl_lines()).encode()
+    return {"attribution": attribute_spans(tracer.spans), **span_record(tracer)}
+
+
+def traced_nicsim_record(golden: dict) -> dict:
+    """A traced, metrics-attached nicsim run plus a flat pair's metrics."""
+    from repro.bench.contention import ContentionParams, run_contention_benchmark
+    from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
+    from repro.obs import MetricsRegistry, Tracer
+
+    tracer = Tracer(golden["tracer_capacity"])
+    result = run_nicsim_benchmark(
+        NicSimParams.from_dict(golden["params"]),
+        tracer=tracer,
+        metrics=MetricsRegistry(),
+    )
+    pair = run_contention_benchmark(
+        ContentionParams.from_dict(golden["pair_params"]),
+        metrics=MetricsRegistry(),
+    )
     return {
-        "attribution": attribute_spans(spans),
-        "stage_counts": dict(sorted(Counter(s.stage for s in spans).items())),
-        "recorded": tracer.recorded,
-        "evicted": tracer.evicted,
-        "jsonl_sha256": hashlib.sha256(lines).hexdigest(),
+        **span_record(tracer),
+        "metrics": result.metrics,
+        "pair_metrics": pair.metrics,
     }
 
 
@@ -105,6 +133,7 @@ def main() -> int:
             ).as_dict(),
         )
     ok &= check("trace_tree_sliced_seeded.json", traced_record)
+    ok &= check("trace_nicsim_multiqueue_seeded.json", traced_nicsim_record)
     return 0 if ok else 1
 
 

@@ -19,6 +19,7 @@ import pytest
 
 from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
 from repro.errors import ValidationError
+from repro.obs import Tracer
 from repro.sim.fabric import (
     ContentionResult,
     FabricConfig,
@@ -104,6 +105,13 @@ class TestSoloEquivalence:
         plain = run_nicsim_benchmark(params)
         fabric_run = FabricSimulator([device], fabric).run(seed=params.seed)
         assert fabric_run.devices[0].result == plain
+        # Traced, with the nicsim device named like the fabric's, both
+        # runs export the same spans: every stage, lane, start and width.
+        solo, shared = Tracer(), Tracer()
+        run_nicsim_benchmark(params, tracer=solo, device="dev0")
+        FabricSimulator([device], fabric).run(seed=params.seed, tracer=shared)
+        assert solo.recorded > 0 and solo.evicted == 0
+        assert list(solo.jsonl_lines()) == list(shared.jsonl_lines())
 
 
 class TestContention:
