@@ -27,7 +27,7 @@ from ..sim.iommu import SUPPORTED_PAGE_SIZES
 from ..sim.nichost import PAYLOAD_UNIT_BYTES, NicHostConfig
 from ..sim.nicsim import NicSimResult, simulate_nic
 from ..units import KIB, MIB, format_size
-from ..workloads import canonical_flow_name, workload_names
+from ..workloads import canonical_flow_name, check_rss_table, workload_names
 
 #: The ``kind`` tag used in labels and serialised records, mirroring the
 #: ``BenchmarkKind`` values of the classic micro-benchmarks.
@@ -139,22 +139,9 @@ class NicSimParams:
         # Canonicalise the RSS scenario name ("skewed" -> "zipf") so labels
         # and serialised params are stable whichever alias was written.
         object.__setattr__(self, "rss", canonical_flow_name(self.rss))
-        if self.rss_table is not None:
-            if self.num_queues == 1:
-                raise ValidationError(
-                    "rss_table requires num_queues > 1 (single-queue runs "
-                    "have nothing to steer)"
-                )
-            table = tuple(int(entry) for entry in self.rss_table)
-            if not table:
-                raise ValidationError("rss_table must not be empty")
-            for entry in table:
-                if not 0 <= entry < self.num_queues:
-                    raise ValidationError(
-                        f"rss_table entries must be queue indices in "
-                        f"[0, {self.num_queues}), got {entry}"
-                    )
-            object.__setattr__(self, "rss_table", table)
+        object.__setattr__(
+            self, "rss_table", check_rss_table(self.rss_table, self.num_queues)
+        )
         # Host knobs are validated even on decoupled params, so a bad value
         # fails where it is written, not at a later with_(system=...).
         if self.iommu_page_size not in SUPPORTED_PAGE_SIZES:

@@ -44,12 +44,16 @@ a private host; this module supplies the missing multi-device substrate:
   inside **one** discrete-event loop, so their DMAs interleave on the
   shared host in true time order.
 
-Degenerate-case contract: a fabric with a *single* device takes the exact
-code path of today's :class:`~repro.sim.nicsim.NicDatapathSimulator` run
-(plain ``SerialResource`` ingress/walker, no arbitration indirection, the
-historical RNG stream names) and reproduces the single-device golden
-records bit for bit.  The arbitration layer only engages with two or more
-devices, where there is something to arbitrate.
+Degenerate-case contract: both simulators build every device with one
+builder (:class:`~repro.sim.nicsim._Device`: links, tag pool, queues,
+arrival feed, result), and only what surrounds the devices differs.  A
+fabric with a *single* device gives it no arbitration port, so the device
+serialises on plain ``SerialResource`` ingress/walker resources with the
+historical RNG stream names — the code path of a
+:class:`~repro.sim.nicsim.NicDatapathSimulator` run — and reproduces the
+single-device golden records, and a traced run's spans, bit for bit.  The
+arbitration layer only engages with two or more devices, where there is
+something to arbitrate.
 """
 
 from __future__ import annotations
@@ -58,16 +62,12 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Sequence
 
-from functools import partial
-
 from ..control import (
     CONTROL_POLICIES,
     DEFAULT_CONTROL_WINDOW_NS,
     ControlAction,
     ControlRuntime,
-    RssSteering,
     build_controller,
-    identity_table,
 )
 from ..core.config import PAPER_DEFAULT_CONFIG, PCIeConfig
 from ..core.nic import NicModel, model_by_name
@@ -75,7 +75,7 @@ from ..errors import ValidationError, record_reader
 from ..obs.metrics import MetricsRegistry, metric_segment
 from ..obs.trace import ARB_PREFIX, STAGE_WALKER, Tracer
 from ..units import CACHELINE_BYTES, KIB, MIB
-from ..workloads import Workload, rss_buckets, rss_queues
+from ..workloads import Workload, check_rss_table
 from .cache import (
     CacheState,
     CacheStats,
@@ -89,8 +89,6 @@ from .engine import (
     MODES,
     EngineProfile,
     EventLoop,
-    SerialResource,
-    TagPool,
 )
 from .host import HostSystem
 from .nichost import (
@@ -100,15 +98,10 @@ from .nichost import (
     NicHostConfig,
 )
 from .nicsim import (
-    DmaTagStats,
     NicSimConfig,
     NicSimResult,
-    _Datapath,
-    _direction_result,
-    _finalise_metrics,
+    _Device,
     _install_metrics_sampler,
-    _streaming_warmup_threshold,
-    _WarmupGate,
 )
 from .profiles import get_profile
 from .rng import DEFAULT_SEED, SimRng
@@ -300,22 +293,9 @@ class FabricDevice:
         )
         if self.packets <= 0:
             raise ValidationError(f"packets must be positive, got {self.packets}")
-        if self.rss_table is not None:
-            if self.num_queues <= 1:
-                raise ValidationError(
-                    "an RSS indirection table needs multiple queues "
-                    f"(num_queues={self.num_queues})"
-                )
-            table = tuple(int(entry) for entry in self.rss_table)
-            if not table:
-                raise ValidationError("rss_table must not be empty")
-            for entry in table:
-                if not 0 <= entry < self.num_queues:
-                    raise ValidationError(
-                        f"rss_table entries must be queue indices in "
-                        f"[0, {self.num_queues}), got {entry}"
-                    )
-            object.__setattr__(self, "rss_table", table)
+        object.__setattr__(
+            self, "rss_table", check_rss_table(self.rss_table, self.num_queues)
+        )
 
     def host_config(self, fabric: FabricConfig) -> NicHostConfig:
         """This device's buffer layout bound to the fabric's shared host."""
@@ -1026,8 +1006,7 @@ class FabricSimulator:
         ``tracer`` opts the run into span tracing (per-packet lifecycle
         stages per device, walker service, per-hop arbitration waits);
         ``metrics`` attaches a window-sampled registry snapshot to the
-        result.  Both default to off, which keeps every simulation path
-        on the exact historical (golden-verified) code.
+        result.  Both default to off; neither changes what is simulated.
 
         ``mode`` selects the engine, mirroring
         :meth:`NicDatapathSimulator.run <repro.sim.nicsim.NicDatapathSimulator.run>`.
@@ -1079,18 +1058,16 @@ class FabricSimulator:
             # the scheduler round trip (bit-identical pop order).
             ingress_arb.attach_loop(loop)
             walker_arb.attach_loop(loop)
-            ingress = walker = None
         else:
-            # Degenerate case: one device, nothing to arbitrate — use the
-            # exact single-device resources (and code path) of
-            # NicDatapathSimulator.run, preserving golden runs bit for bit.
+            # Degenerate case: one device, nothing to arbitrate.  Without
+            # an upstream port the device serialises on private ingress
+            # and walker resources, the code path of a NicDatapathSimulator
+            # run, preserving golden runs bit for bit.
             ingress_arb = walker_arb = None
-            ingress = SerialResource("nicsim.root_complex.ingress")
-            walker = SerialResource("nicsim.iommu.walker")
 
         # The control plane exists only when asked for: the static
         # default builds no runtime, installs no observers and feeds
-        # packets through the exact historical dispatch path.
+        # packets straight to their queues.
         runtime: ControlRuntime | None = None
         if fabric.controller != "static":
             runtime = ControlRuntime(
@@ -1103,151 +1080,44 @@ class FabricSimulator:
                 loop,
             )
 
-        links: list[tuple[SerialResource, SerialResource]] = []
-        device_steerings: list[list[RssSteering]] = []
-        device_tags: list[TagPool | None] = []
-        device_paths: list[list[tuple[str, list[_Datapath]]]] = []
-        for index, device in enumerate(self.devices):
-            device_seed = (
-                device.seed if device.seed is not None else resolved_seed
-            )
-            rng = SimRng(device_seed)
-            sim_config = device.sim_config(fabric)
-            coupling = shared.couplings[index]
-            link_up = SerialResource(f"fabric.{self.names[index]}.device_to_host")
-            link_down = SerialResource(f"fabric.{self.names[index]}.host_to_device")
-            links.append((link_up, link_down))
-            tags = (
-                TagPool(f"fabric.{self.names[index]}.dma_tags", device.dma_tags)
-                if device.dma_tags is not None
-                else None
-            )
-            device_tags.append(tags)
-            port = (
-                _UpstreamPort(
-                    ingress_arb,
-                    walker_arb,
-                    index,
-                    loop.at,
-                    tracer=tracer,
-                    device=self.names[index],
-                )
-                if multi
-                else None
-            )
-            workload = device.workload
-            directions: list[tuple[str, list[_Datapath]]] = []
-            steerings: list[RssSteering] = []
-            for direction in ("tx", "rx") if workload.duplex else ("tx",):
-                warmup_gate = (
-                    None
-                    if device.retain_samples
-                    else _WarmupGate(
-                        _streaming_warmup_threshold(
-                            device.packets,
-                            warmup_fraction=sim_config.warmup_fraction,
-                            ring_depth=device.ring_depth,
-                        )
-                    )
-                )
-                queues = [
-                    _Datapath(
-                        direction,
-                        device.model,
-                        self.config,
-                        sim_config,
-                        loop,
-                        link_up,
-                        link_down,
-                        coupling=coupling,
-                        ingress=ingress,
-                        walker=walker,
-                        tags=tags,
-                        queue_index=queue_index,
-                        num_queues=device.num_queues,
-                        host_port=port,
-                        warmup_gate=warmup_gate,
+        nics = [
+            _Device(
+                name,
+                "fabric",
+                device.model,
+                self.config,
+                device.sim_config(fabric),
+                loop,
+                device.workload,
+                device.packets,
+                seed=resolved_seed if device.seed is None else device.seed,
+                coupling=shared.couplings[index],
+                host_port=(
+                    _UpstreamPort(
+                        ingress_arb,
+                        walker_arb,
+                        index,
+                        loop.at,
                         tracer=tracer,
-                        device=self.names[index],
+                        device=name,
                     )
-                    for queue_index in range(device.num_queues)
-                ]
-                schedule = workload.generate(
-                    device.packets, rng, stream=direction
-                )
-                arrival_times = schedule.arrival_times_ns.tolist()
-                sizes = schedule.sizes.tolist()
-                if device.num_queues == 1:
-                    on_arrival = queues[0].on_arrival
-                    loop.feed_many(
-                        (time, on_arrival, size)
-                        for time, size in zip(arrival_times, sizes)
-                    )
-                else:
-                    if schedule.flows is None:
-                        raise ValidationError(
-                            f"a {device.num_queues}-queue device needs a "
-                            "workload with a flow model to steer by"
-                        )
-                    if runtime is not None:
-                        # Live steering: packets are pre-hashed to table
-                        # buckets and dispatched through a rewritable
-                        # indirection table.  The identity table makes the
-                        # untouched mapping bucket-for-bucket identical to
-                        # the direct hash % num_queues path.
-                        table = device.rss_table or tuple(
-                            identity_table(device.num_queues)
-                        )
-                        steering = RssSteering(queues, table)
-                        steerings.append(steering)
-                        buckets = rss_buckets(
-                            schedule.flows, len(table), seed=device_seed
-                        )
-                        loop.feed_many(
-                            (
-                                arrival_times[packet],
-                                partial(steering.dispatch, bucket),
-                                sizes[packet],
-                            )
-                            for packet, bucket in enumerate(buckets.tolist())
-                        )
-                    elif device.rss_table is not None:
-                        table = device.rss_table
-                        buckets = rss_buckets(
-                            schedule.flows, len(table), seed=device_seed
-                        )
-                        loop.feed_many(
-                            (
-                                arrival_times[packet],
-                                queues[table[bucket]].on_arrival,
-                                sizes[packet],
-                            )
-                            for packet, bucket in enumerate(buckets.tolist())
-                        )
-                    else:
-                        targets = rss_queues(
-                            schedule.flows, device.num_queues, seed=device_seed
-                        )
-                        loop.feed_many(
-                            (
-                                arrival_times[packet],
-                                queues[target].on_arrival,
-                                sizes[packet],
-                            )
-                            for packet, target in enumerate(targets.tolist())
-                        )
-                directions.append((direction, queues))
-            device_paths.append(directions)
-            device_steerings.append(steerings)
+                    if multi
+                    else None
+                ),
+                tracer=tracer,
+                steered=runtime is not None,
+            )
+            for index, (name, device) in enumerate(zip(self.names, self.devices))
+        ]
 
         if runtime is not None:
-            for index in range(count):
+            for index, nic in enumerate(nics):
                 runtime.add_device(
-                    self.names[index],
+                    nic.name,
                     index,
-                    device_paths[index][0][1],  # TX queues
-                    device_steerings[index],
-                    shared.couplings[index],
+                    nic.directions[0][1],  # TX queues
+                    nic.steerings,
+                    nic.coupling,
                 )
             if multi:
                 if fabric.arbiter in WEIGHTED_SCHEMES:
@@ -1279,8 +1149,7 @@ class FabricSimulator:
             _install_metrics_sampler(
                 metrics,
                 loop,
-                list(zip(self.names, device_paths)),
-                prefix="fabric",
+                nics,
                 window_ns=(
                     runtime.window_ns
                     if runtime is not None
@@ -1292,57 +1161,15 @@ class FabricSimulator:
         loop.run()
         stats_start = perf_counter()
 
-        records = []
-        overall_duration = 0.0
-        for index, device in enumerate(self.devices):
-            directions = device_paths[index]
-            for _, queues in directions:
-                for path in queues:
-                    path.finish()
-            duration = max(
-                [0.0]
-                + [
-                    path.max_notify
-                    for _, queues in directions
-                    for path in queues
-                ]
+        records = [
+            DeviceContentionResult(
+                name=nic.name,
+                result=nic.finish(),
+                ingress=_port_stats(ingress_arb, index) if multi else None,
+                walker=_port_stats(walker_arb, index) if multi else None,
             )
-            overall_duration = max(overall_duration, duration)
-            sim_config = device.sim_config(fabric)
-            results = [
-                _direction_result(direction, queues, sim_config)
-                for direction, queues in directions
-            ]
-            link_up, link_down = links[index]
-            tags = device_tags[index]
-            result = NicSimResult(
-                model=device.model.name,
-                workload=device.workload.name,
-                packets=device.packets,
-                duration_ns=duration,
-                tx=results[0],
-                rx=results[1] if len(results) > 1 else None,
-                link_utilisation_up=(
-                    link_up.utilisation(duration) if duration > 0 else 0.0
-                ),
-                link_utilisation_down=(
-                    link_down.utilisation(duration) if duration > 0 else 0.0
-                ),
-                host=shared.couplings[index].stats(),
-                tags=DmaTagStats.from_pool(tags) if tags is not None else None,
-            )
-            records.append(
-                DeviceContentionResult(
-                    name=self.names[index],
-                    result=result,
-                    ingress=(
-                        _port_stats(ingress_arb, index) if multi else None
-                    ),
-                    walker=(
-                        _port_stats(walker_arb, index) if multi else None
-                    ),
-                )
-            )
+            for index, nic in enumerate(nics)
+        ]
 
         self.last_profile = EngineProfile(
             label=(
@@ -1356,18 +1183,9 @@ class FabricSimulator:
             mode="exact",
         )
         if metrics is not None:
-            _finalise_metrics(
-                metrics, list(zip(self.names, device_paths)), prefix="fabric"
-            )
-            for index, record in enumerate(records):
-                dev = metric_segment(self.names[index])
-                result = record.result
-                metrics.gauge(f"fabric.{dev}.link.up_utilisation").set(
-                    result.link_utilisation_up
-                )
-                metrics.gauge(f"fabric.{dev}.link.down_utilisation").set(
-                    result.link_utilisation_down
-                )
+            for nic, record in zip(nics, records):
+                nic.publish(metrics, record.result)
+                dev = metric_segment(nic.name)
                 for resource, stats in (
                     ("ingress", record.ingress),
                     ("walker", record.walker),
@@ -1385,7 +1203,9 @@ class FabricSimulator:
             arbiter=fabric.arbiter,
             weights=tuple(weights),
             seed=resolved_seed,
-            duration_ns=overall_duration,
+            duration_ns=max(
+                [0.0] + [record.result.duration_ns for record in records]
+            ),
             devices=tuple(records),
             topology=(
                 None

@@ -71,11 +71,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import repeat
 from time import perf_counter
 from typing import Callable
 
 import numpy as np
 
+from ..control import RssSteering, identity_table
 from ..core.config import PAPER_DEFAULT_CONFIG, PCIeConfig
 from ..core.nic import FIGURE1_MODELS, NicModel, model_by_name
 from ..core.transactions import OpKind
@@ -102,8 +105,8 @@ from ..workloads import (
     Workload,
     build_flow_model,
     build_workload,
+    check_rss_table,
     rss_buckets,
-    rss_queues,
 )
 from .engine import MODES, EngineProfile, EventLoop, SerialResource, TagPool
 from .nichost import HostCoupling, HostSideStats, NicHostConfig
@@ -167,8 +170,8 @@ class NicSimConfig:
     dma_tags: int | None = None
     retain_samples: bool = True
     #: Optional RSS indirection table: ``queue = table[hash % len(table)]``.
-    #: ``None`` hashes directly onto queues (``hash % num_queues``), the
-    #: historical mapping.  Requires ``num_queues > 1``.
+    #: ``None`` uses the identity table, which sends every flow to queue
+    #: ``hash % num_queues``.  Requires ``num_queues > 1``.
     rss_table: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -192,22 +195,9 @@ class NicSimConfig:
                 f"dma_tags must be positive (or None for unbounded), "
                 f"got {self.dma_tags}"
             )
-        if self.rss_table is not None:
-            if self.num_queues == 1:
-                raise ValidationError(
-                    "rss_table requires num_queues > 1 (single-queue runs "
-                    "have nothing to steer)"
-                )
-            table = tuple(int(entry) for entry in self.rss_table)
-            if not table:
-                raise ValidationError("rss_table must not be empty")
-            for entry in table:
-                if not 0 <= entry < self.num_queues:
-                    raise ValidationError(
-                        f"rss_table entries must be queue indices in "
-                        f"[0, {self.num_queues}), got {entry}"
-                    )
-            object.__setattr__(self, "rss_table", table)
+        object.__setattr__(
+            self, "rss_table", check_rss_table(self.rss_table, self.num_queues)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -602,13 +592,6 @@ class _Signal:
         for fn in waiters:
             fn(now)
 
-    def wait(self, now: float, fn: Callable[[float], None]) -> None:
-        time = self.time
-        if time is not None:
-            fn(time if time > now else now)
-        else:
-            self._waiters.append(fn)
-
 
 @dataclass(frozen=True, slots=True)
 class _CompiledOp:
@@ -633,7 +616,9 @@ class _Ring:
     moderated interrupts, happens for several entries at once (the source
     of the occupancy plateaus the analytic model cannot show).  A full TX
     ring backpressures the sender; a full RX ring drops the packet, since
-    the wire does not wait.
+    the wire does not wait.  :meth:`_Datapath.on_arrival` claims entries
+    inline, on the hottest call chain of the simulator; the ring frees
+    them.
     """
 
     __slots__ = (
@@ -681,30 +666,6 @@ class _Ring:
         elif now > self._last_event:
             self._occupancy_integral += self._used * (now - self._last_event)
             self._last_event = now
-
-    def admit(
-        self,
-        now: float,
-        on_post: Callable[[float], None],
-        *,
-        wait: bool,
-        on_drop: Callable[[], None] | None = None,
-    ) -> None:
-        """Claim an entry at ``now``; posts now, later (TX), or drops (RX)."""
-        self._advance(now)
-        if self._used < self.depth:
-            used = self._used + 1
-            self._used = used
-            self.posts += 1
-            if used > self.max_occupancy:
-                self.max_occupancy = used
-            on_post(now)
-        elif wait:
-            self._waiters.append(on_post)
-        else:
-            self.drops += 1
-            if on_drop is not None:
-                on_drop()
 
     def release(self, now: float, count: int) -> None:
         """Free ``count`` entries, handing them straight to any waiters."""
@@ -885,7 +846,6 @@ class _Datapath:
         "observer",
         "tracer",
         "device",
-        "_trace_pending",
     )
 
     def __init__(
@@ -959,7 +919,9 @@ class _Datapath:
         self._signals: list[_Signal] = [_Signal() for _ in reference]
         for signal in self._signals:
             signal.fire(0.0)  # nothing to wait for until an instance issues
-        self._pending: list[tuple[float, float, int]] = []  # arrival, done, size
+        #: Delivered packets awaiting their completion report: arrival,
+        #: done, size and the traced packet id (``None`` untraced).
+        self._pending: list[tuple[float, float, int, int | None]] = []
 
         self.arrivals: list[float] = []
         self.dones: list[float] = []
@@ -980,15 +942,11 @@ class _Datapath:
         #: delivered packet.  ``None`` (always, for controller-less runs)
         #: keeps ``_record`` on the exact historical code path.
         self.observer: Callable[[float], None] | None = None
-        #: Span tracer (``None`` keeps every hot path at a bare ``is None``
+        #: Span tracer (``None`` keeps every span site at a bare ``is None``
         #: check) and the device name its spans carry (fabric runs pass the
         #: contending device's name; single-device runs default to "nic").
         self.tracer = tracer
         self.device = device
-        #: Parallel to ``_pending``: ``(packet_id, done)`` per delivered
-        #: packet awaiting its completion report, popped front-aligned in
-        #: ``_flush`` (reports fire in issue order, so order matches).
-        self._trace_pending: list[tuple[int, float]] = []
         self._warmup_gate = warmup_gate
         if not sim_config.retain_samples:
             self.stream = _StreamStats()
@@ -1070,34 +1028,25 @@ class _Datapath:
         """
         ready = now
         tracer = self.tracer
-        if access.ingress_occupancy_ns > 0.0:
-            if tracer is None:
-                ready = (
-                    self._ingress.occupy(ready, access.ingress_occupancy_ns)
-                    + access.ingress_occupancy_ns
+        occupancy = access.ingress_occupancy_ns
+        if occupancy > 0.0:
+            start = self._ingress.occupy(ready, occupancy)
+            if tracer is not None and start > ready:
+                tracer.record(
+                    self.device,
+                    self.label,
+                    -1,
+                    ARB_PREFIX + "ingress",
+                    ready,
+                    start - ready,
                 )
-            else:
-                start = self._ingress.occupy(ready, access.ingress_occupancy_ns)
-                if start > ready:
-                    tracer.record(
-                        self.device,
-                        self.label,
-                        -1,
-                        ARB_PREFIX + "ingress",
-                        ready,
-                        start - ready,
-                    )
-                ready = start + access.ingress_occupancy_ns
-        if access.walker_occupancy_ns > 0.0:
+            ready = start + occupancy
+        occupancy = access.walker_occupancy_ns
+        if occupancy > 0.0:
             stall = self._walker.free_at - ready
             self._coupling.note_walker_stall(stall if stall > 0.0 else 0.0)
-            if tracer is None:
-                ready = (
-                    self._walker.occupy(ready, access.walker_occupancy_ns)
-                    + access.walker_occupancy_ns
-                )
-            else:
-                start = self._walker.occupy(ready, access.walker_occupancy_ns)
+            start = self._walker.occupy(ready, occupancy)
+            if tracer is not None:
                 if start > ready:
                     tracer.record(
                         self.device,
@@ -1108,14 +1057,9 @@ class _Datapath:
                         start - ready,
                     )
                 tracer.record(
-                    self.device,
-                    self.label,
-                    -1,
-                    STAGE_WALKER,
-                    start,
-                    access.walker_occupancy_ns,
+                    self.device, self.label, -1, STAGE_WALKER, start, occupancy
                 )
-                ready = start + access.walker_occupancy_ns
+            ready = start + occupancy
         return ready
 
     def _visit_host(
@@ -1275,17 +1219,25 @@ class _Datapath:
             self._loop.at(at_device, mmio_completion)
 
     # -- packet lifecycle -------------------------------------------------------
+    #
+    # One walk per packet through four contiguous stages: ``ring`` (arrival
+    # to ring post), ``issue`` (post to payload dispatch, through the gating
+    # transactions), ``payload`` (dispatch to payload done) and
+    # ``completion`` (done to the completion report).  A traced datapath
+    # numbers each packet on arrival and records one span per stage as the
+    # walk leaves it, so the four durations sum to the packet's recorded
+    # latency ``notify - arrival``.  Untraced, the packet number is
+    # ``None`` and each span site costs one ``is None`` test.
 
     def on_arrival(self, now: float, size: int) -> None:
         """A packet reaches the datapath (driver for TX, wire for RX)."""
-        if self.tracer is not None:
-            self._traced_arrival(now, size)
-            return
         self.offered += 1
         self.offered_bytes += size
-        # The ring admit fast path, open-coded: an entry is usually free,
-        # and going through `_Ring.admit` would allocate two closures per
-        # packet on the hottest call chain of the whole simulator.
+        tracer = self.tracer
+        packet = None if tracer is None else tracer.next_packet()
+        # The ring admit, open-coded: an entry is usually free, and a call
+        # per packet would cost more than the admit itself on the hottest
+        # call chain of the whole simulator.
         ring = self.ring
         # _Ring._advance, open-coded for the same reason.
         if ring._first_event is None:
@@ -1304,140 +1256,44 @@ class _Datapath:
             ops = self._compiled.get(size)
             if ops is None:
                 ops = self._ops_for(size)
-            self._step(ops, 0, now, now, size)
+            self._step(ops, 0, now, size, packet, None, now)
         elif self._wait_on_full:
             ring._waiters.append(
-                lambda post: self._step(self._ops_for(size), 0, post, now, size)
+                partial(self._step, self._ops_for(size), 0, now, size, packet, None)
             )
         else:
             ring.drops += 1
             self.dropped_bytes += size
-
-    def _traced_arrival(self, now: float, size: int) -> None:
-        """Traced mirror of :meth:`on_arrival`.
-
-        Kept out of line so the untraced hot path above pays exactly one
-        ``is None`` check per packet.  Simulation decisions are identical
-        (same ring admit semantics via :meth:`_Ring.admit`); on top of
-        them, one span per lifecycle stage is recorded.  The four packet
-        stages are contiguous — ``ring`` (arrival→post), ``issue``
-        (post→payload dispatch), ``payload`` (dispatch→done) and
-        ``completion`` (done→notify) — so their durations sum to the
-        packet's recorded end-to-end latency ``notify - arrival``.
-        """
-        self.offered += 1
-        self.offered_bytes += size
-        tracer = self.tracer
-        packet = tracer.next_packet()
-        device = self.device
-        lane = self.label
-
-        def on_post(post: float) -> None:
-            tracer.record(device, lane, packet, STAGE_RING, now, post - now)
-            self._trace_step(
-                self._ops_for(size), 0, post, now, size, packet, post
-            )
-
-        def on_drop() -> None:
-            self.dropped_bytes += size
-            tracer.record(device, lane, packet, STAGE_DROP, now, 0.0)
-
-        self.ring.admit(now, on_post, wait=self._wait_on_full, on_drop=on_drop)
-
-    def _trace_step(
-        self,
-        ops: list[_CompiledOp],
-        index: int,
-        now: float,
-        arrival: float,
-        size: int,
-        packet: int,
-        post: float,
-    ) -> None:
-        """Traced mirror of :meth:`_step`.
-
-        Identical gate walk; additionally records one ``op:<label>`` span
-        per gating transaction instance (batch-level, so ``packet=-1``)
-        and the packet's ``issue`` span once the payload dispatches.
-        """
-        payload_idx = self._payload_idx
-        credits = self._credits
-        signals = self._signals
-        tracer = self.tracer
-        device = self.device
-        lane = self.label
-        while index != payload_idx:
-            op = ops[index]
-            if credits[index] >= op.per_packets:
-                credits[index] -= op.per_packets
-                signal = _Signal()
-                signals[index] = signal
-
-                def gate_done(
-                    done: float,
-                    signal: _Signal = signal,
-                    issued: float = now,
-                    stage: str = OP_PREFIX + op.label,
-                ) -> None:
-                    tracer.record(
-                        device, lane, -1, stage, issued, done - issued
-                    )
-                    signal.fire(done)
-
-                self._issue(op, now, gate_done)
-            credits[index] += 1.0
-            signal = signals[index]
-            time = signal.time
-            if time is None:
-                signal._waiters.append(
-                    lambda time, index=index: self._trace_step(
-                        ops, index + 1, time, arrival, size, packet, post
-                    )
-                )
-                return
-            if time > now:
-                now = time
-            index += 1
-        dispatch = now
-        tracer.record(device, lane, packet, STAGE_ISSUE, post, dispatch - post)
-        self._issue(
-            ops[index],
-            now,
-            lambda done: self._trace_on_payload(
-                arrival, done, size, packet, dispatch
-            ),
-            payload=True,
-        )
-
-    def _trace_on_payload(
-        self, arrival: float, done: float, size: int, packet: int, dispatch: float
-    ) -> None:
-        """Record the ``payload`` span, then run the untraced accounting.
-
-        The ``(packet, done)`` pair is queued *before* :meth:`_on_payload`
-        appends to ``_pending`` swaps it, keeping ``_trace_pending``
-        front-aligned with the batches ``_flush`` receives.
-        """
-        self.tracer.record(
-            self.device, self.label, packet, STAGE_PAYLOAD, dispatch, done - dispatch
-        )
-        self._trace_pending.append((packet, done))
-        self._on_payload(arrival, done, size)
+            if packet is not None:
+                tracer.record(self.device, self.label, packet, STAGE_DROP, now, 0.0)
 
     def _step(
         self,
         ops: list[_CompiledOp],
         index: int,
-        now: float,
         arrival: float,
         size: int,
+        packet: int | None,
+        post: float | None,
+        now: float,
     ) -> None:
         """Walk the gating transactions in causal order, then the payload.
 
         Iterative over the already-fired gates (the steady-state case:
         every wait on an already-fired signal continues synchronously), so
         one packet costs one ``_step`` frame instead of one per gate.
+        ``now`` comes last, so a packet waiting for a ring entry or a gate
+        resumes as ``partial(self._step, ...)(time)``; at ``index`` 0 it
+        is the ring-post time.  Traced, the walk records the ``ring`` span
+        on entry, one ``op:<label>`` span per gating instance it issues
+        (batch-level, so ``packet=-1``) and the ``issue`` span, from
+        ``post``, when the payload dispatches.
         """
+        if packet is not None and index == 0:
+            post = now
+            self.tracer.record(
+                self.device, self.label, packet, STAGE_RING, arrival, now - arrival
+            )
         payload_idx = self._payload_idx
         credits = self._credits
         signals = self._signals
@@ -1447,30 +1303,56 @@ class _Datapath:
                 credits[index] -= op.per_packets
                 signal = _Signal()
                 signals[index] = signal
-                self._issue(op, now, signal.fire)
+                self._issue(
+                    op,
+                    now,
+                    signal.fire
+                    if packet is None
+                    else partial(self._gate_done, signal, now, OP_PREFIX + op.label),
+                )
             credits[index] += 1.0
             signal = signals[index]
             time = signal.time
             if time is None:
                 signal._waiters.append(
-                    lambda time, index=index: self._step(
-                        ops, index + 1, time, arrival, size
-                    )
+                    partial(self._step, ops, index + 1, arrival, size, packet, post)
                 )
                 return
             if time > now:
                 now = time
             index += 1
+        if packet is not None:
+            self.tracer.record(
+                self.device, self.label, packet, STAGE_ISSUE, post, now - post
+            )
         self._issue(
             ops[index],
             now,
-            lambda done: self._on_payload(arrival, done, size),
+            partial(self._on_payload, arrival, size, packet, now),
             payload=True,
         )
 
-    def _on_payload(self, arrival: float, done: float, size: int) -> None:
+    def _gate_done(
+        self, signal: _Signal, issued: float, stage: str, done: float
+    ) -> None:
+        """A traced gating instance completed: record its span, fire its gate."""
+        self.tracer.record(self.device, self.label, -1, stage, issued, done - issued)
+        signal.fire(done)
+
+    def _on_payload(
+        self,
+        arrival: float,
+        size: int,
+        packet: int | None,
+        dispatch: float,
+        done: float,
+    ) -> None:
         """Payload DMA finished: account trailing (report-side) transactions."""
-        self._pending.append((arrival, done, size))
+        if packet is not None:
+            self.tracer.record(
+                self.device, self.label, packet, STAGE_PAYLOAD, dispatch, done - dispatch
+            )
+        self._pending.append((arrival, done, size, packet))
         ops = self._compiled.get(size)
         if ops is None:
             ops = self._ops_for(size)
@@ -1482,39 +1364,30 @@ class _Datapath:
                 credits[index] -= op.per_packets
                 if index == self._notify_idx:
                     batch, self._pending = self._pending, []
-                    self._issue(
-                        op,
-                        done,
-                        lambda time, batch=batch: self._flush(batch, time),
-                    )
+                    self._issue(op, done, partial(self._flush, batch))
                 else:
                     self._issue(op, done, _ignore)
         if self._notify_idx is None:
             batch, self._pending = self._pending, []
             self._flush(batch, done)
 
-    def _flush(self, batch: list[tuple[float, float, int]], report: float) -> None:
+    def _flush(
+        self, batch: list[tuple[float, float, int, int | None]], report: float
+    ) -> None:
         """The driver learned about a batch: free ring entries, sample stats."""
         self.ring.release(report, len(batch))
         tracer = self.tracer
-        if tracer is None:
-            for arrival, done, size in batch:
-                self._record(
-                    arrival, done, done if done > report else report, size
-                )
-            return
-        trace_batch = self._trace_pending[: len(batch)]
-        del self._trace_pending[: len(batch)]
-        for (arrival, done, size), (packet, _done) in zip(batch, trace_batch):
+        for arrival, done, size, packet in batch:
             notify = done if done > report else report
-            tracer.record(
-                self.device,
-                self.label,
-                packet,
-                STAGE_COMPLETION,
-                done,
-                notify - done,
-            )
+            if packet is not None:
+                tracer.record(
+                    self.device,
+                    self.label,
+                    packet,
+                    STAGE_COMPLETION,
+                    done,
+                    notify - done,
+                )
             self._record(arrival, done, notify, size)
 
     def finish(self) -> None:
@@ -1527,19 +1400,13 @@ class _Datapath:
         longer matters once the event loop has drained.
         """
         batch, self._pending = self._pending, []
-        tracer = self.tracer
-        if tracer is None:
-            for arrival, done, size in batch:
-                self._record(arrival, done, done, size)
-            return
-        trace_batch = self._trace_pending[: len(batch)]
-        del self._trace_pending[: len(batch)]
-        for (arrival, done, size), (packet, _done) in zip(batch, trace_batch):
-            # Never reported: the completion stage collapses to zero width
-            # at the payload-done time, keeping the span sum exact.
-            tracer.record(
-                self.device, self.label, packet, STAGE_COMPLETION, done, 0.0
-            )
+        for arrival, done, size, packet in batch:
+            if packet is not None:
+                # Never reported: the completion stage collapses to zero
+                # width at the payload-done time, keeping the span sum exact.
+                self.tracer.record(
+                    self.device, self.label, packet, STAGE_COMPLETION, done, 0.0
+                )
             self._record(arrival, done, done, size)
 
     def _record(self, arrival: float, done: float, notify: float, size: int) -> None:
@@ -1586,6 +1453,209 @@ class _Datapath:
             packet_rate_pps=rate,
             latency=latency,
             ring=self.ring.stats(),
+        )
+
+
+class _Device:
+    """One simulated NIC: links, tag pool, per-direction queues and feed.
+
+    Both simulators build their devices here — a
+    :class:`NicDatapathSimulator` run builds one, a
+    :class:`~repro.sim.fabric.FabricSimulator` run one per contending
+    device — so a device is assembled, fed and summarised one way.  The
+    caller supplies what devices share: the event loop, the host coupling
+    and, when several devices contend, the arbitrated upstream port.  A
+    host-coupled device without a port serialises its host accesses on
+    private ingress and walker resources.
+
+    Construction draws each direction's schedule (``tx``, then ``rx``)
+    from one RNG seeded with ``seed`` and feeds the arrivals to the loop.
+    Multi-queue directions steer through an RSS indirection table: the
+    configured ``rss_table``, or the identity table, which sends every
+    flow where hashing it straight onto the queues would.  With
+    ``steered`` the table is a live :class:`~repro.control.RssSteering`
+    (listed in ``steerings``) that a controller may rewrite mid-run.
+    """
+
+    __slots__ = (
+        "name",
+        "prefix",
+        "model",
+        "workload",
+        "packets",
+        "sim_config",
+        "coupling",
+        "link_up",
+        "link_down",
+        "tags",
+        "directions",
+        "steerings",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        prefix: str,
+        model: NicModel,
+        config: PCIeConfig,
+        sim_config: NicSimConfig,
+        loop: EventLoop,
+        workload: Workload,
+        packets: int,
+        *,
+        seed: int,
+        coupling: HostCoupling | None = None,
+        host_port: "object | None" = None,
+        tracer: Tracer | None = None,
+        steered: bool = False,
+    ) -> None:
+        self.name = name
+        #: Metric and resource name prefix (``"nicsim"`` or ``"fabric"``).
+        self.prefix = prefix
+        self.model = model
+        self.workload = workload
+        self.packets = packets
+        self.sim_config = sim_config
+        self.coupling = coupling
+        base = f"{prefix}.{name}"
+        self.link_up = SerialResource(f"{base}.device_to_host")
+        self.link_down = SerialResource(f"{base}.host_to_device")
+        self.tags = (
+            TagPool(f"{base}.dma_tags", sim_config.dma_tags)
+            if sim_config.dma_tags is not None
+            else None
+        )
+        ingress = walker = None
+        if coupling is not None and host_port is None:
+            ingress = SerialResource(f"{base}.root_complex.ingress")
+            walker = SerialResource(f"{base}.iommu.walker")
+        rng = SimRng(seed)
+        num_queues = sim_config.num_queues
+        self.directions: list[tuple[str, list[_Datapath]]] = []
+        self.steerings: list[RssSteering] = []
+        for direction in ("tx", "rx") if workload.duplex else ("tx",):
+            warmup_gate = (
+                None
+                if sim_config.retain_samples
+                else _WarmupGate(
+                    _streaming_warmup_threshold(
+                        packets,
+                        warmup_fraction=sim_config.warmup_fraction,
+                        ring_depth=sim_config.ring_depth,
+                    )
+                )
+            )
+            queues = [
+                _Datapath(
+                    direction,
+                    model,
+                    config,
+                    sim_config,
+                    loop,
+                    self.link_up,
+                    self.link_down,
+                    coupling=coupling,
+                    ingress=ingress,
+                    walker=walker,
+                    tags=self.tags,
+                    queue_index=index,
+                    num_queues=num_queues,
+                    host_port=host_port,
+                    warmup_gate=warmup_gate,
+                    tracer=tracer,
+                    device=name,
+                )
+                for index in range(num_queues)
+            ]
+            schedule = workload.generate(packets, rng, stream=direction)
+            self._feed(loop, queues, schedule, seed=seed, steered=steered)
+            self.directions.append((direction, queues))
+
+    def _feed(
+        self, loop: EventLoop, queues, schedule, *, seed: int, steered: bool
+    ) -> None:
+        """Hand one direction's arrivals to the loop's sorted stream.
+
+        The arrivals are pre-generated and nearly sorted, so feeding them
+        costs one stable sort and a pointer walk instead of scheduling
+        each one.  The RSS key derives from ``seed``: reseeding the run
+        reprograms the hash, like a driver re-keying Toeplitz.
+        """
+        times = schedule.arrival_times_ns.tolist()
+        sizes = schedule.sizes.tolist()
+        if len(queues) == 1:
+            loop.feed_many(zip(times, repeat(queues[0].on_arrival), sizes))
+            return
+        if schedule.flows is None:
+            raise ValidationError(
+                f"a {len(queues)}-queue device needs a workload with a flow "
+                "model to steer by (set Workload.flows, e.g. via "
+                "repro.workloads.build_flow_model)"
+            )
+        table = self.sim_config.rss_table or identity_table(len(queues))
+        if steered:
+            steering = RssSteering(queues, table)
+            self.steerings.append(steering)
+            targets = [
+                partial(steering.dispatch, bucket) for bucket in range(len(table))
+            ]
+        else:
+            targets = [queues[queue].on_arrival for queue in table]
+        buckets = rss_buckets(schedule.flows, len(table), seed=seed).tolist()
+        loop.feed_many(
+            zip(times, [targets[bucket] for bucket in buckets], sizes)
+        )
+
+    def finish(self) -> NicSimResult:
+        """Account unreported packets and summarise the device after the run.
+
+        The device's duration is its last completion report.
+        """
+        paths = [path for _, queues in self.directions for path in queues]
+        for path in paths:
+            path.finish()
+        duration = max([0.0] + [path.max_notify for path in paths])
+        results = [
+            _direction_result(direction, queues, self.sim_config)
+            for direction, queues in self.directions
+        ]
+        return NicSimResult(
+            model=self.model.name,
+            workload=self.workload.name,
+            packets=self.packets,
+            duration_ns=duration,
+            tx=results[0],
+            rx=results[1] if len(results) > 1 else None,
+            link_utilisation_up=(
+                self.link_up.utilisation(duration) if duration > 0 else 0.0
+            ),
+            link_utilisation_down=(
+                self.link_down.utilisation(duration) if duration > 0 else 0.0
+            ),
+            host=self.coupling.stats() if self.coupling is not None else None,
+            tags=DmaTagStats.from_pool(self.tags) if self.tags is not None else None,
+        )
+
+    def publish(self, metrics: MetricsRegistry, result: NicSimResult) -> None:
+        """Publish end-of-run totals, latency histograms and link gauges."""
+        dev = f"{self.prefix}.{metric_segment(self.name)}"
+        for direction, queues in self.directions:
+            base = f"{dev}.{direction}"
+            _update_direction_counters(metrics, base, queues)
+            histogram = metrics.histogram(base + ".latency_ns")
+            for queue in queues:
+                if queue.stream is not None:
+                    histogram.sketch.merge(queue.stream.sketch)
+                elif queue.notifies:
+                    histogram.observe_many(
+                        (
+                            np.asarray(queue.notifies, dtype=np.float64)
+                            - np.asarray(queue.arrivals, dtype=np.float64)
+                        ).tolist()
+                    )
+        metrics.gauge(dev + ".link.up_utilisation").set(result.link_utilisation_up)
+        metrics.gauge(dev + ".link.down_utilisation").set(
+            result.link_utilisation_down
         )
 
 
@@ -1724,25 +1794,23 @@ def _update_direction_counters(
 def _install_metrics_sampler(
     metrics: MetricsRegistry,
     loop: EventLoop,
-    groups: list[tuple[str, list[tuple[str, list["_Datapath"]]]]],
+    devices: list[_Device],
     *,
-    prefix: str,
     window_ns: float = DEFAULT_METRICS_WINDOW_NS,
 ) -> None:
     """Sample the devices' counters every ``window_ns`` of simulated time.
 
-    ``groups`` pairs each device name with its per-direction queue lists;
-    one shared tick samples all of them, so each window boundary yields
-    exactly one registry row.  Rides the same self-rescheduling pattern
-    as the control plane's tick: the sampler re-arms itself only while
-    the loop still has events, so a drained run stops cleanly.  Cost is
-    zero on the per-packet hot path — live datapath counters are only
-    *read* at window boundaries.
+    One shared tick samples every direction of every device, so each
+    window boundary yields exactly one registry row.  Rides the same
+    self-rescheduling pattern as the control plane's tick: the sampler
+    re-arms itself only while the loop still has events, so a drained run
+    stops cleanly.  Cost is zero on the per-packet hot path — live
+    datapath counters are only *read* at window boundaries.
     """
     lanes = [
-        (f"{prefix}.{metric_segment(device)}.{direction}", queues)
-        for device, directions in groups
-        for direction, queues in directions
+        (f"{device.prefix}.{metric_segment(device.name)}.{direction}", queues)
+        for device in devices
+        for direction, queues in device.directions
     ]
     for base, _ in lanes:
         for measure, _attribute in _COUNTER_MEASURES:
@@ -1757,31 +1825,6 @@ def _install_metrics_sampler(
             loop.at(now + window_ns, tick)
 
     loop.at(window_ns, tick)
-
-
-def _finalise_metrics(
-    metrics: MetricsRegistry,
-    groups: list[tuple[str, list[tuple[str, list["_Datapath"]]]]],
-    *,
-    prefix: str,
-) -> None:
-    """Publish end-of-run totals and per-direction latency histograms."""
-    for device, directions in groups:
-        dev = metric_segment(device)
-        for direction, queues in directions:
-            base = f"{prefix}.{dev}.{direction}"
-            _update_direction_counters(metrics, base, queues)
-            histogram = metrics.histogram(base + ".latency_ns")
-            for queue in queues:
-                if queue.stream is not None:
-                    histogram.sketch.merge(queue.stream.sketch)
-                elif queue.notifies:
-                    histogram.observe_many(
-                        (
-                            np.asarray(queue.notifies, dtype=np.float64)
-                            - np.asarray(queue.arrivals, dtype=np.float64)
-                        ).tolist()
-                    )
 
 
 # ---------------------------------------------------------------------------
@@ -1848,8 +1891,9 @@ class NicDatapathSimulator:
                 seed so runs are reproducible).
             tracer: optional span recorder; when set, every packet's
                 lifecycle stages (and walker/arbitration waits) land in
-                its flight-recorder buffer.  ``None`` (the default) keeps
-                the hot path on the exact historical code.
+                its flight-recorder buffer.  Tracing only observes the
+                walk: the simulated behaviour is the same with ``None``
+                (the default).
             metrics: optional registry; when set, per-direction counters
                 are sampled every ``DEFAULT_METRICS_WINDOW_NS`` of
                 simulated time and the cumulative snapshot is attached to
@@ -1894,114 +1938,35 @@ class NicDatapathSimulator:
                 pass
         wall_start = perf_counter()
         resolved_seed = DEFAULT_SEED if seed is None else seed
-        rng = SimRng(resolved_seed)
         loop = EventLoop()
-        link_up = SerialResource("nicsim.device_to_host")
-        link_down = SerialResource("nicsim.host_to_device")
-        coupling = None
-        ingress = None
-        walker = None
-        if self.sim_config.host is not None:
-            coupling = HostCoupling(
+        coupling = (
+            HostCoupling(
                 self.sim_config.host,
                 ring_depth=self.sim_config.ring_depth,
                 seed=resolved_seed,
             )
-            ingress = SerialResource("nicsim.root_complex.ingress")
-            walker = SerialResource("nicsim.iommu.walker")
-        num_queues = self.sim_config.num_queues
-        tags = (
-            TagPool("nicsim.dma_tags", self.sim_config.dma_tags)
-            if self.sim_config.dma_tags is not None
+            if self.sim_config.host is not None
             else None
         )
-        directions: list[tuple[str, list[_Datapath]]] = []
-        for direction in ("tx", "rx") if workload.duplex else ("tx",):
-            warmup_gate = (
-                None
-                if self.sim_config.retain_samples
-                else _WarmupGate(
-                    _streaming_warmup_threshold(
-                        packets,
-                        warmup_fraction=self.sim_config.warmup_fraction,
-                        ring_depth=self.sim_config.ring_depth,
-                    )
-                )
-            )
-            queues = [
-                _Datapath(
-                    direction,
-                    self.model,
-                    self.config,
-                    self.sim_config,
-                    loop,
-                    link_up,
-                    link_down,
-                    coupling=coupling,
-                    ingress=ingress,
-                    walker=walker,
-                    tags=tags,
-                    queue_index=index,
-                    num_queues=num_queues,
-                    warmup_gate=warmup_gate,
-                    tracer=tracer,
-                    device=device,
-                )
-                for index in range(num_queues)
-            ]
-            schedule = workload.generate(packets, rng, stream=direction)
-            if num_queues == 1:
-                targets = None
-            else:
-                if schedule.flows is None:
-                    raise ValidationError(
-                        f"a {num_queues}-queue run needs a workload with a "
-                        "flow model to steer by (set Workload.flows, e.g. "
-                        "via repro.workloads.build_flow_model)"
-                    )
-                # The RSS key derives from the run seed: reseeding the run
-                # reprograms the hash, like a driver re-keying Toeplitz.
-                if self.sim_config.rss_table is not None:
-                    table = np.asarray(
-                        self.sim_config.rss_table, dtype=np.int64
-                    )
-                    targets = table[
-                        rss_buckets(
-                            schedule.flows, len(table), seed=resolved_seed
-                        )
-                    ]
-                else:
-                    targets = rss_queues(
-                        schedule.flows, num_queues, seed=resolved_seed
-                    )
-            # Arrivals are pre-generated and nearly sorted: feed them to
-            # the loop's stream (one stable sort + pointer walk) instead
-            # of paying per-event scheduling and a closure per packet.
-            arrival_times = schedule.arrival_times_ns.tolist()
-            sizes = schedule.sizes.tolist()
-            if targets is None:
-                on_arrival = queues[0].on_arrival
-                loop.feed_many(
-                    (time, on_arrival, size)
-                    for time, size in zip(arrival_times, sizes)
-                )
-            else:
-                loop.feed_many(
-                    (arrival_times[index], queues[target].on_arrival, sizes[index])
-                    for index, target in enumerate(targets.tolist())
-                )
-            directions.append((direction, queues))
+        nic = _Device(
+            device,
+            "nicsim",
+            self.model,
+            self.config,
+            self.sim_config,
+            loop,
+            workload,
+            packets,
+            seed=resolved_seed,
+            coupling=coupling,
+            tracer=tracer,
+        )
         if metrics is not None:
-            _install_metrics_sampler(
-                metrics, loop, [(device, directions)], prefix="nicsim"
-            )
+            _install_metrics_sampler(metrics, loop, [nic])
         events_start = perf_counter()
         loop.run()
         stats_start = perf_counter()
-        for _, queues in directions:
-            for path in queues:
-                path.finish()
-
+        result = nic.finish()
         # Streaming runs keep no per-packet arrays, so there is no trace
         # to publish; retained runs expose the full trace as before.
         self.last_traces = {
@@ -2025,22 +1990,8 @@ class NicDatapathSimulator:
                     dtype=np.int64,
                 ),
             )
-            for direction, queues in directions
+            for direction, queues in nic.directions
         } if self.sim_config.retain_samples else {}
-        duration = max(
-            [0.0]
-            + [
-                path.max_notify
-                for _, queues in directions
-                for path in queues
-            ]
-        )
-        results = [
-            _direction_result(direction, queues, self.sim_config)
-            for direction, queues in directions
-        ]
-        tx = results[0]
-        rx = results[1] if len(results) > 1 else None
         self.last_profile = EngineProfile(
             label=f"nicsim {self.model.name} {workload.name}",
             build_s=events_start - wall_start,
@@ -2050,31 +2001,9 @@ class NicDatapathSimulator:
             mode="exact",
         )
         if metrics is not None:
-            _finalise_metrics(metrics, [(device, directions)], prefix="nicsim")
-            dev = metric_segment(device)
-            metrics.gauge(f"nicsim.{dev}.link.up_utilisation").set(
-                link_up.utilisation(duration) if duration > 0 else 0.0
-            )
-            metrics.gauge(f"nicsim.{dev}.link.down_utilisation").set(
-                link_down.utilisation(duration) if duration > 0 else 0.0
-            )
-        return NicSimResult(
-            model=self.model.name,
-            workload=workload.name,
-            packets=packets,
-            duration_ns=duration,
-            tx=tx,
-            rx=rx,
-            link_utilisation_up=(
-                link_up.utilisation(duration) if duration > 0 else 0.0
-            ),
-            link_utilisation_down=(
-                link_down.utilisation(duration) if duration > 0 else 0.0
-            ),
-            host=coupling.stats() if coupling is not None else None,
-            tags=DmaTagStats.from_pool(tags) if tags is not None else None,
-            metrics=metrics.as_dict() if metrics is not None else None,
-        )
+            nic.publish(metrics, result)
+            result = replace(result, metrics=metrics.as_dict())
+        return result
 
 
 def simulate_nic(
@@ -2128,8 +2057,8 @@ def simulate_nic(
     ``tracer`` and ``metrics`` opt into the observability layer
     (:mod:`repro.obs`): span traces of every packet lifecycle stage, and
     a window-sampled counter/gauge/histogram registry attached to the
-    result as ``result.metrics``.  Both default to off, which keeps the
-    datapath on the exact historical (golden-verified) code path.
+    result as ``result.metrics``.  Both default to off; neither changes
+    what is simulated.
 
     ``mode`` selects the engine (``"exact"`` or ``"batch"``, see
     :meth:`NicDatapathSimulator.run`).

@@ -18,6 +18,8 @@ XOR a seed-derived constant; everything is vectorised over numpy uint64
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..errors import ValidationError
@@ -93,3 +95,32 @@ def rss_buckets(
     key = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
     hashed = _mix64(labels.astype(np.uint64) ^ key)
     return (hashed % np.uint64(buckets)).astype(np.int64)
+
+
+def check_rss_table(
+    table: Sequence[int] | None, num_queues: int
+) -> tuple[int, ...] | None:
+    """Validate an RSS indirection table for a ``num_queues``-queue device.
+
+    Returns the table as a tuple of ints (``None`` stays ``None``, which
+    means the identity table).  Raises :class:`ValidationError` when the
+    device has a single queue, the table is empty, or an entry names no
+    queue.
+    """
+    if table is None:
+        return None
+    if num_queues <= 1:
+        raise ValidationError(
+            "rss_table requires num_queues > 1 (single-queue runs have "
+            "nothing to steer)"
+        )
+    entries = tuple(int(entry) for entry in table)
+    if not entries:
+        raise ValidationError("rss_table must not be empty")
+    for entry in entries:
+        if not 0 <= entry < num_queues:
+            raise ValidationError(
+                f"rss_table entries must be queue indices in "
+                f"[0, {num_queues}), got {entry}"
+            )
+    return entries

@@ -6,7 +6,23 @@ from repro.bench.nicsim import NICSIM_KIND, NicSimParams, run_nicsim_benchmark
 from repro.bench.params import BenchmarkParams
 from repro.bench.runner import BenchmarkRunner
 from repro.errors import ValidationError
-from repro.sim.nicsim import NicSimResult
+from repro.sim.fabric import FabricDevice
+from repro.sim.nicsim import NicSimConfig, NicSimResult
+from repro.workloads import build_workload
+
+#: Every record that carries an RSS indirection table, built for
+#: ``num_queues`` queues with table ``table``.
+RSS_TABLE_OWNERS = {
+    "NicSimParams": lambda num_queues, table: NicSimParams(
+        model="dpdk", num_queues=num_queues, rss_table=table
+    ),
+    "NicSimConfig": lambda num_queues, table: NicSimConfig(
+        num_queues=num_queues, rss_table=table
+    ),
+    "FabricDevice": lambda num_queues, table: FabricDevice(
+        workload=build_workload("fixed"), num_queues=num_queues, rss_table=table
+    ),
+}
 
 
 class TestNicSimParams:
@@ -100,6 +116,29 @@ class TestMultiQueueAndTagParams:
             NicSimParams(model="dpdk", dma_tags=0)
         with pytest.raises(ValidationError):
             NicSimParams(model="dpdk", rss="round-robin")
+
+    @pytest.mark.parametrize("owner", sorted(RSS_TABLE_OWNERS))
+    @pytest.mark.parametrize(
+        "num_queues, table, message",
+        [
+            (1, (0,), "requires num_queues > 1"),
+            (4, (), "must not be empty"),
+            (4, (0, 4), r"queue indices in \[0, 4\), got 4"),
+            (4, (1, -1), r"queue indices in \[0, 4\), got -1"),
+        ],
+    )
+    def test_malformed_rss_table_rejected_at_construction(
+        self, owner, num_queues, table, message
+    ):
+        with pytest.raises(ValidationError, match=message):
+            RSS_TABLE_OWNERS[owner](num_queues, table)
+
+    @pytest.mark.parametrize("owner", sorted(RSS_TABLE_OWNERS))
+    def test_rss_table_canonicalised_to_int_tuple(self, owner):
+        built = RSS_TABLE_OWNERS[owner](4, [3, 0.0, True])
+        assert built.rss_table == (3, 0, 1)
+        assert all(type(entry) is int for entry in built.rss_table)
+        assert RSS_TABLE_OWNERS[owner](4, None).rss_table is None
 
     def test_multiqueue_tagged_run_partitions_and_accounts(self):
         params = NicSimParams(
