@@ -27,7 +27,8 @@ from ..sim.iommu import SUPPORTED_PAGE_SIZES
 from ..sim.nichost import PAYLOAD_UNIT_BYTES, NicHostConfig
 from ..sim.nicsim import NicSimResult, simulate_nic
 from ..units import KIB, MIB, format_size
-from ..workloads import canonical_flow_name, check_rss_table, workload_names
+from ..workloads import canonical_flow_name, workload_names
+from ..workloads.rss import check_rss_table
 
 #: The ``kind`` tag used in labels and serialised records, mirroring the
 #: ``BenchmarkKind`` values of the classic micro-benchmarks.
@@ -65,8 +66,9 @@ class NicSimParams:
             ``num_queues == 1``.
         rss_table: optional RSS indirection table; entry ``b`` names the
             queue for hash bucket ``b`` (``queue = table[hash % len]``).
-            ``None`` (the default) hashes directly onto queues, the
-            historical mapping.  Requires ``num_queues > 1``.
+            ``None`` (the default) uses the identity table, which sends
+            every flow to queue ``hash % num_queues``.  Requires
+            ``num_queues > 1``.
         seed: workload RNG seed (``None`` uses the library default).
         retain_samples: keep per-packet latency arrays (the default).
             ``False`` streams latencies through an O(1)-memory quantile

@@ -75,7 +75,8 @@ from ..errors import ValidationError, record_reader
 from ..obs.metrics import MetricsRegistry, metric_segment
 from ..obs.trace import ARB_PREFIX, STAGE_WALKER, Tracer
 from ..units import CACHELINE_BYTES, KIB, MIB
-from ..workloads import Workload, check_rss_table
+from ..workloads import Workload
+from ..workloads.rss import check_rss_table
 from .cache import (
     CacheState,
     CacheStats,
@@ -265,9 +266,9 @@ class FabricDevice:
             through an O(1)-memory sketch.
         rss_table: explicit RSS indirection table for multi-queue
             devices (``table[hash % len]`` picks the queue).  ``None``
-            keeps direct ``hash % num_queues`` steering.  An active
-            controller starts from this table (or the equivalent
-            identity table) and may rewrite it mid-run.
+            uses the identity table, which sends every flow to queue
+            ``hash % num_queues``.  An active controller starts from the
+            table and may rewrite it mid-run.
     """
 
     workload: Workload

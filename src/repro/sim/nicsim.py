@@ -105,9 +105,9 @@ from ..workloads import (
     Workload,
     build_flow_model,
     build_workload,
-    check_rss_table,
     rss_buckets,
 )
+from ..workloads.rss import check_rss_table
 from .engine import MODES, EngineProfile, EventLoop, SerialResource, TagPool
 from .nichost import HostCoupling, HostSideStats, NicHostConfig
 from .rng import DEFAULT_SEED, SimRng
@@ -1350,7 +1350,12 @@ class _Datapath:
         """Payload DMA finished: account trailing (report-side) transactions."""
         if packet is not None:
             self.tracer.record(
-                self.device, self.label, packet, STAGE_PAYLOAD, dispatch, done - dispatch
+                self.device,
+                self.label,
+                packet,
+                STAGE_PAYLOAD,
+                dispatch,
+                done - dispatch,
             )
         self._pending.append((arrival, done, size, packet))
         ops = self._compiled.get(size)

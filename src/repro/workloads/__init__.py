@@ -26,7 +26,7 @@ from .flows import (
     canonical_flow_name,
     flow_model_names,
 )
-from .rss import check_rss_table, rss_buckets, rss_queue, rss_queues
+from .rss import rss_buckets, rss_queue, rss_queues
 from .sizes import IMIX, FixedSize, SizeDistribution, TrimodalSize, UniformSize
 from .traffic import (
     SATURATING_LOAD_GBPS,
@@ -57,7 +57,6 @@ __all__ = [
     "build_flow_model",
     "canonical_flow_name",
     "flow_model_names",
-    "check_rss_table",
     "rss_buckets",
     "rss_queue",
     "rss_queues",
