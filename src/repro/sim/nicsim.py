@@ -1067,10 +1067,10 @@ class _Datapath:
     ) -> None:
         """Route one transaction through the host-side resources.
 
-        Single-device runs take the direct, synchronous path above (so the
-        pre-fabric behaviour is preserved bit for bit); fabric runs route
-        through the device's arbitrated upstream port, where ingress and
-        walker grants are scheduled among all devices sharing the host.
+        A device alone on its host (a nicsim run, or a one-device fabric)
+        takes the direct, synchronous path above; devices contending in a
+        fabric route through their arbitrated upstream port, where ingress
+        and walker grants are scheduled among all devices sharing the host.
         ``then(ready)`` fires when host processing can begin.
         """
         if self._host_port is None:
