@@ -102,6 +102,7 @@ from ..obs.trace import (
 from ..stats import QuantileSketch
 from ..units import bytes_over_time_to_gbps, ns_to_s
 from ..workloads import (
+    PacketSchedule,
     Workload,
     build_flow_model,
     build_workload,
@@ -1577,7 +1578,13 @@ class _Device:
             self.directions.append((direction, queues))
 
     def _feed(
-        self, loop: EventLoop, queues, schedule, *, seed: int, steered: bool
+        self,
+        loop: EventLoop,
+        queues: list[_Datapath],
+        schedule: PacketSchedule,
+        *,
+        seed: int,
+        steered: bool,
     ) -> None:
         """Hand one direction's arrivals to the loop's sorted stream.
 
