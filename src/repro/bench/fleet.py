@@ -264,6 +264,7 @@ class FleetParams:
         }
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict[str, object]) -> "FleetParams":
         """Rebuild parameters from :meth:`as_dict` output."""
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
@@ -336,6 +337,7 @@ class FleetHostResult:
         }
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict[str, object]) -> "FleetHostResult":
         """Rebuild a host summary from :meth:`as_dict` output."""
         load = data.get("aggressor_load_gbps")

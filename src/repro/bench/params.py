@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from ..errors import ValidationError
+from ..errors import ValidationError, record_reader
 from ..units import CACHELINE_BYTES, KIB, MIB, format_size, parse_size
 from ..sim.cache import CacheState
 from ..sim.hostbuffer import AccessPattern
@@ -195,6 +195,7 @@ class BenchmarkParams:
         }
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict[str, object]) -> "BenchmarkParams":
         """Rebuild parameters from :meth:`as_dict` output."""
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]

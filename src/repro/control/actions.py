@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..errors import ValidationError
+from ..errors import ValidationError, record_reader
 
 #: The actuator kinds a controller can drive.
 ACTUATOR_KINDS = ("weights", "rss", "ddio")
@@ -61,6 +61,7 @@ class ControlAction:
         }
 
     @classmethod
+    @record_reader
     def from_dict(cls, record: Mapping[str, object]) -> "ControlAction":
         """Rebuild an action from :meth:`as_dict` output."""
         return cls(

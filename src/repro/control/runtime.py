@@ -12,6 +12,10 @@ DeviceWindow` records, and let it drive the three actuators.
 The tick self-reschedules only while the event loop still has work
 (``loop.peek_time() < inf``), so a drained run ends exactly when the
 traffic does — the control plane never keeps the loop alive on its own.
+It is the run's only periodic tick: a metrics registry attached to a
+controlled run samples from it (:attr:`ControlRuntime.sampler`), since
+two self-rescheduling ticks would each see the other pending and never
+stop.
 
 The runtime exists only when a non-static controller was requested;
 ``controller="static"`` installs no hooks, no observers and no tick, so
@@ -198,6 +202,10 @@ class ControlRuntime:
         self._repartition: Callable[[Sequence[float]], None] | None = None
         self.actions: list[ControlAction] = []
         self.windows_ticked = 0
+        #: Called with the tick time after every tick: a run's metrics
+        #: registry samples here, on the control windows, rather than
+        #: from a second periodic tick.
+        self.sampler: Callable[[float], None] | None = None
         self._now = 0.0
         self.actuators = Actuators(self)
 
@@ -425,5 +433,7 @@ class ControlRuntime:
         observations = self._observe(now)
         self.controller.tick(now, observations, self.actuators)
         self.windows_ticked += 1
+        if self.sampler is not None:
+            self.sampler(now)
         if self._loop.peek_time() < math.inf:
             self._loop.at(now + self.window_ns, self._tick)

@@ -408,7 +408,10 @@ class StatisticalCache:
         self.line_bytes = line_bytes
         self.effective_capacity_fraction = effective_capacity_fraction
         self._rng = rng or SimRng()
-        self._random = self._rng.spawn("cache.statistical")
+        # Uniforms drawn in blocks: the cache is the stream's only reader
+        # (a host that rebuilds its cache model hands the rebuilt one the
+        # same shared iterator), so the values are the scalar draws'.
+        self._uniforms = self._rng.uniforms("cache.statistical")
         self._window_lines = 0
         self._resident_fraction = 0.0
         self._writeback_probability = 0.0
@@ -525,7 +528,7 @@ class StatisticalCache:
             resident = self._resident_fraction
         else:
             resident = self._partition_resident[self._partition_of(line_address)]
-        if self._random.random() < resident:
+        if next(self._uniforms) < resident:
             self.stats.read_hits += 1
             return _HIT
         self.stats.read_misses += 1
@@ -540,14 +543,14 @@ class StatisticalCache:
             index = self._partition_of(line_address)
             resident = self._partition_resident[index]
             writeback_probability = self._partition_writeback[index]
-        if self._random.random() < resident:
+        if next(self._uniforms) < resident:
             self.stats.write_hits += 1
             return _HIT
         self.stats.write_misses += 1
         # Write allocation into the DDIO slice: when the benchmark window
         # exceeds the slice, allocations evict dirty DDIO lines which must be
         # written back to memory before the new write can complete.
-        if self._random.random() < writeback_probability:
+        if next(self._uniforms) < writeback_probability:
             self.stats.writebacks += 1
             return _ALLOCATED_WRITEBACK
         return _ALLOCATED

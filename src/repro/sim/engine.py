@@ -55,7 +55,8 @@ class EngineProfile:
     event loop or ``batch`` vectorised solver) and ``solve_s`` is the
     vectorised solve time inside ``events_s`` (zero for the scalar
     engine), so per-mode phase timings stay comparable in one record
-    shape.
+    shape.  ``fallback_reason`` says why a run that asked for ``batch``
+    ran ``exact``; it is ``None`` whenever the requested engine ran.
     """
 
     label: str
@@ -65,6 +66,7 @@ class EngineProfile:
     events: int
     mode: str = "exact"
     solve_s: float = 0.0
+    fallback_reason: str | None = None
 
     @property
     def total_s(self) -> float:
@@ -77,8 +79,12 @@ class EngineProfile:
         return self.events / self.events_s if self.events_s > 0 else 0.0
 
     def as_dict(self) -> dict[str, object]:
-        """Serialisable representation (the perf-smoke record shape)."""
-        return {
+        """Serialisable representation (the perf-smoke record shape).
+
+        ``fallback_reason`` appears only when set, so the records of runs
+        that ran the engine they asked for keep their shape.
+        """
+        record: dict[str, object] = {
             "label": self.label,
             "build_s": self.build_s,
             "events_s": self.events_s,
@@ -89,6 +95,9 @@ class EngineProfile:
             "mode": self.mode,
             "solve_s": self.solve_s,
         }
+        if self.fallback_reason is not None:
+            record["fallback_reason"] = self.fallback_reason
+        return record
 
     @classmethod
     @record_reader
@@ -106,6 +115,11 @@ class EngineProfile:
             events=int(data["events"]),
             mode=str(data.get("mode", "exact")),
             solve_s=float(data.get("solve_s", 0.0)),
+            fallback_reason=(
+                None
+                if data.get("fallback_reason") is None
+                else str(data["fallback_reason"])
+            ),
         )
 
     def format(self) -> str:
@@ -113,13 +127,18 @@ class EngineProfile:
         solve = (
             f", solve {self.solve_s * 1e3:.1f} ms" if self.solve_s > 0 else ""
         )
+        fallback = (
+            f"; batch fell back: {self.fallback_reason}"
+            if self.fallback_reason is not None
+            else ""
+        )
         return (
             f"[profile] {self.label} [{self.mode}]: {self.events} events in "
             f"{self.events_s * 1e3:.1f} ms "
             f"({self.events_per_sec:,.0f} events/s); "
             f"build {self.build_s * 1e3:.1f} ms{solve}, "
             f"stats {self.stats_s * 1e3:.1f} ms, "
-            f"total {self.total_s * 1e3:.1f} ms"
+            f"total {self.total_s * 1e3:.1f} ms{fallback}"
         )
 
 

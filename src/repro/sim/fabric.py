@@ -765,6 +765,7 @@ class FabricPortStats:
         }
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict) -> "FabricPortStats":
         """Rebuild port statistics from :meth:`as_dict` output."""
         return cls(
@@ -803,6 +804,7 @@ class DeviceContentionResult:
         return record
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict) -> "DeviceContentionResult":
         """Rebuild a device record from :meth:`as_dict` output."""
         ingress = data.get("ingress")
@@ -1015,7 +1017,8 @@ class FabricSimulator:
         interaction the vectorised batch solver declares a fallback on —
         so ``"batch"`` here *is* the scalar engine (same fallback the
         single-device path takes, decided up front instead of after a
-        failed solve).
+        failed solve), and the profile records that fallback and its
+        reason.
         """
         if mode not in MODES:
             raise ValidationError(
@@ -1145,17 +1148,14 @@ class FabricSimulator:
             runtime.start()
 
         if metrics is not None:
-            # Align metric windows with the control plane's observation
-            # windows when a controller is running.
+            # With a controller running, the registry samples from the
+            # control tick, on the control plane's observation windows.
             _install_metrics_sampler(
                 metrics,
                 loop,
                 nics,
-                window_ns=(
-                    runtime.window_ns
-                    if runtime is not None
-                    else DEFAULT_CONTROL_WINDOW_NS
-                ),
+                window_ns=DEFAULT_CONTROL_WINDOW_NS,
+                runtime=runtime,
             )
 
         events_start = perf_counter()
@@ -1182,6 +1182,12 @@ class FabricSimulator:
             stats_s=perf_counter() - stats_start,
             events=loop.processed,
             mode="exact",
+            # The batch solver's own reason for a host-coupled device.
+            fallback_reason=(
+                "host coupling is an interaction point"
+                if mode == "batch"
+                else None
+            ),
         )
         if metrics is not None:
             for nic, record in zip(nics, records):

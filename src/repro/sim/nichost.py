@@ -34,16 +34,17 @@ residency probability is per-window, not per-address.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..core.transactions import DESCRIPTOR_BYTES, OpKind
-from ..errors import ValidationError
+from ..errors import ValidationError, record_reader
 from ..units import CACHELINE_BYTES, KIB, MIB, align_up
 from .cache import CacheState, StatisticalCache
 from .host import HostSystem
 from .hostbuffer import HostBuffer
 from .iommu import SUPPORTED_PAGE_SIZES
 from .profiles import get_profile
-from .rng import SimRng
+from .rng import SimRng, block_draws
 from .root_complex import HostAccess, RootComplex
 
 #: Size of one payload unit in the payload window.  Every packet's DMA is
@@ -176,6 +177,7 @@ class HostSideStats:
         }
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict) -> "HostSideStats":
         """Rebuild host-side counters from :meth:`as_dict` output."""
         return cls(
@@ -340,11 +342,17 @@ class HostCoupling:
             if device_index == 0
             else f"nicsim.host.payload_units.dev{device_index}"
         )
-        self._unit_stream = self.host.rng.spawn(stream)
         # (first unit address, unit size, unit count) of the payload window
         # and of each descriptor ring: every access needs them, and the
         # HostBuffer properties recompute them on each read.
         self._payload_layout = _unit_layout(self.payload_buffer)
+        # This coupling is the unit stream's only reader and draws one
+        # range from it, so its unit indices come in blocks.
+        self._payload_units = block_draws(
+            partial(
+                self.host.rng.spawn(stream).integers, 0, self._payload_layout[2]
+            )
+        )
         self._ring_layout = {
             direction: _unit_layout(buffer)
             for direction, buffer in self.ring_buffers.items()
@@ -397,8 +405,8 @@ class HostCoupling:
         return self.host.profile.mmio_read_ns
 
     def _payload_address(self) -> int:
-        first, unit_size, units = self._payload_layout
-        return first + int(self._unit_stream.integers(0, units)) * unit_size
+        first, unit_size, _ = self._payload_layout
+        return first + next(self._payload_units) * unit_size
 
     def _descriptor_address(self, direction: str) -> int:
         first, unit_size, units = self._ring_layout[direction]

@@ -78,7 +78,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..control import RssSteering, identity_table
+from ..control import ControlRuntime, RssSteering, identity_table
 from ..core.config import PAPER_DEFAULT_CONFIG, PCIeConfig
 from ..core.nic import FIGURE1_MODELS, NicModel, model_by_name
 from ..core.transactions import OpKind
@@ -112,6 +112,7 @@ from ..workloads.rss import check_rss_table
 from .engine import MODES, EngineProfile, EventLoop, SerialResource, TagPool
 from .nichost import HostCoupling, HostSideStats, NicHostConfig
 from .rng import DEFAULT_SEED, SimRng
+from .root_complex import HostAccess
 
 #: Packet size used to classify a model's transaction sequence (any valid
 #: frame size works; it only needs to dominate descriptor-sized DMAs).
@@ -227,6 +228,7 @@ class RingStats:
         }
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict) -> "RingStats":
         """Rebuild ring statistics from :meth:`as_dict` output."""
         return cls(
@@ -282,6 +284,7 @@ class DmaTagStats:
         }
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict) -> "DmaTagStats":
         """Rebuild tag-pool statistics from :meth:`as_dict` output."""
         return cls(
@@ -387,6 +390,7 @@ class LatencySummary:
         return record
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict) -> "LatencySummary":
         """Rebuild a latency summary from :meth:`as_dict` output."""
         sketch = data.get("sketch")
@@ -460,6 +464,7 @@ class PathResult:
         return record
 
     @classmethod
+    @record_reader
     def from_dict(cls, data: dict) -> "PathResult":
         """Rebuild a path result from :meth:`as_dict` output."""
         latency = data.get("latency_ns")
@@ -1095,129 +1100,11 @@ class _Datapath:
         concurrency that turns host latency into a throughput cap.  MMIO
         transactions are device register traffic and bypass the pool.
         """
-        if self._tags is None or not op.dma:
-            self._execute(op, now, on_done, payload=payload, tagged=False)
+        tags = self._tags
+        if tags is None or not op.dma:
+            _Transfer(self, op, on_done, payload, False).start(now)
         else:
-            self._tags.acquire(
-                now,
-                lambda grant: self._execute(
-                    op, grant, on_done, payload=payload, tagged=True
-                ),
-            )
-
-    def _release_then(
-        self, on_done: Callable[[float], None]
-    ) -> Callable[[float], None]:
-        """Wrap a completion so it frees the held DMA tag first."""
-
-        def done(time: float) -> None:
-            self._tags.release(time)
-            on_done(time)
-
-        return done
-
-    def _execute(
-        self,
-        op: _CompiledOp,
-        now: float,
-        on_done: Callable[[float], None],
-        *,
-        payload: bool,
-        tagged: bool,
-    ) -> None:
-        """Claim link time for one instance; ``on_done`` fires at completion.
-
-        With host coupling active, DMA transactions additionally visit the
-        root complex *at the simulated time they arrive there* (so ingress
-        and walker occupancy is claimed in event order): reads wait out the
-        returned host latency before their completion claims the down
-        link; posted writes complete on the wire but still consume host
-        resources, back-pressuring later transactions.
-
-        A held tag (``tagged``) frees when the device's DMA context would:
-        for reads, when the completion lands back at the device; for
-        posted writes, at wire completion — or, host-coupled, when the
-        root complex has drained the write into the memory system (the
-        flow-control credit loop that lets a slow host throttle even
-        posted traffic).
-        """
-        if op.kind is OpKind.DMA_READ:
-            if tagged:
-                on_done = self._release_then(on_done)
-            up_ns = op.up_ns
-            down_ns = op.down_ns
-            loop_at = self._loop.at
-            link_down = self._link_down
-            start = self._link_up.occupy(now, up_ns)
-
-            def completion(time: float) -> None:
-                completion_start = link_down.occupy(time, down_ns)
-                loop_at(completion_start + down_ns, on_done)
-
-            if self._coupling is None:
-                at_host = start + up_ns + self._sim_config.host_read_latency_ns
-                loop_at(at_host, completion)
-            else:
-
-                def at_root_complex(time: float) -> None:
-                    access = self._coupling.access(
-                        op.kind,
-                        direction=self.direction,
-                        payload=payload,
-                        size=op.size,
-                    )
-                    self._visit_host(
-                        time,
-                        access,
-                        lambda ready: loop_at(
-                            ready + access.latency_ns, completion
-                        ),
-                    )
-
-                loop_at(start + up_ns, at_root_complex)
-        elif op.kind is OpKind.DMA_WRITE:
-            start = self._link_up.occupy(now, op.up_ns)
-            if self._coupling is None:
-                if tagged:
-                    on_done = self._release_then(on_done)
-                self._loop.at(start + op.up_ns, on_done)
-            else:
-                self._loop.at(start + op.up_ns, on_done)
-
-                def at_root_complex_write(time: float) -> None:
-                    access = self._coupling.access(
-                        op.kind,
-                        direction=self.direction,
-                        payload=payload,
-                        size=op.size,
-                    )
-
-                    def drained(ready: float) -> None:
-                        if tagged:
-                            self._loop.at(
-                                ready + access.latency_ns, self._tags.release
-                            )
-
-                    self._visit_host(time, access, drained)
-
-                self._loop.at(start + op.up_ns, at_root_complex_write)
-        elif op.kind is OpKind.MMIO_WRITE:
-            start = self._link_down.occupy(now, op.down_ns)
-            self._loop.at(start + op.down_ns, on_done)
-        else:  # MMIO_READ: request downstream, completion upstream
-            start = self._link_down.occupy(now, op.down_ns)
-            turnaround = (
-                self._coupling.mmio_read_ns
-                if self._coupling is not None
-                else self._sim_config.mmio_read_latency_ns
-            )
-            at_device = start + op.down_ns + turnaround
-
-            def mmio_completion(time: float) -> None:
-                completion_start = self._link_up.occupy(time, op.up_ns)
-                self._loop.at(completion_start + op.up_ns, on_done)
-
-            self._loop.at(at_device, mmio_completion)
+            tags.acquire(now, _Transfer(self, op, on_done, payload, True).start)
 
     # -- packet lifecycle -------------------------------------------------------
     #
@@ -1460,6 +1347,134 @@ class _Datapath:
             latency=latency,
             ring=self.ring.stats(),
         )
+
+
+class _Transfer:
+    """One transaction instance on its way over the links and the host.
+
+    :meth:`start` claims link time for the instance; ``on_done`` fires at
+    completion.  With host coupling active, DMA transactions additionally
+    visit the root complex *at the simulated time they arrive there* (so
+    ingress and walker occupancy is claimed in event order): reads wait
+    out the returned host latency before their completion claims the
+    down link; posted writes complete on the wire but still consume host
+    resources, back-pressuring later transactions.
+
+    A held tag (``tagged``) frees when the device's DMA context would:
+    for reads, when the completion lands back at the device; for posted
+    writes, at wire completion — or, host-coupled, when the root complex
+    has drained the write into the memory system (the flow-control
+    credit loop that lets a slow host throttle even posted traffic).
+
+    The instance's state lives in this slotted record and its bound
+    methods are the event and grant callbacks: one object per instance
+    instead of a closure per stage, freed by reference counting alone.
+    """
+
+    __slots__ = ("path", "op", "on_done", "payload", "tagged", "access")
+
+    def __init__(
+        self,
+        path: _Datapath,
+        op: _CompiledOp,
+        on_done: Callable[[float], None],
+        payload: bool,
+        tagged: bool,
+    ) -> None:
+        self.path = path
+        self.op = op
+        self.on_done = on_done
+        self.payload = payload
+        self.tagged = tagged
+        #: The root complex's answer, once the DMA reaches it.
+        self.access: HostAccess | None = None
+
+    def start(self, now: float) -> None:
+        """Put the instance on the wire at ``now`` (issue or tag grant)."""
+        path = self.path
+        op = self.op
+        kind = op.kind
+        if kind is OpKind.DMA_READ:
+            up_ns = op.up_ns
+            start = path._link_up.occupy(now, up_ns)
+            if path._coupling is None:
+                path._loop.at(
+                    start + up_ns + path._sim_config.host_read_latency_ns,
+                    self.read_completion,
+                )
+            else:
+                path._loop.at(start + up_ns, self.read_at_root_complex)
+        elif kind is OpKind.DMA_WRITE:
+            up_ns = op.up_ns
+            start = path._link_up.occupy(now, up_ns)
+            if path._coupling is None:
+                path._loop.at(
+                    start + up_ns, self.done if self.tagged else self.on_done
+                )
+            else:
+                at = path._loop.at
+                at(start + up_ns, self.on_done)
+                at(start + up_ns, self.write_at_root_complex)
+        elif kind is OpKind.MMIO_WRITE:
+            start = path._link_down.occupy(now, op.down_ns)
+            path._loop.at(start + op.down_ns, self.on_done)
+        else:  # MMIO_READ: request downstream, completion upstream
+            start = path._link_down.occupy(now, op.down_ns)
+            turnaround = (
+                path._coupling.mmio_read_ns
+                if path._coupling is not None
+                else path._sim_config.mmio_read_latency_ns
+            )
+            path._loop.at(start + op.down_ns + turnaround, self.mmio_completion)
+
+    def read_at_root_complex(self, time: float) -> None:
+        """The read request reached the root complex: service it there."""
+        path = self.path
+        op = self.op
+        access = path._coupling.access(
+            op.kind, direction=path.direction, payload=self.payload, size=op.size
+        )
+        self.access = access
+        path._visit_host(time, access, self.host_ready)
+
+    def host_ready(self, ready: float) -> None:
+        """Host processing may begin: the completion leaves after its latency."""
+        self.path._loop.at(ready + self.access.latency_ns, self.read_completion)
+
+    def read_completion(self, time: float) -> None:
+        """The read completion claims the down link back to the device."""
+        path = self.path
+        down_ns = self.op.down_ns
+        start = path._link_down.occupy(time, down_ns)
+        path._loop.at(start + down_ns, self.done if self.tagged else self.on_done)
+
+    def write_at_root_complex(self, time: float) -> None:
+        """The posted write reached the root complex: service it there."""
+        path = self.path
+        op = self.op
+        access = path._coupling.access(
+            op.kind, direction=path.direction, payload=self.payload, size=op.size
+        )
+        self.access = access
+        path._visit_host(time, access, self.write_drained)
+
+    def write_drained(self, ready: float) -> None:
+        """Host processing began: a held tag frees once the write commits."""
+        if self.tagged:
+            path = self.path
+            path._loop.at(ready + self.access.latency_ns, path._tags.release)
+
+    def mmio_completion(self, time: float) -> None:
+        """The register read's completion claims the up link."""
+        path = self.path
+        up_ns = self.op.up_ns
+        start = path._link_up.occupy(time, up_ns)
+        path._loop.at(start + up_ns, self.on_done)
+
+    def done(self, time: float) -> None:
+        """The tagged instance completed: free its tag, then report."""
+        self.path._tags.release(time)
+        self.on_done(time)
 
 
 class _Device:
@@ -1809,15 +1824,19 @@ def _install_metrics_sampler(
     devices: list[_Device],
     *,
     window_ns: float = DEFAULT_METRICS_WINDOW_NS,
+    runtime: "ControlRuntime | None" = None,
 ) -> None:
     """Sample the devices' counters every ``window_ns`` of simulated time.
 
     One shared tick samples every direction of every device, so each
-    window boundary yields exactly one registry row.  Rides the same
-    self-rescheduling pattern as the control plane's tick: the sampler
-    re-arms itself only while the loop still has events, so a drained run
-    stops cleanly.  Cost is zero on the per-packet hot path — live
-    datapath counters are only *read* at window boundaries.
+    window boundary yields exactly one registry row.  The sampler re-arms
+    itself only while the loop still has events, so a drained run stops
+    cleanly.  With a control ``runtime`` the sample rides the control
+    tick instead, on the runtime's windows: two ticks that each re-arm
+    while the other is pending would keep the run alive forever, and one
+    tick schedules no event a run without a registry lacks.  Cost is zero
+    on the per-packet hot path — live datapath counters are only *read*
+    at window boundaries.
     """
     lanes = [
         (f"{device.prefix}.{metric_segment(device.name)}.{direction}", queues)
@@ -1829,10 +1848,17 @@ def _install_metrics_sampler(
             metrics.counter(f"{base}.{measure}")
         metrics.counter(base + ".drops")
 
-    def tick(now: float) -> None:
+    def sample(now: float) -> None:
         for base, queues in lanes:
             _update_direction_counters(metrics, base, queues)
         metrics.sample(now)
+
+    if runtime is not None:
+        runtime.sampler = sample
+        return
+
+    def tick(now: float) -> None:
+        sample(now)
         if loop.peek_time() < math.inf:
             loop.at(now + window_ns, tick)
 
@@ -1924,6 +1950,7 @@ class NicDatapathSimulator:
             raise ValidationError(
                 f"mode must be one of {', '.join(MODES)}; got {mode!r}"
             )
+        fallback_reason = None
         if mode == "batch":
             # Lazy import: fastpath imports this module itself, and exact
             # runs (every contended run, and the package-import probe of
@@ -1940,14 +1967,15 @@ class NicDatapathSimulator:
                     metrics=metrics,
                     device=device,
                 )
-            except BatchFallback:
+            except BatchFallback as fallback:
                 # An interaction point (host coupling, bounded tags,
                 # multi-queue, ring pressure) or non-convergence: the
                 # scalar loop is authoritative.  Fallbacks fire before the
                 # solver touches the tracer or metrics registry, so the
                 # scalar run below starts from a clean slate; the profile
-                # keeps mode="exact" so records say which engine ran.
-                pass
+                # keeps mode="exact" and the reason, so records say which
+                # engine ran and why.
+                fallback_reason = fallback.reason
         wall_start = perf_counter()
         resolved_seed = DEFAULT_SEED if seed is None else seed
         loop = EventLoop()
@@ -2011,6 +2039,7 @@ class NicDatapathSimulator:
             stats_s=perf_counter() - stats_start,
             events=loop.processed,
             mode="exact",
+            fallback_reason=fallback_reason,
         )
         if metrics is not None:
             nic.publish(metrics, result)

@@ -43,9 +43,14 @@ class TightNoise:
         One Gaussian draw, then one uniform draw for the outlier test.  The
         root complex calls this once per DMA; scalar draws consume the
         generator exactly like one-element array draws, at a fraction of
-        their cost.
+        their cost.  numpy computes ``normal(0.0, sigma)`` as
+        ``0.0 + sigma * z`` from one standard normal ``z``, so scaling
+        ``z`` here gives the same jitter without parsing the arguments:
+        the two can differ only in the sign of a zero, which ``abs``
+        removes.  The two kinds of draw interleave on one stream, so they
+        cannot be drawn in blocks.
         """
-        jitter = abs(generator.normal(0.0, self.sigma_ns))
+        jitter = abs(generator.standard_normal() * self.sigma_ns)
         if generator.random() < self.tail_probability:
             return jitter + self.tail_extra_ns
         return jitter

@@ -9,6 +9,8 @@ derive independent streams without correlating with each other.
 from __future__ import annotations
 
 import zlib
+from itertools import chain
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -17,6 +19,24 @@ from ..errors import ValidationError
 #: Seed used throughout the test-suite and the experiment drivers unless the
 #: caller overrides it.
 DEFAULT_SEED = 0x9C1E_BE9C
+
+#: Values a block draw takes from its stream at a time (see
+#: :func:`block_draws`).
+DRAW_BLOCK = 256
+
+
+def block_draws(draw: Callable[[int], np.ndarray]) -> Iterator:
+    """The values of successive ``draw(DRAW_BLOCK)`` calls, one at a time.
+
+    numpy fills a k-element block exactly as k scalar draws of the same
+    kind would: the same values, and the same generator state once the
+    block is used up.  A consumer that owns its stream and draws one kind
+    of value from it can therefore take those values from blocks, paying
+    one numpy call per ``DRAW_BLOCK`` values instead of one per value,
+    with bit-identical results.  ``next()`` on the returned iterator is a
+    C-level step; the values are Python scalars, as scalar draws return.
+    """
+    return chain.from_iterable(iter(lambda: draw(DRAW_BLOCK).tolist(), None))
 
 
 class SimRng:
@@ -35,6 +55,7 @@ class SimRng:
         self._root = np.random.SeedSequence(self._seed)
         self._generator = np.random.Generator(np.random.PCG64(self._root))
         self._children: dict[str, np.random.Generator] = {}
+        self._uniforms: dict[str, Iterator[float]] = {}
 
     @property
     def seed(self) -> int:
@@ -63,6 +84,20 @@ class SimRng:
             )
             self._children[name] = np.random.Generator(np.random.PCG64(child_seed))
         return self._children[name]
+
+    def uniforms(self, name: str) -> Iterator[float]:
+        """The named stream's ``random()`` values, drawn in blocks.
+
+        Every caller asking for one name shares one iterator, so consumers
+        that take turns on a stream — a host rebuilding its cache model
+        between benchmarks — see exactly the values scalar ``random()``
+        calls on :meth:`spawn`'s generator would give them.  A stream read
+        this way must not also be drawn from directly.
+        """
+        uniforms = self._uniforms.get(name)
+        if uniforms is None:
+            uniforms = self._uniforms[name] = block_draws(self.spawn(name).random)
+        return uniforms
 
     # -- convenience draws -------------------------------------------------------
 

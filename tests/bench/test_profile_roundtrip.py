@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.bench.contention import (
     ContentionParams,
     noisy_neighbour_pair,
@@ -53,6 +55,53 @@ class TestEngineProfileRoundTrip:
         rebuilt = EngineProfile.from_dict(record)
         assert rebuilt.total_s == 6.0
         assert rebuilt.events_per_sec == 5.0
+
+
+class TestFallbackReason:
+    """A run that asked for ``batch`` and ran ``exact`` says why."""
+
+    def test_reason_round_trips_and_prints(self) -> None:
+        profile = EngineProfile(
+            label="x", build_s=1.0, events_s=2.0, stats_s=3.0, events=10,
+            fallback_reason="host coupling is an interaction point",
+        )
+        record = profile.as_dict()
+        assert record["fallback_reason"] == profile.fallback_reason
+        assert EngineProfile.from_dict(record) == profile
+        assert "batch fell back: host coupling" in profile.format()
+
+    def test_records_without_a_fallback_keep_their_shape(self) -> None:
+        profile = EngineProfile(
+            label="x", build_s=1.0, events_s=2.0, stats_s=3.0, events=10
+        )
+        assert "fallback_reason" not in profile.as_dict()
+        assert "fell back" not in profile.format()
+
+    def test_host_coupled_batch_nicsim_names_the_host_coupling(self) -> None:
+        sink: list = []
+        params = replace(_small_nicsim(), system="NFP6000-HSW", mode="batch")
+        result = run_nicsim_benchmark(params, profile_sink=sink)
+        assert result.profile.mode == "exact"
+        assert "host coupling" in result.profile.fallback_reason
+        assert NicSimResult.from_dict(result.as_dict()).profile == result.profile
+
+    def test_batch_contend_records_its_fallback(self) -> None:
+        result = run_contention_benchmark(
+            _small_contention(engine_profile=True, mode="batch")
+        )
+        assert result.profile.mode == "exact"
+        assert result.profile.fallback_reason
+        exact = run_contention_benchmark(_small_contention(engine_profile=True))
+        assert exact.profile.fallback_reason is None
+
+    def test_batch_run_the_solver_finishes_carries_none(self) -> None:
+        sink: list = []
+        result = run_nicsim_benchmark(
+            replace(_small_nicsim(), mode="batch"), profile_sink=sink
+        )
+        assert result.profile.mode == "batch"
+        assert result.profile.fallback_reason is None
+        assert "fallback_reason" not in result.profile.as_dict()
 
 
 class TestProfileAttachment:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bench.contention import ContentionParams
+from repro.bench.fleet import FleetHostResult, FleetParams
 from repro.bench.nicsim import NicSimParams
 from repro.bench.params import BenchmarkKind, BenchmarkParams
 from repro.bench.results import (
@@ -17,8 +18,17 @@ from repro.bench.results import (
 )
 from repro.bench.stats import LatencyStats
 from repro.errors import AnalysisError, ValidationError
+from repro.control import ControlAction
 from repro.sim.engine import EngineProfile
-from repro.sim.nicsim import NicSimResult
+from repro.sim.fabric import DeviceContentionResult, FabricPortStats
+from repro.sim.nichost import HostSideStats
+from repro.sim.nicsim import (
+    DmaTagStats,
+    LatencySummary,
+    NicSimResult,
+    PathResult,
+    RingStats,
+)
 
 
 def latency_result(size=64, system="NFP6000-HSW"):
@@ -122,6 +132,22 @@ def _load_records(tmp_path, records):
     return load_results_json(path)
 
 
+#: Nested records with a malformed field or a missing key.
+NESTED_MALFORMED = [
+    (LatencySummary, {"count": "x"}),
+    (FabricPortStats, {"requests": "x"}),
+    (PathResult, {}),
+    (RingStats, {}),
+    (DmaTagStats, {}),
+    (HostSideStats, {}),
+    (DeviceContentionResult, {}),
+    (ControlAction, {}),
+    (BenchmarkParams, {}),
+    (FleetParams, {"hosts": "x"}),
+    (FleetHostResult, {}),
+]
+
+
 class TestMalformedRecords:
     """A malformed record raises the library's ValidationError, naming
     the record type, instead of whichever built-in error its first bad
@@ -164,6 +190,19 @@ class TestMalformedRecords:
     ):
         with pytest.raises(ValidationError, match=f"malformed {record_type} record"):
             read(tmp_path)
+
+    @pytest.mark.parametrize(
+        "record_type,data",
+        NESTED_MALFORMED,
+        ids=[record_type.__name__ for record_type, _ in NESTED_MALFORMED],
+    )
+    def test_nested_record_raises_validation_error(self, record_type, data):
+        # Nested records are read on their own too (result files, the
+        # fleet's worker records), so each reader guards its boundary.
+        with pytest.raises(
+            ValidationError, match=f"malformed {record_type.__name__} record"
+        ):
+            record_type.from_dict(data)
 
 
 
