@@ -1824,7 +1824,7 @@ def _install_metrics_sampler(
     devices: list[_Device],
     *,
     window_ns: float = DEFAULT_METRICS_WINDOW_NS,
-    runtime: "ControlRuntime | None" = None,
+    runtime: ControlRuntime | None = None,
 ) -> None:
     """Sample the devices' counters every ``window_ns`` of simulated time.
 
