@@ -157,10 +157,10 @@ class RootComplex:
             + numa_penalty
             + self.noise.sample(self._noise_rng)
         )
-        # Positional, in field order (keywords cost a third more per DMA):
-        # latency, walker and ingress occupancy (one TLP per started 256
-        # bytes, as _ingress_occupancy), cache hit, IOTLB hit, write-back,
-        # remote.
+        # Positional, in field order, because keyword construction costs
+        # about a third more: latency, walker and ingress occupancy (one
+        # TLP per started 256 bytes, as _ingress_occupancy), cache hit,
+        # IOTLB hit, write-back, remote.
         return HostAccess(
             latency,
             translation.walker_occupancy_ns,

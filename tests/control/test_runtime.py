@@ -143,6 +143,27 @@ class TestRuntimeTicks:
         assert runtime.windows_ticked == 1
         assert loop.peek_time() == math.inf
 
+    def test_sampler_rides_every_tick_after_the_controller(self):
+        controller = RecordingController()
+        loop, runtime, tx, steering = build_runtime(controller)
+        loop.feed_many(
+            (100.0 * (i + 1), partial(steering.dispatch, i % 4), 64)
+            for i in range(12)
+        )
+        samples = []
+        runtime.sampler = lambda now: samples.append((now, len(controller.ticks)))
+        runtime.start()
+        loop.run()
+        # One sample per window, each after that window's controller
+        # step, and no event of the sampler's own: the run still ends
+        # when the traffic does.
+        assert samples == [
+            (WINDOW_NS * (index + 1), index + 1)
+            for index in range(runtime.windows_ticked)
+        ]
+        assert runtime.windows_ticked >= 2
+        assert loop.peek_time() == math.inf
+
     def test_descriptor_hit_rate_is_a_window_delta(self):
         controller = RecordingController()
         loop, runtime, tx, _ = build_runtime(controller)
