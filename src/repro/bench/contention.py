@@ -12,10 +12,11 @@ Per-device specifications are plain :class:`NicSimParams` with their host
 half left empty (``system=None``): the fabric owns the host, so a device
 spec only describes its traffic, datapath knobs and buffer working set.
 ``solo_device_params`` turns one device spec back into a standalone
-host-coupled ``NICSIM`` run on an identical (but private) host — the
-baseline the victim/aggressor slowdown analysis divides by, and, by the
-fabric's degenerate-case contract, bit-identical to a one-device
-contention run.
+host-coupled ``NICSIM`` run on a host of its own with the fabric's
+settings — the baseline the victim/aggressor slowdown analysis divides
+by.  A solo run builds that host as a one-device
+:class:`~repro.sim.nichost.SharedHost`, the builder a fabric uses, so
+it is bit-identical to a one-device contention run.
 """
 
 from __future__ import annotations
@@ -394,10 +395,10 @@ class ContentionParams:
 
 
 def solo_device_params(params: ContentionParams, index: int) -> NicSimParams:
-    """One device's standalone baseline: the same datapath on a private host.
+    """One device's standalone baseline: the same datapath with no neighbours.
 
-    The returned ``NICSIM`` parameters couple the device to a host with the
-    fabric's profile and IOMMU settings but no neighbours — what the
+    The returned ``NICSIM`` parameters couple the device to a one-device
+    shared host with the fabric's profile and IOMMU settings — what the
     device would measure if it did not share.  Dividing a contended
     device's metrics by this run's yields its *slowdown*.
 

@@ -21,14 +21,11 @@ from dataclasses import dataclass, replace
 
 from ..core.nic import model_by_name
 from ..errors import ValidationError, record_reader
-from ..sim.cache import CacheState
 from ..sim.engine import MODES
-from ..sim.iommu import SUPPORTED_PAGE_SIZES
-from ..sim.nichost import PAYLOAD_UNIT_BYTES, NicHostConfig
-from ..sim.nicsim import NicSimResult, simulate_nic
+from ..sim.nichost import NicHostConfig
+from ..sim.nicsim import NicSimConfig, NicSimResult, simulate_nic
 from ..units import KIB, MIB, format_size
 from ..workloads import canonical_flow_name, workload_names
-from ..workloads.rss import check_rss_table
 
 #: The ``kind`` tag used in labels and serialised records, mirroring the
 #: ``BenchmarkKind`` values of the classic micro-benchmarks.
@@ -125,56 +122,33 @@ class NicSimParams:
             )
         if self.packets <= 0:
             raise ValidationError(f"packets must be positive, got {self.packets}")
-        if self.ring_depth <= 0:
-            raise ValidationError(
-                f"ring_depth must be positive, got {self.ring_depth}"
-            )
-        if not 1 <= self.num_queues <= 256:
-            raise ValidationError(
-                f"num_queues must be within [1, 256], got {self.num_queues}"
-            )
-        if self.dma_tags is not None and self.dma_tags <= 0:
-            raise ValidationError(
-                f"dma_tags must be positive (or None for unbounded), "
-                f"got {self.dma_tags}"
-            )
         # Canonicalise the RSS scenario name ("skewed" -> "zipf") so labels
         # and serialised params are stable whichever alias was written.
         object.__setattr__(self, "rss", canonical_flow_name(self.rss))
-        object.__setattr__(
-            self, "rss_table", check_rss_table(self.rss_table, self.num_queues)
+        # The datapath and host knobs are validated by building the configs
+        # the simulator runs with, one source of truth.  Params without a
+        # host check their host knobs against the default profile, so a bad
+        # value fails where it is written, not at a later with_(system=...).
+        datapath = NicSimConfig(
+            ring_depth=self.ring_depth,
+            num_queues=self.num_queues,
+            dma_tags=self.dma_tags,
+            rss_table=self.rss_table,
         )
-        # Host knobs are validated even on decoupled params, so a bad value
-        # fails where it is written, not at a later with_(system=...).
-        if self.iommu_page_size not in SUPPORTED_PAGE_SIZES:
-            raise ValidationError(
-                f"iommu_page_size must be one of {SUPPORTED_PAGE_SIZES}, "
-                f"got {self.iommu_page_size}"
-            )
-        if self.payload_window < PAYLOAD_UNIT_BYTES:
-            raise ValidationError(
-                f"payload_window must hold at least one {PAYLOAD_UNIT_BYTES}-"
-                f"byte unit, got {self.payload_window}"
-            )
-        object.__setattr__(
-            self,
-            "payload_cache_state",
-            CacheState.from_value(self.payload_cache_state).value,
-        )
-        if self.system is not None:
-            # Building the host config additionally validates profile name
-            # and placement; keep the canonical profile spelling for labels
-            # and serialisation.
-            host = self.host_config()
-            object.__setattr__(self, "system", host.system)
-        elif self.iommu_enabled:
+        object.__setattr__(self, "rss_table", datapath.rss_table)
+        if self.system is None and self.iommu_enabled:
             raise ValidationError(
                 "iommu_enabled requires a host system (set system=...)"
             )
-        elif self.payload_placement != "local":
+        if self.system is None and self.payload_placement != "local":
             raise ValidationError(
                 "remote payload placement requires a host system (set system=...)"
             )
+        host = self._host_config(self.system or NicHostConfig.system)
+        object.__setattr__(self, "payload_cache_state", host.payload_cache_state)
+        if self.system is not None:
+            # Keep the canonical profile spelling for labels and records.
+            object.__setattr__(self, "system", host.system)
 
     @property
     def kind(self) -> str:
@@ -185,8 +159,11 @@ class NicSimParams:
         """The host coupling these parameters describe (``None`` when decoupled)."""
         if self.system is None:
             return None
+        return self._host_config(self.system)
+
+    def _host_config(self, system: str) -> NicHostConfig:
         return NicHostConfig(
-            system=self.system,
+            system=system,
             iommu_enabled=self.iommu_enabled,
             iommu_page_size=self.iommu_page_size,
             payload_window=self.payload_window,

@@ -37,9 +37,8 @@ from .fabric import (
     FabricDevice,
     FabricPortStats,
     FabricSimulator,
-    SharedHost,
 )
-from .nichost import HostCoupling, HostSideStats, NicHostConfig
+from .nichost import HostCoupling, HostSideStats, NicHostConfig, SharedHost
 from .nicsim import (
     CrossValidationPoint,
     LatencySummary,

@@ -352,12 +352,6 @@ class CacheStats:
         total = self.read_hits + self.read_misses
         return self.read_hits / total if total else 0.0
 
-    @property
-    def write_hit_rate(self) -> float:
-        """Fraction of device writes that found their line resident."""
-        total = self.write_hits + self.write_misses
-        return self.write_hits / total if total else 0.0
-
 
 # ---------------------------------------------------------------------------
 # Statistical model

@@ -3,18 +3,14 @@
 The paper's §7 speculates that the host side of PCIe — root-complex
 ingress, the IOMMU page walker, the DDIO slice of the LLC — becomes a
 contended and potentially *unfair* bottleneck once several devices share
-it.  Every earlier layer of this reproduction models a single device with
-a private host; this module supplies the missing multi-device substrate:
+it.  Every earlier layer of this reproduction models a single device on
+its own host; this module supplies the missing multi-device substrate:
 
-* :class:`SharedHost` owns exactly one profile-built
-  :class:`~repro.sim.host.HostSystem` (root complex, LLC/DDIO cache,
-  IOMMU, NUMA, memory, noise) plus one descriptor-side root complex, and
-  binds N per-device :class:`~repro.sim.nichost.HostCoupling` instances
-  to it.  Devices keep private buffer regions (offset by
-  :data:`~repro.sim.nichost.DEVICE_ADDRESS_STRIDE` so translations never
-  alias) but genuinely contend on the shared cache residency, the shared
-  IOTLB and the shared memory system: cache and IOTLB warming happen here,
-  over the *aggregate* working set of all devices.
+* **One shared host**: every device binds to one
+  :class:`~repro.sim.nichost.SharedHost` (the builder a solo run binds
+  through as its only device), so the devices keep private buffer regions
+  but genuinely contend on one cache residency, one IOTLB and one memory
+  system, warmed over their *aggregate* working set.
 
 * A PCIe switch / root-port **arbitration topology**: the root-complex
   ingress pipeline and the IOMMU page walker are arbitrated through a
@@ -74,15 +70,9 @@ from ..core.nic import NicModel, model_by_name
 from ..errors import ValidationError, record_reader
 from ..obs.metrics import MetricsRegistry, metric_segment
 from ..obs.trace import ARB_PREFIX, STAGE_WALKER, Tracer
-from ..units import CACHELINE_BYTES, KIB, MIB
+from ..units import KIB, MIB
 from ..workloads import Workload
 from ..workloads.rss import check_rss_table
-from .cache import (
-    CacheState,
-    CacheStats,
-    SetAssociativeCache,
-    StatisticalCache,
-)
 from .engine import (
     ARBITER_SCHEMES,
     WEIGHTED_SCHEMES,
@@ -91,13 +81,7 @@ from .engine import (
     EngineProfile,
     EventLoop,
 )
-from .host import HostSystem
-from .nichost import (
-    _DESCRIPTOR_SEED_SALT,
-    DEVICE_ADDRESS_STRIDE,
-    HostCoupling,
-    NicHostConfig,
-)
+from .nichost import NicHostConfig, SharedHost
 from .nicsim import (
     NicSimConfig,
     NicSimResult,
@@ -105,8 +89,7 @@ from .nicsim import (
     _install_metrics_sampler,
 )
 from .profiles import get_profile
-from .rng import DEFAULT_SEED, SimRng
-from .root_complex import RootComplex
+from .rng import DEFAULT_SEED
 from .topology import CompiledTopology, FabricTopology, compile_topology
 
 
@@ -298,321 +281,28 @@ class FabricDevice:
             self, "rss_table", check_rss_table(self.rss_table, self.num_queues)
         )
 
-    def host_config(self, fabric: FabricConfig) -> NicHostConfig:
-        """This device's buffer layout bound to the fabric's shared host."""
-        return NicHostConfig(
-            system=fabric.system,
-            iommu_enabled=fabric.iommu_enabled,
-            iommu_page_size=fabric.iommu_page_size,
-            payload_window=self.payload_window,
-            payload_cache_state=self.payload_cache_state,
-            payload_placement=self.payload_placement,
-        )
-
     def sim_config(self, fabric: FabricConfig) -> NicSimConfig:
-        """The datapath configuration this device runs with."""
+        """The datapath configuration this device runs with.
+
+        Its host half binds the device's buffer layout to the fabric's
+        shared host.
+        """
         return NicSimConfig(
             ring_depth=self.ring_depth,
             rx_backpressure=self.rx_backpressure,
-            host=self.host_config(fabric),
+            host=NicHostConfig(
+                system=fabric.system,
+                iommu_enabled=fabric.iommu_enabled,
+                iommu_page_size=fabric.iommu_page_size,
+                payload_window=self.payload_window,
+                payload_cache_state=self.payload_cache_state,
+                payload_placement=self.payload_placement,
+            ),
             num_queues=self.num_queues,
             dma_tags=self.dma_tags,
             retain_samples=self.retain_samples,
             rss_table=self.rss_table,
         )
-
-
-class SharedHost:
-    """One host instance N device couplings contend on.
-
-    Construction order matters and mirrors the single-device
-    :class:`~repro.sim.nichost.HostCoupling` exactly: build the host,
-    build the (shared) descriptor root complex, bind the couplings, then
-    prepare the payload cache, the descriptor cache and the IOTLB — each
-    over the *aggregate* working set, so N devices genuinely squeeze each
-    other out of the LLC and the IOTLB reach.  With one device every
-    aggregate equals the device's own working set and the preparation is
-    identical to the un-shared path.
-    """
-
-    def __init__(
-        self,
-        fabric: FabricConfig,
-        device_configs: Sequence[NicHostConfig],
-        ring_depths: Sequence[int],
-        *,
-        seed: int,
-    ) -> None:
-        if not device_configs:
-            raise ValidationError("a shared host needs at least one device")
-        if len(device_configs) != len(ring_depths):
-            raise ValidationError(
-                "need one ring depth per device config "
-                f"({len(device_configs)} vs {len(ring_depths)})"
-            )
-        partitioned = (
-            fabric.ddio_partition is not None and len(device_configs) > 1
-        )
-        states = {config.payload_cache_state for config in device_configs}
-        if (
-            len(states) > 1
-            and not partitioned
-            and fabric.cache_model == "statistical"
-        ):
-            # Only the statistical shared regime folds every device into
-            # one aggregate residency; the faithful model warms each
-            # device's real address region and partitions are per-device
-            # by construction.
-            raise ValidationError(
-                "devices sharing one aggregate cache residency must share "
-                f"one payload cache preparation state, got {sorted(states)}; "
-                "per-device states need ddio_partition or the faithful "
-                "cache model"
-            )
-        if (
-            fabric.ddio_partition is not None
-            and len(fabric.ddio_partition) != len(device_configs)
-        ):
-            raise ValidationError(
-                f"need one ddio_partition share per device "
-                f"({len(device_configs)}), got {len(fabric.ddio_partition)}"
-            )
-        self.config = fabric
-        self.partitioned = partitioned
-        self.host = HostSystem.from_profile(
-            fabric.system,
-            iommu_enabled=fabric.iommu_enabled,
-            iommu_page_size=fabric.iommu_page_size,
-            seed=seed,
-            cache_model=fabric.cache_model,
-        )
-        profile = self.host.profile
-        descriptor_rng = SimRng(seed ^ _DESCRIPTOR_SEED_SALT)
-        if fabric.cache_model == "faithful":
-            descriptor_cache: StatisticalCache | SetAssociativeCache = (
-                SetAssociativeCache(
-                    profile.llc_bytes, ddio_fraction=profile.ddio_fraction
-                )
-            )
-        else:
-            descriptor_cache = StatisticalCache(
-                profile.llc_bytes,
-                ddio_fraction=profile.ddio_fraction,
-                rng=descriptor_rng,
-            )
-        self.descriptor_rc = RootComplex(
-            profile.root_complex_config(),
-            cache=descriptor_cache,
-            iommu=self.host.iommu,
-            numa=self.host.numa,
-            memory=self.host.root_complex.memory,
-            noise=profile.noise,
-            rng=descriptor_rng,
-        )
-        self.couplings = [
-            HostCoupling(
-                config,
-                ring_depth=ring_depth,
-                seed=seed,
-                shared=self,
-                device_index=index,
-            )
-            for index, (config, ring_depth) in enumerate(
-                zip(device_configs, ring_depths)
-            )
-        ]
-        self._prepare()
-
-    def _prepare(self) -> None:
-        """Prime the shared cache and IOTLB for the aggregate working set.
-
-        Two residency regimes exist.  *Shared* (``ddio_partition=None``,
-        the PR 4 behaviour): one aggregate window per cache model — every
-        device's hit probability is diluted by its neighbours' working
-        sets, and (with two or more devices) the descriptor rings compete
-        with the *whole aggregate payload* working set for LLC residency,
-        so a bulk neighbour evicts a victim's rings.  *Partitioned*: every
-        device owns a capacity slice (routed by address region), prepared
-        over that device's own working set alone — rings then compete only
-        with their own device's payload window.  A single device has
-        nothing to partition against and always takes the historical
-        (bit-identical) preparation.
-        """
-        payload_lines = sum(
-            coupling.payload_buffer.window_cachelines
-            for coupling in self.couplings
-        )
-        ring_lines = sum(
-            2 * coupling.ring_buffers["tx"].window_cachelines
-            for coupling in self.couplings
-        )
-        if self.config.cache_model == "faithful":
-            self._prepare_faithful()
-        elif self.partitioned:
-            shares = self.config.ddio_partition
-            owner = _line_owner(len(self.couplings))
-            payload_cache = self.host.root_complex.cache
-            descriptor_cache = self.descriptor_rc.cache
-            payload_cache.partition(shares, owner)
-            descriptor_cache.partition(shares, owner)
-            for index, coupling in enumerate(self.couplings):
-                own_payload = coupling.payload_buffer.window_cachelines
-                payload_cache.prepare_partition(
-                    index, coupling.config.payload_cache_state, own_payload
-                )
-                descriptor_cache.prepare_partition(
-                    index,
-                    CacheState.HOST_WARM,
-                    2 * coupling.ring_buffers["tx"].window_cachelines
-                    + own_payload,
-                )
-        else:
-            self.host.root_complex.prepare_cache(
-                self.couplings[0].config.payload_cache_state, payload_lines
-            )
-            descriptor_window = ring_lines
-            if len(self.couplings) > 1:
-                # The rings share the LLC with every device's payload
-                # buffers: aggregate payload pressure squeezes them out.
-                descriptor_window += payload_lines
-            self.descriptor_rc.prepare_cache(
-                CacheState.HOST_WARM, descriptor_window
-            )
-        self._warm_iotlb()
-
-    def repartition(self, shares: Sequence[float]) -> None:
-        """Resize the per-device DDIO capacity slices mid-run.
-
-        The control plane's DDIO actuator.  Only meaningful in the
-        partitioned *statistical* regime, where a partition is a capacity
-        budget plus an occupancy probability: resizing re-derives each
-        device's budget from its new share and re-primes the partition in
-        its configured preparation state, exactly as initial preparation
-        did.  (The faithful model tracks concrete lines whose residency
-        cannot be re-primed without fabricating history, so it is not
-        resizable mid-run.)
-        """
-        if not self.partitioned:
-            raise ValidationError(
-                "cannot repartition: this run shares one aggregate cache "
-                "residency (no ddio_partition)"
-            )
-        if self.config.cache_model != "statistical":
-            raise ValidationError(
-                "mid-run repartitioning needs the statistical cache model"
-            )
-        resized = tuple(float(share) for share in shares)
-        if len(resized) != len(self.couplings):
-            raise ValidationError(
-                f"need one share per device ({len(self.couplings)}), "
-                f"got {len(resized)}"
-            )
-        if any(share <= 0 for share in resized):
-            raise ValidationError(f"shares must be positive, got {resized}")
-        owner = _line_owner(len(self.couplings))
-        payload_cache = self.host.root_complex.cache
-        descriptor_cache = self.descriptor_rc.cache
-        payload_cache.partition(resized, owner)
-        descriptor_cache.partition(resized, owner)
-        for index, coupling in enumerate(self.couplings):
-            own_payload = coupling.payload_buffer.window_cachelines
-            payload_cache.prepare_partition(
-                index, coupling.config.payload_cache_state, own_payload
-            )
-            descriptor_cache.prepare_partition(
-                index,
-                CacheState.HOST_WARM,
-                2 * coupling.ring_buffers["tx"].window_cachelines
-                + own_payload,
-            )
-
-    def _warm_iotlb(self) -> None:
-        """Prime the shared IOTLB over every device's buffer regions."""
-        iommu = self.host.iommu
-        iommu.invalidate()
-        if iommu.enabled:
-            page = self.config.iommu_page_size
-            for coupling in self.couplings:
-                buffer = coupling.payload_buffer
-                pages_to_warm = min(
-                    buffer.window_pages, iommu.config.iotlb_entries
-                )
-                iommu.warm(
-                    [
-                        buffer.base_address + index * page
-                        for index in range(pages_to_warm)
-                    ]
-                )
-            # Ring pages last, per device, so every device's (few) ring
-            # translations begin as the most recently used entries.
-            for coupling in self.couplings:
-                for buffer in coupling.ring_buffers.values():
-                    iommu.warm(
-                        [
-                            buffer.base_address + index * page
-                            for index in range(buffer.window_pages)
-                        ]
-                    )
-        iommu.reset_stats()
-
-    def _prepare_faithful(self) -> None:
-        """Warm the line-accurate caches over each device's real addresses.
-
-        The statistical models are windows of probability; the faithful
-        :class:`~repro.sim.cache.SetAssociativeCache` tracks concrete
-        lines, so warming walks each device's actual payload and ring
-        address regions (the same regions the run's DMAs will touch).
-        With ``ddio_partition`` both caches first split their DDIO ways
-        between the devices, so run-time write allocations evict within
-        the owner's budget only.  Cross-device *descriptor* eviction
-        pressure is a statistical-regime abstraction (two separate cache
-        instances never see each other's traffic); here the rings simply
-        stay warm unless a device's own writes evict them.
-        """
-        payload_cache = self.host.root_complex.cache
-        descriptor_cache = self.descriptor_rc.cache
-        assert isinstance(payload_cache, SetAssociativeCache)
-        assert isinstance(descriptor_cache, SetAssociativeCache)
-        if self.partitioned:
-            owner = _line_owner(len(self.couplings))
-            payload_cache.partition_ddio(self.config.ddio_partition, owner)
-            descriptor_cache.partition_ddio(self.config.ddio_partition, owner)
-        for coupling in self.couplings:
-            buffer = coupling.payload_buffer
-            state = CacheState.from_value(coupling.config.payload_cache_state)
-            if state is CacheState.COLD:
-                continue
-            first = buffer.base_address // CACHELINE_BYTES
-            for line in range(first, first + buffer.window_cachelines):
-                if state is CacheState.HOST_WARM:
-                    payload_cache.host_touch(line)
-                else:  # DEVICE_WARM: allocate through the DDIO ways
-                    payload_cache.write(line)
-        for coupling in self.couplings:
-            for buffer in coupling.ring_buffers.values():
-                first = buffer.base_address // CACHELINE_BYTES
-                for line in range(first, first + buffer.window_cachelines):
-                    descriptor_cache.host_touch(line)
-        # Warming is preparation, not measurement.
-        payload_cache.stats = CacheStats()
-        descriptor_cache.stats = CacheStats()
-
-
-def _line_owner(device_count: int):
-    """Map a cache-line address to the device owning its address region.
-
-    Device regions are offset by :data:`~repro.sim.nichost.
-    DEVICE_ADDRESS_STRIDE`, so the owning device falls straight out of the
-    line address — this is how the partitioned cache models route an
-    access to its owner's capacity slice without threading device ids
-    through the root complex.
-    """
-    region_lines = DEVICE_ADDRESS_STRIDE // CACHELINE_BYTES
-
-    def owner(line_address: int) -> int:
-        return min(device_count - 1, line_address // region_lines)
-
-    return owner
 
 
 class _UpstreamPort:
@@ -862,14 +552,6 @@ class ContentionResult:
             + ", ".join(record.name for record in self.devices)
         )
 
-    @property
-    def throughputs_gbps(self) -> dict[str, float]:
-        """Per-device mean payload throughput, keyed by device name."""
-        return {
-            record.name: record.result.throughput_gbps
-            for record in self.devices
-        }
-
     def as_dict(self) -> dict[str, object]:
         """Serialisable representation (tagged ``"kind": "CONTENTION"``).
 
@@ -992,6 +674,11 @@ class FabricSimulator:
             self.fabric.topology.validate_devices(names)
         self.devices = tuple(devices)
         self.names = tuple(names)
+        # Built once here, so a malformed device knob fails at
+        # construction rather than inside run().
+        self._sim_configs = tuple(
+            device.sim_config(self.fabric) for device in self.devices
+        )
         self.config = config
         #: Wall-clock phase timing of the most recent :meth:`run`.
         self.last_profile: EngineProfile | None = None
@@ -1029,10 +716,11 @@ class FabricSimulator:
         fabric = self.fabric
         loop = EventLoop()
         shared = SharedHost(
-            fabric,
-            [device.host_config(fabric) for device in self.devices],
-            [device.ring_depth for device in self.devices],
+            [config.host for config in self._sim_configs],
+            [config.ring_depth for config in self._sim_configs],
             seed=resolved_seed,
+            cache_model=fabric.cache_model,
+            ddio_partition=fabric.ddio_partition,
         )
         count = len(self.devices)
         multi = count > 1
@@ -1090,7 +778,7 @@ class FabricSimulator:
                 "fabric",
                 device.model,
                 self.config,
-                device.sim_config(fabric),
+                self._sim_configs[index],
                 loop,
                 device.workload,
                 device.packets,

@@ -140,10 +140,6 @@ class HostBuffer:
         """Page number containing ``address``."""
         return address // self.page_size
 
-    def cacheline_of(self, address: int) -> int:
-        """Cache line number containing ``address``."""
-        return address // CACHELINE_BYTES
-
     # -- access streams ------------------------------------------------------------
 
     def access_addresses(

@@ -29,18 +29,28 @@ Both regions share one IOMMU (payload pressure evicts descriptor
 translations, as on real hardware) but use separate
 :class:`~repro.sim.cache.StatisticalCache` instances, because that model's
 residency probability is per-window, not per-address.
+
+:class:`SharedHost` is the only code that builds and prepares a coupling's
+host: one profile-built :class:`~repro.sim.host.HostSystem` (root complex,
+LLC/DDIO cache, IOMMU, NUMA, memory, noise) plus a descriptor-side root
+complex, with one :class:`HostCoupling` per device.  Devices keep private
+buffer regions (offset by :data:`DEVICE_ADDRESS_STRIDE` so translations
+never alias) but contend on the shared cache residency, IOTLB and memory
+system.  A solo :class:`~repro.sim.nicsim.NicDatapathSimulator` run binds
+through a one-device shared host; a :mod:`repro.sim.fabric` run binds N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Sequence
 
 from ..core.transactions import DESCRIPTOR_BYTES, OpKind
 from ..errors import ValidationError, record_reader
 from ..units import CACHELINE_BYTES, KIB, MIB, align_up
-from .cache import CacheState, StatisticalCache
-from .host import HostSystem
+from .cache import CacheState, CacheStats, SetAssociativeCache
+from .host import HostSystem, _build_cache
 from .hostbuffer import HostBuffer
 from .iommu import SUPPORTED_PAGE_SIZES
 from .profiles import get_profile
@@ -59,10 +69,9 @@ RX_RING_BASE = 1 << 30
 PAYLOAD_BASE = 1 << 34
 
 #: Address-space stride between devices sharing one host (see
-#: :mod:`repro.sim.fabric`).  Each device's three regions are offset by
+#: :class:`SharedHost`).  Each device's three regions are offset by
 #: ``device_index * DEVICE_ADDRESS_STRIDE`` so no two devices' pages alias
-#: in the shared IOTLB.  Device 0's layout is byte-identical to the
-#: single-device layout above.
+#: in the shared IOTLB.  Device 0's layout is the layout above.
 DEVICE_ADDRESS_STRIDE = 1 << 40
 
 #: Seed perturbation for the descriptor-side RNG.  ``SimRng`` caches named
@@ -201,28 +210,20 @@ def _unit_layout(buffer: HostBuffer) -> tuple[int, int, int]:
 
 
 class HostCoupling:
-    """Runtime host-side state for one host-coupled datapath run.
+    """One device's runtime host-side state on a :class:`SharedHost`.
 
-    Owns the profile-built :class:`~repro.sim.host.HostSystem`, the
-    descriptor-ring and payload buffer layouts, the address streams, and
-    the hit/stall counters; :class:`~repro.sim.nicsim.NicDatapathSimulator`
-    calls :meth:`access` once per DMA transaction and layers link
-    serialisation, ingress and walker occupancy on top of the returned
-    :class:`HostAccess`.
+    Owns the device's descriptor-ring and payload buffer layouts, its
+    address streams and its hit/stall counters; the root complexes, cache,
+    IOMMU, NUMA and noise models are the shared host's, which builds every
+    coupling and prepares its cache and IOTLB state.
+    :class:`~repro.sim.nicsim.NicDatapathSimulator` calls :meth:`access`
+    once per DMA transaction and layers link serialisation, ingress and
+    walker occupancy on top of the returned :class:`HostAccess`.
 
-    Two construction modes exist.  The historical one (``shared=None``)
-    builds a private :class:`~repro.sim.host.HostSystem` for this one
-    device and prepares cache/IOTLB state itself.  The *shared-host* mode
-    (``shared`` set to a :class:`repro.sim.fabric.SharedHost`) instead
-    binds this coupling to a host that several devices contend on: the
-    root complexes, cache, IOMMU, NUMA and noise models come from the
-    shared instance, this device's buffer regions are offset by
-    ``device_index * DEVICE_ADDRESS_STRIDE`` so translations never alias
-    across devices, and cache/IOTLB preparation is deferred to the shared
-    host — which warms either the *aggregate* working set (the shared
-    regime) or, under per-device DDIO way partitioning, each device's own
-    capacity slice, routed back to this device by the same address-region
-    stride.  Per-device counters work identically in both modes.
+    The device's buffer regions are offset by ``device_index *
+    DEVICE_ADDRESS_STRIDE``, so translations never alias across devices
+    and a partitioned cache routes each access to its owner's capacity
+    slice by address alone.
     """
 
     def __init__(
@@ -230,8 +231,7 @@ class HostCoupling:
         config: NicHostConfig,
         *,
         ring_depth: int,
-        seed: int,
-        shared: "object | None" = None,
+        shared: "SharedHost",
         device_index: int = 0,
     ) -> None:
         if ring_depth <= 0:
@@ -242,28 +242,9 @@ class HostCoupling:
             raise ValidationError(
                 f"device_index must be non-negative, got {device_index}"
             )
-        if shared is None and device_index != 0:
-            raise ValidationError(
-                "device_index is only meaningful with a shared host"
-            )
         self.config = config
         self.device_index = device_index
-        if shared is None:
-            self.host = HostSystem.from_profile(
-                config.system,
-                iommu_enabled=config.iommu_enabled,
-                iommu_page_size=config.iommu_page_size,
-                seed=seed,
-                cache_model="statistical",
-            )
-        else:
-            self.host = shared.host
-            if self.host.profile.name != get_profile(config.system).name:
-                raise ValidationError(
-                    f"device profile {config.system!r} does not match the "
-                    f"shared host profile {self.host.profile.name!r}"
-                )
-        profile = self.host.profile
+        self.host = shared.host
         numa = self.host.numa
         self._payload_node = (
             numa.device_node
@@ -295,48 +276,15 @@ class HostCoupling:
                 page_size=config.iommu_page_size,
             ),
         }
-
-        # Payload DMAs go through the profile host's root complex; the
-        # descriptor regions get their own root complex sharing the IOMMU,
-        # NUMA, memory and noise models but with a separate cache model,
-        # because the statistical cache's residency is per-window: the hot
-        # ring must not inherit the payload window's (low) hit probability.
-        # A salted RNG keeps the descriptor-side streams independent of the
-        # payload-side ones (see _DESCRIPTOR_SEED_SALT).  In shared-host
-        # mode both root complexes (and so both caches) are the shared
-        # host's: devices genuinely contend on one LLC/DDIO slice and one
-        # descriptor-cache view, and preparation is the shared host's job.
+        # Payload DMAs go through the host's root complex, descriptor-region
+        # DMAs through the shared descriptor root complex: devices contend
+        # on one LLC/DDIO slice and one descriptor-cache view.
         self.payload_rc = self.host.root_complex
-        if shared is None:
-            descriptor_rng = SimRng(seed ^ _DESCRIPTOR_SEED_SALT)
-            descriptor_cache = StatisticalCache(
-                profile.llc_bytes,
-                ddio_fraction=profile.ddio_fraction,
-                rng=descriptor_rng,
-            )
-            self.descriptor_rc = RootComplex(
-                profile.root_complex_config(),
-                cache=descriptor_cache,
-                iommu=self.host.iommu,
-                numa=numa,
-                memory=self.payload_rc.memory,
-                noise=profile.noise,
-                rng=descriptor_rng,
-            )
-            self.payload_rc.prepare_cache(
-                config.payload_cache_state, self.payload_buffer.window_cachelines
-            )
-            self.descriptor_rc.prepare_cache(
-                CacheState.HOST_WARM,
-                2 * self.ring_buffers["tx"].window_cachelines,
-            )
-            self._warm_iotlb()
-        else:
-            self.descriptor_rc = shared.descriptor_rc
+        self.descriptor_rc = shared.descriptor_rc
 
-        # Device 0 keeps the historical stream name so a single-device
-        # shared host reproduces the un-shared coupling bit for bit; later
-        # devices get decorrelated sibling streams.
+        # Device 0 keeps the historical stream name, which the seeded
+        # goldens' draws rest on; later devices get decorrelated sibling
+        # streams.
         stream = (
             "nicsim.host.payload_units"
             if device_index == 0
@@ -367,35 +315,6 @@ class HostCoupling:
         self._writebacks = 0
         self._remote_accesses = 0
         self._walker_stall_ns = 0.0
-
-    # -- construction helpers ---------------------------------------------------
-
-    def _warm_iotlb(self) -> None:
-        """Model steady state after the driver mapped its buffers.
-
-        As in :meth:`~repro.sim.host.HostSystem.prepare`, translations for
-        as much of the payload window as the IOTLB can hold start cached;
-        the (few) descriptor-ring pages are warmed last so they begin as
-        the most recently used entries.
-        """
-        iommu = self.host.iommu
-        iommu.invalidate()
-        if iommu.enabled:
-            page = self.config.iommu_page_size
-            pages_to_warm = min(
-                self.payload_buffer.window_pages, iommu.config.iotlb_entries
-            )
-            iommu.warm(
-                [PAYLOAD_BASE + index * page for index in range(pages_to_warm)]
-            )
-            for buffer in self.ring_buffers.values():
-                iommu.warm(
-                    [
-                        buffer.base_address + index * page
-                        for index in range(buffer.window_pages)
-                    ]
-                )
-        iommu.reset_stats()
 
     # -- per-transaction servicing ----------------------------------------------
 
@@ -502,3 +421,303 @@ class HostCoupling:
             writebacks=self._writebacks,
             remote_fraction=self._remote_accesses / total if total else 0.0,
         )
+
+
+class SharedHost:
+    """The one host N device couplings contend on, built and prepared here.
+
+    Construction order matters: build the host from the profile and IOMMU
+    settings the device configs agree on, build the descriptor root
+    complex, bind one :class:`HostCoupling` per device, then prepare the
+    payload cache, the descriptor cache and the IOTLB, each over the
+    *aggregate* working set, so N devices genuinely squeeze each other out
+    of the LLC and the IOTLB reach.  A solo run is a one-device shared
+    host, whose aggregates are the device's own working set.
+
+    The descriptor root complex shares the host's IOMMU, NUMA, memory and
+    noise models but has its own cache model, because the statistical
+    cache's residency is per-window: the hot rings must not inherit the
+    payload window's (low) hit probability.  A salted RNG keeps its
+    streams independent of the payload side's (see
+    ``_DESCRIPTOR_SEED_SALT``).
+
+    Args:
+        device_configs: one host config per device; they must agree on
+            ``system``, ``iommu_enabled`` and ``iommu_page_size``.
+        ring_depths: each device's descriptor ring depth.
+        seed: seed of every host-side random stream.
+        cache_model: ``"statistical"`` (the occupancy-probability model)
+            or ``"faithful"`` (the line-accurate
+            :class:`~repro.sim.cache.SetAssociativeCache`, warmed over each
+            device's real address regions).
+        ddio_partition: per-device DDIO/LLC capacity shares, or ``None``
+            for one aggregate residency.  A single device has nothing to
+            partition against and ignores it.
+    """
+
+    def __init__(
+        self,
+        device_configs: Sequence[NicHostConfig],
+        ring_depths: Sequence[int],
+        *,
+        seed: int,
+        cache_model: str = "statistical",
+        ddio_partition: Sequence[float] | None = None,
+    ) -> None:
+        if not device_configs:
+            raise ValidationError("a shared host needs at least one device")
+        if len(device_configs) != len(ring_depths):
+            raise ValidationError(
+                "need one ring depth per device config "
+                f"({len(device_configs)} vs {len(ring_depths)})"
+            )
+        settings = {
+            (config.system, config.iommu_enabled, config.iommu_page_size)
+            for config in device_configs
+        }
+        if len(settings) > 1:
+            raise ValidationError(
+                "devices sharing one host must agree on its profile and "
+                "IOMMU settings (system, iommu_enabled, iommu_page_size), "
+                f"got {sorted(settings)}"
+            )
+        partitioned = ddio_partition is not None and len(device_configs) > 1
+        states = {config.payload_cache_state for config in device_configs}
+        if (
+            len(states) > 1
+            and not partitioned
+            and cache_model == "statistical"
+        ):
+            # Only the statistical shared regime folds every device into
+            # one aggregate residency; the faithful model warms each
+            # device's real address region and partitions are per-device
+            # by construction.
+            raise ValidationError(
+                "devices sharing one aggregate cache residency must share "
+                f"one payload cache preparation state, got {sorted(states)}; "
+                "per-device states need ddio_partition or the faithful "
+                "cache model"
+            )
+        if (
+            ddio_partition is not None
+            and len(ddio_partition) != len(device_configs)
+        ):
+            raise ValidationError(
+                f"need one ddio_partition share per device "
+                f"({len(device_configs)}), got {len(ddio_partition)}"
+            )
+        self.cache_model = cache_model
+        self.ddio_partition = ddio_partition
+        self.partitioned = partitioned
+        first = device_configs[0]
+        self.host = HostSystem.from_profile(
+            first.system,
+            iommu_enabled=first.iommu_enabled,
+            iommu_page_size=first.iommu_page_size,
+            seed=seed,
+            cache_model=cache_model,
+        )
+        profile = self.host.profile
+        descriptor_rng = SimRng(seed ^ _DESCRIPTOR_SEED_SALT)
+        self.descriptor_rc = RootComplex(
+            profile.root_complex_config(),
+            cache=_build_cache(profile, cache_model, descriptor_rng),
+            iommu=self.host.iommu,
+            numa=self.host.numa,
+            memory=self.host.root_complex.memory,
+            noise=profile.noise,
+            rng=descriptor_rng,
+        )
+        self.couplings = [
+            HostCoupling(
+                config, ring_depth=ring_depth, shared=self, device_index=index
+            )
+            for index, (config, ring_depth) in enumerate(
+                zip(device_configs, ring_depths)
+            )
+        ]
+        self._prepare()
+
+    def _prepare(self) -> None:
+        """Prime the shared cache and IOTLB for the aggregate working set.
+
+        Two residency regimes exist.  *Shared* (``ddio_partition=None``,
+        the PR 4 behaviour): one aggregate window per cache model — every
+        device's hit probability is diluted by its neighbours' working
+        sets, and (with two or more devices) the descriptor rings compete
+        with the *whole aggregate payload* working set for LLC residency,
+        so a bulk neighbour evicts a victim's rings.  *Partitioned*: every
+        device owns a capacity slice (routed by address region), prepared
+        over that device's own working set alone — rings then compete only
+        with their own device's payload window.  A single device has
+        nothing to partition against and always takes the shared
+        preparation over its own working set.
+        """
+        if self.cache_model == "faithful":
+            self._prepare_faithful()
+        elif self.partitioned:
+            self._prepare_partitions(self.ddio_partition)
+        else:
+            payload_lines = sum(
+                coupling.payload_buffer.window_cachelines
+                for coupling in self.couplings
+            )
+            self.host.root_complex.prepare_cache(
+                self.couplings[0].config.payload_cache_state, payload_lines
+            )
+            descriptor_window = sum(
+                2 * coupling.ring_buffers["tx"].window_cachelines
+                for coupling in self.couplings
+            )
+            if len(self.couplings) > 1:
+                # The rings share the LLC with every device's payload
+                # buffers: aggregate payload pressure squeezes them out.
+                descriptor_window += payload_lines
+            self.descriptor_rc.prepare_cache(
+                CacheState.HOST_WARM, descriptor_window
+            )
+        self._warm_iotlb()
+
+    def _prepare_partitions(self, shares: Sequence[float]) -> None:
+        """Split both statistical caches into per-device capacity slices.
+
+        Each slice is primed over its own device's working set: the
+        payload slice in the device's preparation state, the descriptor
+        slice host-warm over the device's rings plus its payload window.
+        """
+        owner = _line_owner(len(self.couplings))
+        payload_cache = self.host.root_complex.cache
+        descriptor_cache = self.descriptor_rc.cache
+        payload_cache.partition(shares, owner)
+        descriptor_cache.partition(shares, owner)
+        for index, coupling in enumerate(self.couplings):
+            own_payload = coupling.payload_buffer.window_cachelines
+            payload_cache.prepare_partition(
+                index, coupling.config.payload_cache_state, own_payload
+            )
+            descriptor_cache.prepare_partition(
+                index,
+                CacheState.HOST_WARM,
+                2 * coupling.ring_buffers["tx"].window_cachelines
+                + own_payload,
+            )
+
+    def repartition(self, shares: Sequence[float]) -> None:
+        """Resize the per-device DDIO capacity slices mid-run.
+
+        The control plane's DDIO actuator.  Only meaningful in the
+        partitioned *statistical* regime, where a partition is a capacity
+        budget plus an occupancy probability: resizing re-derives each
+        device's budget from its new share and re-primes the partition in
+        its configured preparation state, exactly as initial preparation
+        did.  (The faithful model tracks concrete lines whose residency
+        cannot be re-primed without fabricating history, so it is not
+        resizable mid-run.)
+        """
+        if not self.partitioned:
+            raise ValidationError(
+                "cannot repartition: this run shares one aggregate cache "
+                "residency (no ddio_partition)"
+            )
+        if self.cache_model != "statistical":
+            raise ValidationError(
+                "mid-run repartitioning needs the statistical cache model"
+            )
+        if len(shares) != len(self.couplings):
+            raise ValidationError(
+                f"need one share per device ({len(self.couplings)}), "
+                f"got {len(shares)}"
+            )
+        self._prepare_partitions(shares)
+
+    def _warm_iotlb(self) -> None:
+        """Model steady state after the drivers mapped their buffers.
+
+        As in :meth:`~repro.sim.host.HostSystem.prepare`, translations for
+        as much of each payload window as the IOTLB can hold start cached;
+        the (few) descriptor-ring pages are warmed last, per device, so
+        every device's ring translations begin as the most recently used
+        entries.
+        """
+        iommu = self.host.iommu
+        iommu.invalidate()
+        if iommu.enabled:
+            page = iommu.config.page_size
+            for coupling in self.couplings:
+                buffer = coupling.payload_buffer
+                pages_to_warm = min(
+                    buffer.window_pages, iommu.config.iotlb_entries
+                )
+                iommu.warm(
+                    [
+                        buffer.base_address + index * page
+                        for index in range(pages_to_warm)
+                    ]
+                )
+            for coupling in self.couplings:
+                for buffer in coupling.ring_buffers.values():
+                    iommu.warm(
+                        [
+                            buffer.base_address + index * page
+                            for index in range(buffer.window_pages)
+                        ]
+                    )
+        iommu.reset_stats()
+
+    def _prepare_faithful(self) -> None:
+        """Warm the line-accurate caches over each device's real addresses.
+
+        The statistical models are windows of probability; the faithful
+        :class:`~repro.sim.cache.SetAssociativeCache` tracks concrete
+        lines, so warming walks each device's actual payload and ring
+        address regions (the same regions the run's DMAs will touch).
+        With ``ddio_partition`` both caches first split their DDIO ways
+        between the devices, so run-time write allocations evict within
+        the owner's budget only.  Cross-device *descriptor* eviction
+        pressure is a statistical-regime abstraction (two separate cache
+        instances never see each other's traffic); here the rings simply
+        stay warm unless a device's own writes evict them.
+        """
+        payload_cache = self.host.root_complex.cache
+        descriptor_cache = self.descriptor_rc.cache
+        assert isinstance(payload_cache, SetAssociativeCache)
+        assert isinstance(descriptor_cache, SetAssociativeCache)
+        if self.partitioned:
+            owner = _line_owner(len(self.couplings))
+            payload_cache.partition_ddio(self.ddio_partition, owner)
+            descriptor_cache.partition_ddio(self.ddio_partition, owner)
+        for coupling in self.couplings:
+            buffer = coupling.payload_buffer
+            state = CacheState.from_value(coupling.config.payload_cache_state)
+            if state is CacheState.COLD:
+                continue
+            first = buffer.base_address // CACHELINE_BYTES
+            for line in range(first, first + buffer.window_cachelines):
+                if state is CacheState.HOST_WARM:
+                    payload_cache.host_touch(line)
+                else:  # DEVICE_WARM: allocate through the DDIO ways
+                    payload_cache.write(line)
+        for coupling in self.couplings:
+            for buffer in coupling.ring_buffers.values():
+                first = buffer.base_address // CACHELINE_BYTES
+                for line in range(first, first + buffer.window_cachelines):
+                    descriptor_cache.host_touch(line)
+        # Warming is preparation, not measurement.
+        payload_cache.stats = CacheStats()
+        descriptor_cache.stats = CacheStats()
+
+
+def _line_owner(device_count: int):
+    """Map a cache-line address to the device owning its address region.
+
+    Device regions are offset by :data:`DEVICE_ADDRESS_STRIDE`, so the
+    owning device falls straight out of the line address — this is how the
+    partitioned cache models route an access to its owner's capacity slice
+    without threading device ids through the root complex.
+    """
+    region_lines = DEVICE_ADDRESS_STRIDE // CACHELINE_BYTES
+
+    def owner(line_address: int) -> int:
+        return min(device_count - 1, line_address // region_lines)
+
+    return owner

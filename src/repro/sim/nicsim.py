@@ -110,7 +110,7 @@ from ..workloads import (
 )
 from ..workloads.rss import check_rss_table
 from .engine import MODES, EngineProfile, EventLoop, SerialResource, TagPool
-from .nichost import HostCoupling, HostSideStats, NicHostConfig
+from .nichost import HostCoupling, HostSideStats, NicHostConfig, SharedHost
 from .rng import DEFAULT_SEED, SimRng
 from .root_complex import HostAccess
 
@@ -1980,11 +1980,11 @@ class NicDatapathSimulator:
         resolved_seed = DEFAULT_SEED if seed is None else seed
         loop = EventLoop()
         coupling = (
-            HostCoupling(
-                self.sim_config.host,
-                ring_depth=self.sim_config.ring_depth,
+            SharedHost(
+                [self.sim_config.host],
+                [self.sim_config.ring_depth],
                 seed=resolved_seed,
-            )
+            ).couplings[0]
             if self.sim_config.host is not None
             else None
         )

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.transactions import OpKind
 from repro.sim.cache import CacheState, StatisticalCache
-from repro.sim.nichost import HostCoupling, NicHostConfig
+from repro.sim.nichost import NicHostConfig, SharedHost
 from repro.sim.rng import DRAW_BLOCK, SimRng, block_draws
 from repro.units import MIB
 
@@ -167,7 +167,7 @@ def test_statistical_cache_matches_scalar_reference(seed, operations, split):
 def test_host_coupling_matches_scalar_reference(seed, operations):
     """Payload addresses and cache outcomes of payload DMAs, access by access."""
     config = NicHostConfig(system="NFP6000-HSW", payload_window=64 * MIB)
-    coupling = HostCoupling(config, ring_depth=64, seed=seed)
+    coupling = SharedHost([config], [64], seed=seed).couplings[0]
     root_complex = coupling.payload_rc
     addresses: list[int] = []
 

@@ -25,9 +25,8 @@ from repro.sim.fabric import (
     FabricConfig,
     FabricDevice,
     FabricSimulator,
-    SharedHost,
 )
-from repro.sim.nichost import DEVICE_ADDRESS_STRIDE, NicHostConfig
+from repro.sim.nichost import DEVICE_ADDRESS_STRIDE, NicHostConfig, SharedHost
 from repro.units import KIB, MIB
 from repro.workloads import build_workload
 
@@ -208,26 +207,38 @@ class TestValidation:
         with pytest.raises(ValidationError):
             FabricSimulator([])
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("ring_depth", 0),
+            ("dma_tags", 0),
+            ("num_queues", 0),
+            ("payload_window", 16),
+            ("payload_cache_state", "lukewarm"),
+            # The default NFP6000-HSW profile has a single socket.
+            ("payload_placement", "remote"),
+        ],
+    )
+    def test_malformed_device_rejected_at_construction(self, knob, value):
+        workload = build_workload("fixed", size=512, load_gbps=5.0)
+        device = FabricDevice(workload=workload, packets=10, **{knob: value})
+        with pytest.raises(ValidationError):
+            FabricSimulator([device])
+
     def test_shared_host_rejects_mixed_cache_states(self):
-        fabric = FabricConfig()
         configs = [
-            NicHostConfig(system=fabric.system, payload_cache_state="host_warm"),
-            NicHostConfig(system=fabric.system, payload_cache_state="cold"),
+            NicHostConfig(payload_cache_state="host_warm"),
+            NicHostConfig(payload_cache_state="cold"),
         ]
         with pytest.raises(ValidationError):
-            SharedHost(fabric, configs, [512, 512], seed=1)
+            SharedHost(configs, [512, 512], seed=1)
 
     def test_shared_host_couplings_use_disjoint_regions(self):
-        fabric = FabricConfig(iommu_enabled=True)
         configs = [
-            NicHostConfig(
-                system=fabric.system,
-                iommu_enabled=True,
-                payload_window=256 * KIB,
-            )
+            NicHostConfig(iommu_enabled=True, payload_window=256 * KIB)
             for _ in range(2)
         ]
-        shared = SharedHost(fabric, configs, [256, 256], seed=3)
+        shared = SharedHost(configs, [256, 256], seed=3)
         first, second = shared.couplings
         assert (
             second.payload_buffer.base_address
@@ -337,12 +348,13 @@ class TestTopologyFabric:
         assert rebuilt.ddio_partition == (3.0, 1.0)
 
     def test_partition_allows_mixed_cache_states(self):
-        fabric = FabricConfig(ddio_partition=(1.0, 1.0))
         configs = [
-            NicHostConfig(system=fabric.system, payload_cache_state="host_warm"),
-            NicHostConfig(system=fabric.system, payload_cache_state="cold"),
+            NicHostConfig(payload_cache_state="host_warm"),
+            NicHostConfig(payload_cache_state="cold"),
         ]
-        shared = SharedHost(fabric, configs, [512, 512], seed=1)
+        shared = SharedHost(
+            configs, [512, 512], seed=1, ddio_partition=(1.0, 1.0)
+        )
         assert shared.partitioned is True
 
     def test_simulator_validates_topology_and_partition(self):
@@ -407,16 +419,15 @@ class TestFaithfulCacheFabric:
 
     def test_faithful_partition_uses_per_owner_way_budgets(self):
         from repro.sim.cache import SetAssociativeCache
-        from repro.sim.fabric import SharedHost
 
-        fabric = FabricConfig(
-            cache_model="faithful", ddio_partition=(1.0, 1.0)
+        configs = [NicHostConfig(payload_window=256 * KIB) for _ in range(2)]
+        shared = SharedHost(
+            configs,
+            [64, 64],
+            seed=3,
+            cache_model="faithful",
+            ddio_partition=(1.0, 1.0),
         )
-        configs = [
-            NicHostConfig(system=fabric.system, payload_window=256 * KIB)
-            for _ in range(2)
-        ]
-        shared = SharedHost(fabric, configs, [64, 64], seed=3)
         payload_cache = shared.host.root_complex.cache
         descriptor_cache = shared.descriptor_rc.cache
         assert isinstance(payload_cache, SetAssociativeCache)

@@ -5,10 +5,10 @@ import pytest
 from repro.errors import ValidationError
 from repro.core.nic import FIGURE1_MODELS
 from repro.sim.nichost import (
-    HostCoupling,
     HostSideStats,
     NicHostConfig,
     PAYLOAD_UNIT_BYTES,
+    SharedHost,
 )
 from repro.sim.nicsim import NicSimResult, cross_validate, simulate_nic
 from repro.units import KIB, MIB
@@ -224,7 +224,7 @@ class TestCouplingMechanics:
     def test_coupling_rejects_mmio(self):
         from repro.core.transactions import OpKind
 
-        coupling = HostCoupling(NEUTRAL_HOST, ring_depth=64, seed=1)
+        coupling = SharedHost([NEUTRAL_HOST], [64], seed=1).couplings[0]
         with pytest.raises(ValidationError):
             coupling.access(
                 OpKind.MMIO_READ, direction="tx", payload=False, size=4
@@ -233,7 +233,7 @@ class TestCouplingMechanics:
     def test_access_counters_split_by_region(self):
         from repro.core.transactions import OpKind
 
-        coupling = HostCoupling(NEUTRAL_HOST, ring_depth=64, seed=1)
+        coupling = SharedHost([NEUTRAL_HOST], [64], seed=1).couplings[0]
         coupling.access(OpKind.DMA_READ, direction="tx", payload=True, size=512)
         coupling.access(OpKind.DMA_WRITE, direction="rx", payload=False, size=16)
         stats = coupling.stats()
