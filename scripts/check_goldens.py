@@ -125,6 +125,7 @@ def main() -> int:
     for name in (
         "contention_pair_iommu_seeded.json",
         "contention_tree_sliced_control_seeded.json",
+        "contention_pair_wrr_control_seeded.json",
     ):
         ok &= check(
             name,

@@ -1,12 +1,16 @@
 """Bit-exact golden tests for seeded multi-device contention runs.
 
-Two records pin the contended scenarios the solo and fleet goldens miss:
+Three records pin the contended scenarios the solo and fleet goldens miss:
 
 * ``contention_pair_iommu_seeded.json`` — the noisy-neighbour pair on a
   flat fcfs fabric sharing one IOMMU (``pcie-bench contend --iommu``);
 * ``contention_tree_sliced_control_seeded.json`` — four devices on a
   switch tree with sliced 8:1:1:2 grants, a DDIO partition, the IOMMU and
-  a threshold controller, including its action log.
+  a threshold controller, including its action log;
+* ``contention_pair_wrr_control_seeded.json`` — the same pair with the
+  IOMMU under wrr grants weighted 1:16 and a threshold controller, whose
+  mid-run ``set_weights`` retunes the wrr pick (the CI controller smoke's
+  flags, at seed 7).
 
 Unlike the tolerance-based nicsim goldens, these compare the serialised
 record *exactly*: the host-access and arbitration layers are optimised
@@ -29,6 +33,7 @@ GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 GOLDENS = (
     "contention_pair_iommu_seeded.json",
     "contention_tree_sliced_control_seeded.json",
+    "contention_pair_wrr_control_seeded.json",
 )
 
 
@@ -73,6 +78,21 @@ def test_tree_golden_covers_sliced_partitioned_controlled_tree():
     assert params["controller"] == "threshold"
     assert golden["result"]["topology_depth"] == 2
     assert golden["result"]["control_actions"]
+
+
+def test_wrr_golden_covers_retuned_weighted_pair():
+    golden = _load(GOLDENS[2])
+    params = golden["params"]
+    assert params["arbiter"] == "wrr"
+    assert params["weights"] == [1.0, 16.0]
+    assert params["controller"] == "threshold"
+    assert params["iommu_enabled"] is True
+    devices = golden["result"]["devices"]
+    assert [device["name"] for device in devices] == ["victim", "aggressor"]
+    actions = golden["result"]["control_actions"]
+    assert actions
+    assert all(action["actuator"] == "weights" for action in actions)
+    assert any(action["before"] != action["after"] for action in actions)
 
 
 @pytest.mark.parametrize("name", GOLDENS)
