@@ -188,9 +188,9 @@ class ControlRuntime:
         window_ns: float,
         loop,
     ) -> None:
-        if window_ns <= 0:
+        if not 0 < window_ns < math.inf:
             raise ValidationError(
-                f"control window must be positive, got {window_ns}"
+                f"control window must be finite and positive, got {window_ns}"
             )
         self.controller = controller
         self.window_ns = float(window_ns)

@@ -158,9 +158,11 @@ class EventLoop:
       beats paying per-event scheduling for half of all events, and
       keeps the heap small.
 
-    ``peek_time`` exposes the earliest pending event so resources can
-    service back-to-back grants without a scheduler round trip per grant
-    (see :meth:`ArbitratedResource.attach_loop`).
+    ``peek_time`` exposes the earliest pending event.  Batched
+    :class:`ArbitratedResource` grants read the same state directly, and
+    claim a wake-up's insertion sequence before scheduling it, so they
+    can service back-to-back grants without a scheduler round trip per
+    grant (see :meth:`ArbitratedResource.attach_loop`).
     """
 
     __slots__ = (
@@ -180,36 +182,16 @@ class EventLoop:
         #: Events dispatched by :meth:`run` (the profiling hook's counter).
         self.processed = 0
         #: True while :meth:`run` is draining.  Batch-granting resources
-        #: check this: outside the loop, a ``peek_time``-based "nothing
-        #: happens before t" conclusion would be unsound, because the
-        #: driver may still schedule arbitrary events before calling run.
+        #: check this: outside the loop, a "nothing happens before t"
+        #: conclusion drawn from the pending events would be unsound,
+        #: because the driver may still schedule arbitrary events before
+        #: calling run.
         self.running = False
 
     def at(self, time: float, fn: Callable[[float], None]) -> None:
         """Schedule ``fn(time)``; same-time events run in call order."""
         sequence = self._sequence
         self._sequence = sequence + 1
-        heapq.heappush(self._heap, (time, sequence, fn))
-
-    def reserve(self) -> int:
-        """Claim the next insertion sequence without scheduling anything.
-
-        Pairs with :meth:`at_sequenced`: a caller that *may* schedule an
-        event later — after running code that schedules its own events —
-        can reserve its tie-break position up front, so the eventual event
-        sorts exactly as if it had been scheduled at reservation time.
-        :class:`ArbitratedResource` holds its wake-up's position this way
-        while the grant callback runs, then either schedules under it or
-        batches the next grant inline.
-        """
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        return sequence
-
-    def at_sequenced(
-        self, time: float, sequence: int, fn: Callable[[float], None]
-    ) -> None:
-        """Schedule ``fn(time)`` under a sequence from :meth:`reserve`."""
         heapq.heappush(self._heap, (time, sequence, fn))
 
     def feed(self, time: float, fn: Callable[[float, object], None], arg: object) -> None:
@@ -569,8 +551,8 @@ class ArbitratedResource:
       backlog once they have aged a fraction ``1/weight`` as long.
     * ``"sliced"`` — preemptible weighted fair service: pick order is
       wrr's, but service is granted in quanta of ``quantum_ns``; a request
-      longer than one quantum is put back at the head of its queue with
-      the remainder, so a victim's request never waits behind more than
+      longer than one quantum stays at the head of its queue with the
+      remainder, so a victim's request never waits behind more than
       the in-flight *slice* of a bulk grant instead of its full service
       time.  The grant callback fires when the final slice is dispatched
       and receives the *virtual* start time ``completion - duration``, so
@@ -583,6 +565,15 @@ class ArbitratedResource:
     service ends.  Grants are delivered through ``grant(start_time)``
     callbacks; service for a grant occupies ``[start, start + duration)``.
 
+    **Dispatch.**  One method decides every grant.  The wake-up event
+    scheduled for a grant's service end runs it directly, and
+    :meth:`request` runs it when the resource is idle with no wake-up
+    pending.  Each scheme's pick is inline in its loop.  A count of
+    queued requests (the backlog) spares the two commonest wake-ups a
+    pass over the queue heads: with nothing queued the wake-up returns
+    at once, and a lone request needs no pick — it is granted, or slept
+    on until it arrives when it is still in the future.
+
     Determinism: grant order is a pure function of (request times, call
     order, scheme, weights, quantum); same-time dispatch decisions use
     client index as the final tie-break, so runs reproduce bit for bit.
@@ -592,10 +583,10 @@ class ArbitratedResource:
     strictly *after* this grant's service end, nothing can change the
     queues before the resource frees, so the next grant is dispatched
     inline instead of through a wake-up event.  The wake-up's tie-break
-    sequence is reserved up front (:meth:`EventLoop.reserve`), so when
-    batching is *not* possible the scheduled wake-up sorts exactly where
-    the unbatched code would have put it — pop order, and therefore every
-    seeded golden, is bit-identical either way.
+    sequence is claimed from the loop before the grant callback runs, so
+    when batching is *not* possible the scheduled wake-up sorts exactly
+    where the unbatched code would have put it — pop order, and therefore
+    every seeded golden, is bit-identical either way.
     """
 
     __slots__ = (
@@ -608,8 +599,10 @@ class ArbitratedResource:
         "_loop",
         "_queues",
         "_sequence",
+        "_backlog",
         "_busy_until",
         "_dispatch_pending",
+        "_unused_wake",
         "_last_granted",
         "stats",
     )
@@ -634,9 +627,9 @@ class ArbitratedResource:
         if scheme == "sliced":
             if quantum_ns is None:
                 quantum_ns = DEFAULT_QUANTUM_NS
-            if quantum_ns <= 0:
+            if not 0 < quantum_ns < math.inf:
                 raise ValidationError(
-                    f"quantum_ns must be positive, got {quantum_ns}"
+                    f"quantum_ns must be finite and positive, got {quantum_ns}"
                 )
         elif quantum_ns is not None:
             raise ValidationError(
@@ -644,16 +637,10 @@ class ArbitratedResource:
             )
         if weights is None:
             weights = (1.0,) * clients
-        if len(weights) != clients:
-            raise ValidationError(
-                f"need one weight per client ({clients}), got {len(weights)}"
-            )
-        if any(weight <= 0 for weight in weights):
-            raise ValidationError(f"weights must be positive, got {weights}")
         self.name = name
         self.clients = clients
         self.scheme = scheme
-        self.weights = tuple(float(weight) for weight in weights)
+        self.set_weights(weights)
         self.quantum_ns = None if quantum_ns is None else float(quantum_ns)
         self._schedule = schedule
         self._loop: EventLoop | None = None
@@ -664,15 +651,20 @@ class ArbitratedResource:
             ...,
         ] = tuple(deque() for _ in range(clients))
         self._sequence = 0
+        #: Requests queued across all clients (a remnant counts as one).
+        self._backlog = 0
         self._busy_until = 0.0
         self._dispatch_pending = False
+        #: The wake-up sequence an idle batched dispatch claimed but did
+        #: not use (see :meth:`_resume_wake_up`).
+        self._unused_wake = -1
         self._last_granted = clients - 1
         self.stats = tuple(ArbiterClientStats() for _ in range(clients))
 
     @property
     def pending(self) -> int:
         """Requests currently queued across all clients."""
-        return sum(len(queue) for queue in self._queues)
+        return self._backlog
 
     def set_weights(self, weights: "tuple[float, ...]") -> None:
         """Replace the per-client weights mid-run (control-plane actuator).
@@ -680,14 +672,17 @@ class ArbitratedResource:
         Safe at any time: the schedulers read ``self.weights`` at pick
         time, so the new weights govern every grant from the next
         dispatch on, while queued requests and in-flight grants are
-        untouched.  Same validation as construction.
+        untouched.  Weights must be finite and positive, as at
+        construction.
         """
         if len(weights) != self.clients:
             raise ValidationError(
                 f"need one weight per client ({self.clients}), got {len(weights)}"
             )
-        if any(weight <= 0 for weight in weights):
-            raise ValidationError(f"weights must be positive, got {weights}")
+        if any(not 0 < weight < math.inf for weight in weights):
+            raise ValidationError(
+                f"weights must be finite and positive, got {tuple(weights)}"
+            )
         self.weights = tuple(float(weight) for weight in weights)
 
     @property
@@ -709,9 +704,13 @@ class ArbitratedResource:
             (now, self._sequence, duration, grant, duration)
         )
         self._sequence += 1
+        self._backlog += 1
         self.stats[client].requests += 1
-        if not self._dispatch_pending and self._busy_until <= now:
-            self._dispatch(now)
+        if not self._dispatch_pending:
+            if self._busy_until <= now:
+                self._dispatch(now)
+            else:
+                self._resume_wake_up()
 
     def _reject(self, client: int, now: float, duration: float) -> None:
         if not 0 <= client < self.clients:
@@ -724,122 +723,148 @@ class ArbitratedResource:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _pick(self, now: float) -> int:
-        """The client to serve next, or -1 when no queued request has arrived.
-
-        One pass over the queue heads.  Only requests asked at or before
-        ``now`` are eligible.  Each scheme's order (see the class
-        docstring) with its deterministic tie-break: fcfs by ``(asked,
-        sequence)``; rr the first eligible client after the last grant;
-        wrr/sliced by ``(busy / weight, index)``; age by the largest
-        weighted age, then the lowest index.
-        """
-        queues = self._queues
-        scheme = self.scheme
-        best = -1
-        if scheme == "rr":
-            clients = self.clients
-            last = self._last_granted
-            for offset in range(1, clients + 1):
-                index = (last + offset) % clients
-                queue = queues[index]
-                if queue and queue[0][0] <= now:
-                    return index
-            return best
-        if scheme == "fcfs":
-            # Globally oldest request; the per-client queues are FIFO, so
-            # comparing heads suffices.  The submission sequence breaks
-            # same-time ties in call order, like SerialResource.
-            oldest = None
-            for index, queue in enumerate(queues):
-                if queue:
-                    head = queue[0]
-                    asked = head[0]
-                    if asked <= now and (
-                        oldest is None
-                        or asked < oldest[0]
-                        or (asked == oldest[0] and head[1] < oldest[1])
-                    ):
-                        best = index
-                        oldest = head
-            return best
-        weights = self.weights
-        best_score = 0.0
-        if scheme == "age":
-            # Largest weighted age first; strict comparison keeps the
-            # lowest client index on a tie.
-            for index, queue in enumerate(queues):
-                if queue:
-                    asked = queue[0][0]
-                    if asked <= now:
-                        score = (now - asked) * weights[index]
-                        if best < 0 or score > best_score:
-                            best = index
-                            best_score = score
-            return best
-        # wrr and sliced: least normalised service first.
-        stats = self.stats
-        for index, queue in enumerate(queues):
-            if queue and queue[0][0] <= now:
-                score = stats[index].busy_ns_total / weights[index]
-                if best < 0 or score < best_score:
-                    best = index
-                    best_score = score
-        return best
-
     def attach_loop(self, loop: EventLoop) -> None:
         """Enable batched grants against ``loop``.
 
         ``loop`` must be the event loop behind the ``schedule`` hook this
-        resource was constructed with; batching consults its
-        ``peek_time``/``running`` state to prove the inline dispatch is
+        resource was constructed with; batching reads its pending events
+        and claims its insertion sequences to prove the inline dispatch is
         indistinguishable from a scheduled wake-up.
         """
         self._loop = loop
 
     def _dispatch(self, now: float) -> None:
+        """Grant the resource at ``now`` (the wake-up event itself).
+
+        Grants back to back while batching allows, then leaves at most
+        one wake-up pending: at the in-flight grant's service end, or at
+        the earliest queued arrival when every queued request is still in
+        the future.  The pick is one pass over the queue heads, and only
+        requests asked at or before ``now`` are eligible.
+        """
+        self._dispatch_pending = False
+        backlog = self._backlog
+        if not backlog:
+            return
         loop = self._loop
+        batched = loop is not None and loop.running
         queues = self._queues
+        scheme = self.scheme
         # Only the sliced scheme has a quantum (checked at construction).
         quantum = self.quantum_ns
         while True:
             if now < self._busy_until:  # pragma: no cover - defensive guard
                 return
-            client = self._pick(now)
-            if client < 0:
-                self._sleep_until_arrival()
-                return
-            queue = queues[client]
-            asked, sequence, remaining, grant, total = queue.popleft()
+            if backlog == 1:
+                # One request, so no pick.  A sliced remnant is still at
+                # the head of the last-granted client's queue.
+                client = self._last_granted
+                queue = queues[client]
+                if not queue:
+                    client = 0
+                    queue = queues[0]
+                    while not queue:
+                        client += 1
+                        queue = queues[client]
+                arrival = queue[0][0]
+                if arrival > now:
+                    self._dispatch_pending = True
+                    self._schedule(arrival, self._dispatch)
+                    return
+            else:
+                client = -1
+                if scheme == "fcfs":
+                    # The globally oldest request: the per-client queues
+                    # are FIFO, so comparing heads suffices.  Heads compare
+                    # as (asked, sequence) tuples — sequences are unique,
+                    # so the comparison never reaches the callback — and
+                    # the sequence breaks same-time ties in call order,
+                    # like SerialResource.
+                    oldest = None
+                    for index, queue in enumerate(queues):
+                        if queue:
+                            head = queue[0]
+                            if head[0] <= now and (oldest is None or head < oldest):
+                                client = index
+                                oldest = head
+                elif scheme == "rr":
+                    # The first eligible client after the last grant.
+                    clients = self.clients
+                    last = self._last_granted
+                    for offset in range(1, clients + 1):
+                        index = (last + offset) % clients
+                        queue = queues[index]
+                        if queue and queue[0][0] <= now:
+                            client = index
+                            break
+                elif scheme == "age":
+                    # Largest weighted age first; strict comparison keeps
+                    # the lowest client index on a tie.
+                    weights = self.weights
+                    best = 0.0
+                    for index, queue in enumerate(queues):
+                        if queue:
+                            asked = queue[0][0]
+                            if asked <= now:
+                                score = (now - asked) * weights[index]
+                                if client < 0 or score > best:
+                                    client = index
+                                    best = score
+                else:
+                    # wrr and sliced: least normalised service first.
+                    all_stats = self.stats
+                    weights = self.weights
+                    best = 0.0
+                    for index, queue in enumerate(queues):
+                        if queue and queue[0][0] <= now:
+                            score = all_stats[index].busy_ns_total / weights[index]
+                            if client < 0 or score < best:
+                                client = index
+                                best = score
+                if client < 0:
+                    # Every queued request is still in the future, which
+                    # happens only when the resource is driven outside an
+                    # event loop: wake at the earliest arrival.
+                    self._dispatch_pending = True
+                    self._schedule(
+                        min(queue[0][0] for queue in queues if queue),
+                        self._dispatch,
+                    )
+                    return
+                queue = queues[client]
+            asked, sequence, remaining, grant, total = queue[0]
             stats = self.stats[client]
-            sliced_remnant = quantum is not None and remaining > quantum
-            if sliced_remnant:
-                # Serve one quantum and put the remnant back at the head
-                # of the client's queue (same asked time and sequence, so
-                # fcfs-style ordering facts about the original request
-                # survive slicing).
+            if quantum is not None and remaining > quantum:
+                # Serve one quantum; the remnant stays at the head of the
+                # client's queue under the same asked time and sequence,
+                # so fcfs-style ordering facts about the original request
+                # survive slicing.
                 served = quantum
-                queue.appendleft(
-                    (asked, sequence, remaining - served, grant, total)
-                )
+                queue[0] = (asked, sequence, remaining - quantum, grant, total)
+                final = False
             else:
                 served = remaining
+                queue.popleft()
+                self._backlog = backlog - 1
+                final = True
             stats.busy_ns_total += served
             end = now + served
             self._busy_until = end
             self._last_granted = client
             self._dispatch_pending = True
-            batched = loop is not None and loop.running
             if batched:
-                # Batched path: hold the wake-up's tie-break position while
-                # the grant callback runs (see below).
-                wake_sequence = loop.reserve()
+                # EventLoop.at, open-coded in two halves like every loop
+                # access on this path, which runs once per grant.  Claim
+                # the wake-up's tie-break sequence now, so it sorts ahead
+                # of any same-time event the grant callback schedules;
+                # push it after the callback only if needed.
+                wake_sequence = loop._sequence
+                loop._sequence = wake_sequence + 1
             else:
-                # Legacy path: wake up through the scheduler.  The wake-up
-                # is scheduled *before* the grant callback runs, so it
-                # sorts ahead of any same-time event the grant schedules.
-                self._schedule(end, self._on_free)
-            if not sliced_remnant:
+                # Unbatched: the wake-up is scheduled *before* the grant
+                # callback runs, with the same effect.
+                self._schedule(end, self._dispatch)
+            if final:
                 # The virtual start backdates a sliced grant so that
                 # start + total == the true completion time; for unsliced
                 # grants (remaining == total) it is the dispatch time.
@@ -853,31 +878,38 @@ class ArbitratedResource:
                 grant(start)
             if not batched:
                 return
-            # Either dispatch the next grant inline (nothing pending before
-            # the service end, so the loop state at ``end`` is already
-            # final) or schedule the wake-up under the reserved sequence —
-            # same pop order either way.
-            if loop.peek_time() > end:
-                self._dispatch_pending = False
-                now = end
-                continue
-            loop.at_sequenced(end, wake_sequence, self._on_free)
-            return
+            # EventLoop.peek_time, open-coded: if any event is pending at
+            # or before the service end, schedule the wake-up under the
+            # claimed sequence.  Otherwise the loop state at ``end`` is
+            # already final and the next grant is dispatched inline —
+            # the same pop order either way.
+            heap = loop._heap
+            if heap and heap[0][0] <= end:
+                heapq.heappush(heap, (end, wake_sequence, self._dispatch))
+                return
+            stream = loop._stream
+            position = loop._stream_pos
+            if position < len(stream) and stream[position][0] <= end:
+                heapq.heappush(heap, (end, wake_sequence, self._dispatch))
+                return
+            self._dispatch_pending = False
+            backlog = self._backlog
+            if not backlog:
+                self._unused_wake = wake_sequence
+                return
+            now = end
 
-    def _sleep_until_arrival(self) -> None:
-        """Wake at the earliest queued request's arrival, if any is queued.
+    def _resume_wake_up(self) -> None:
+        """Schedule the wake-up an idle batched dispatch left out.
 
-        Every queued request is in the caller's future only when the
-        resource is driven outside an event loop.
+        A batched dispatch that finds nothing queued after its last grant
+        returns without a wake-up, but when :meth:`request` started it,
+        the event that called may go on to request again before that
+        grant's service ends.  The wake-up then goes where the unbatched
+        path would have put it: at the service end, under the sequence
+        claimed before the grant callback ran.
         """
-        wake = None
-        for queue in self._queues:
-            if queue and (wake is None or queue[0][0] < wake):
-                wake = queue[0][0]
-        if wake is not None:
-            self._dispatch_pending = True
-            self._schedule(wake, self._on_free)
-
-    def _on_free(self, now: float) -> None:
-        self._dispatch_pending = False
-        self._dispatch(now)
+        self._dispatch_pending = True
+        heapq.heappush(
+            self._loop._heap, (self._busy_until, self._unused_wake, self._dispatch)
+        )

@@ -54,6 +54,7 @@ something to arbitrate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Sequence
@@ -169,9 +170,9 @@ class FabricConfig:
                     f"{self.arbiter!r} scheme ignores them"
                 )
             weights = tuple(float(weight) for weight in self.weights)
-            if any(weight <= 0 for weight in weights):
+            if any(not 0 < weight < math.inf for weight in weights):
                 raise ValidationError(
-                    f"arbitration weights must be positive, got {weights}"
+                    f"arbitration weights must be finite and positive, got {weights}"
                 )
             object.__setattr__(self, "weights", weights)
         if isinstance(self.topology, str):
@@ -182,9 +183,9 @@ class FabricConfig:
             quantum = (
                 DEFAULT_QUANTUM_NS if self.quantum_ns is None else float(self.quantum_ns)
             )
-            if quantum <= 0:
+            if not 0 < quantum < math.inf:
                 raise ValidationError(
-                    f"quantum_ns must be positive, got {quantum}"
+                    f"quantum_ns must be finite and positive, got {quantum}"
                 )
             object.__setattr__(self, "quantum_ns", quantum)
         elif self.quantum_ns is not None:
@@ -194,9 +195,10 @@ class FabricConfig:
             )
         if self.ddio_partition is not None:
             shares = tuple(float(share) for share in self.ddio_partition)
-            if any(share <= 0 for share in shares):
+            if any(not 0 < share < math.inf for share in shares):
                 raise ValidationError(
-                    f"ddio_partition shares must be positive, got {shares}"
+                    f"ddio_partition shares must be finite and positive, "
+                    f"got {shares}"
                 )
             object.__setattr__(self, "ddio_partition", shares)
         if self.cache_model not in ("statistical", "faithful"):
@@ -216,9 +218,9 @@ class FabricConfig:
                     "controller; the 'static' policy never ticks"
                 )
             window = float(self.control_window_ns)
-            if window <= 0:
+            if not 0 < window < math.inf:
                 raise ValidationError(
-                    f"control_window_ns must be positive, got {window}"
+                    f"control_window_ns must be finite and positive, got {window}"
                 )
             object.__setattr__(self, "control_window_ns", window)
 

@@ -30,6 +30,7 @@ here when a host is attached.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ValidationError
 from ..units import CACHELINE_BYTES
@@ -41,9 +42,13 @@ from .numa import NumaTopology
 from .rng import SimRng
 
 
-@dataclass(frozen=True, slots=True)
-class HostAccess:
+class HostAccess(NamedTuple):
     """Host-side outcome of one DMA transaction (no link serialisation).
+
+    An immutable named tuple, because the host-access path builds one per
+    DMA: its constructor is one ``tuple.__new__`` call, where a frozen
+    dataclass sets each field through ``object.__setattr__``.  Assigning
+    a field raises ``AttributeError``.
 
     Attributes:
         latency_ns: time from the transaction reaching the root complex to

@@ -49,6 +49,7 @@ multi-device runs reproduce the pre-topology results bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -449,8 +450,10 @@ class CompiledTopology:
                 f"need one weight per device ({len(self.device_names)}), "
                 f"got {len(weights)}"
             )
-        if any(weight <= 0 for weight in weights):
-            raise ValidationError(f"weights must be positive, got {tuple(weights)}")
+        if any(not 0 < weight < math.inf for weight in weights):
+            raise ValidationError(
+                f"weights must be finite and positive, got {tuple(weights)}"
+            )
         device_weight = dict(zip(self.device_names, weights))
         for node, kids in self._children.items():
             self._arbiters[node].set_weights(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.bench.contention import (
@@ -136,6 +138,24 @@ class TestContentionParams:
             _pair(ddio_partition=(1.0, -1.0))
         with pytest.raises(ValidationError):
             _pair(cache_model="magic")
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf), ids=("nan", "inf"))
+    @pytest.mark.parametrize(
+        "knob", ("weights", "quantum_ns", "ddio_partition", "control_window_ns")
+    )
+    def test_rejects_non_finite_knobs(self, knob, bad):
+        # NaN and inf pass a "<= 0" check; a NaN control window used to
+        # make the controlled run tick forever.
+        overrides = {
+            "weights": dict(arbiter="wrr", weights=(1.0, bad)),
+            "quantum_ns": dict(arbiter="sliced", quantum_ns=bad),
+            "ddio_partition": dict(ddio_partition=(1.0, bad)),
+            "control_window_ns": dict(
+                controller="threshold", control_window_ns=bad
+            ),
+        }[knob]
+        with pytest.raises(ValidationError, match="finite and positive"):
+            _pair(**overrides)
 
     def test_solo_device_params_couples_to_the_fabric_host(self):
         params = _pair(seed=17)

@@ -356,6 +356,19 @@ class TestContendCommand:
         assert code == 1
         assert "control_window_ns" in captured.err
 
+    @pytest.mark.parametrize(
+        "flags",
+        (
+            ["--control-window", "nan"],
+            ["--controller", "threshold", "--control-window", "nan"],
+            ["--arbiter", "sliced", "--quantum", "nan"],
+        ),
+    )
+    def test_contend_rejects_non_finite_knobs(self, capsys, flags):
+        code = main(["contend", *flags])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_contend_rejects_unknown_controller(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["contend", "--controller", "pid"])

@@ -1,48 +1,136 @@
-"""Differential test of ArbitratedResource's one-pass pick.
+"""Differential test of ArbitratedResource against a standalone reference.
 
-``ArbitratedResource._dispatch`` chooses the next grant in one pass over
-the per-client queue heads.  This suite keeps the straightforward picker
-as the reference: build the backlog and eligible lists, then ``min`` /
-``max`` with a tie-break key per scheme, exactly as the engine used to.
-Hypothesis drives both with the same request schedules and requires the
-same grant order, the same grant start times, the same number of
-dispatched events and the same per-client :class:`ArbiterClientStats`.
+``ArbitratedResource`` decides every grant in one dispatch loop: the
+wake-up event runs it directly, each scheme's pick is one pass over the
+per-client queue heads, a backlog count short-cuts idle wake-ups and
+lone requests, and a sliced remnant is rewritten in place.  This suite
+keeps a straightforward arbiter as the reference.  It shares no code with
+the class under test: its own queues and request path, the backlog and
+eligible lists with ``min`` / ``max`` and a tie-break key per scheme, and
+the same wake-up rule — scheduled before the grant callback when
+unbatched; when batched, the loop's next sequence is claimed before the
+callback and the wake-up is pushed under it only if ``peek_time`` shows
+an event at or before the service end, otherwise the next grant follows
+inline.  Hypothesis drives both with the same request schedules and
+requires the same grant order, the same grant start times, the same
+number of dispatched events, the same per-client counters, the same
+``busy_until`` and the same ``pending`` count.
 
 The schedules cover 2-4 clients, many equal-time ties, weights (and a
 ``set_weights`` retune mid-run), sliced remnants, all five schemes,
-batched and unbatched grants, follow-up requests submitted on completion
-and requests submitted outside the event loop ahead of time.
+batched and unbatched grants, follow-up requests submitted on completion,
+requests fed through the loop's arrival stream (which a batched grant
+must look at too) and requests submitted outside the event loop ahead of
+time.  The
+explicit examples reach each short cut of the dispatch loop: an idle
+wake-up, a lone queued request, a lone sliced remnant and a lone request
+still in the future (``test_examples_reach_every_short_cut``).
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+import heapq
+from collections import Counter
 
-from repro.sim.engine import (
-    ARBITER_SCHEMES,
-    ArbiterClientStats,
-    ArbitratedResource,
-    EventLoop,
-)
+from hypothesis import example, given, settings, strategies as st
+
+from repro.sim.engine import ARBITER_SCHEMES, ArbitratedResource, EventLoop
+
+#: The sliced quantum when a scenario leaves it unset.
+REFERENCE_QUANTUM_NS = 16.0
 
 
-class ReferenceArbiter(ArbitratedResource):
-    """ArbitratedResource with the list + ``min``/``max`` picker."""
+class _Counters:
+    """Per-client accounting, named like ``ArbiterClientStats``."""
 
-    def _reference_pick(self, eligible: list[int], now: float) -> int:
+    def __init__(self) -> None:
+        self.requests = 0
+        self.waited = 0
+        self.wait_ns_total = 0.0
+        self.wait_ns_max = 0.0
+        self.busy_ns_total = 0.0
+
+
+class ReferenceArbiter:
+    """Per-client lists and a list + ``min``/``max`` picker.
+
+    ``situations`` tallies what each dispatch found, so a test can show
+    which paths of the class under test a schedule exercises: the short
+    cuts ``idle wake-up``, ``lone request``, ``lone remnant`` and ``lone
+    future request``, and ``resumed wake-up``, a batched wake-up pushed
+    late because the event that started an idle dispatch requested again.
+    """
+
+    def __init__(
+        self, name, clients, *, schedule, scheme, weights=None, quantum_ns=None
+    ):
+        self.clients = clients
+        self.scheme = scheme
+        self.weights = (1.0,) * clients if weights is None else tuple(weights)
+        if scheme == "sliced" and quantum_ns is None:
+            quantum_ns = REFERENCE_QUANTUM_NS
+        self.quantum_ns = quantum_ns
+        self._schedule = schedule
+        self._loop = None
+        # Entries are (asked, order, remaining, grant, total, sliced).
+        self._queues = [[] for _ in range(clients)]
+        self._order = 0
+        self._busy_until = 0.0
+        self._waking = False
+        self._last_granted = clients - 1
+        self._unpushed = None
+        self.stats = [_Counters() for _ in range(clients)]
+        self.situations: Counter[str] = Counter()
+
+    @property
+    def pending(self) -> int:
+        return sum(len(queue) for queue in self._queues)
+
+    @property
+    def busy_until(self) -> float:
+        return self._busy_until
+
+    def set_weights(self, weights) -> None:
+        self.weights = tuple(weights)
+
+    def attach_loop(self, loop: EventLoop) -> None:
+        self._loop = loop
+
+    def request(self, client, now, duration, grant) -> None:
+        self._queues[client].append(
+            (now, self._order, duration, grant, duration, False)
+        )
+        self._order += 1
+        self.stats[client].requests += 1
+        if self._waking:
+            return
+        if self._busy_until <= now:
+            self._wake(now)
+        else:
+            # Busy with no wake-up: the dispatch that made the last grant
+            # followed it inline, found nothing queued and returned into
+            # the event that is requesting again now.  Push the wake-up it
+            # claimed.
+            self.situations["resumed wake-up"] += 1
+            self._waking = True
+            heapq.heappush(self._loop._heap, (*self._unpushed, self._wake))
+
+    def _pick(self, eligible: list[int], now: float) -> int:
+        queues = self._queues
         if self.scheme == "fcfs":
-            return min(eligible, key=lambda index: self._queues[index][0][:2])
+            return min(eligible, key=lambda index: queues[index][0][:2])
         if self.scheme == "rr":
-            for offset in range(1, self.clients + 1):
-                index = (self._last_granted + offset) % self.clients
-                if index in eligible:
-                    return index
-            return eligible[0]
+            return next(
+                index
+                for offset in range(1, self.clients + 1)
+                if (index := (self._last_granted + offset) % self.clients)
+                in eligible
+            )
         if self.scheme == "age":
             return max(
                 eligible,
                 key=lambda index: (
-                    (now - self._queues[index][0][0]) * self.weights[index],
+                    (now - queues[index][0][0]) * self.weights[index],
                     -index,
                 ),
             )
@@ -54,18 +142,11 @@ class ReferenceArbiter(ArbitratedResource):
             ),
         )
 
-    def _reference_grant(self, stats, grant, start: float, asked: float) -> None:
-        if start > asked:
-            wait = start - asked
-            stats.waited += 1
-            stats.wait_ns_total += wait
-            if wait > stats.wait_ns_max:
-                stats.wait_ns_max = wait
-        grant(start)
-
-    def _dispatch(self, now: float) -> None:
-        loop = self._loop
+    def _wake(self, now: float) -> None:
+        self._waking = False
         queues = self._queues
+        if not any(queues):
+            self.situations["idle wake-up"] += 1
         while True:
             if now < self._busy_until:
                 return
@@ -73,50 +154,69 @@ class ReferenceArbiter(ArbitratedResource):
             if not backlog:
                 return
             eligible = [index for index in backlog if queues[index][0][0] <= now]
+            lone = sum(len(queues[index]) for index in backlog) == 1
             if not eligible:
-                wake = min(queues[index][0][0] for index in backlog)
-                self._dispatch_pending = True
-                self._schedule(wake, self._on_free)
-                return
-            client = self._reference_pick(eligible, now)
-            asked, sequence, remaining, grant, total = queues[client].popleft()
-            stats = self.stats[client]
-            sliced_remnant = (
-                self.scheme == "sliced"
-                and self.quantum_ns is not None
-                and remaining > self.quantum_ns
-            )
-            if sliced_remnant:
-                served = self.quantum_ns
-                queues[client].appendleft(
-                    (asked, sequence, remaining - served, grant, total)
+                if lone:
+                    self.situations["lone future request"] += 1
+                self._waking = True
+                self._schedule(
+                    min(queues[index][0][0] for index in backlog), self._wake
                 )
-            else:
-                served = remaining
+                return
+            client = self._pick(eligible, now)
+            queue = queues[client]
+            asked, order, remaining, grant, total, sliced = queue.pop(0)
+            if lone:
+                self.situations["lone remnant" if sliced else "lone request"] += 1
+            quantum = self.quantum_ns
+            final = quantum is None or remaining <= quantum
+            served = remaining if final else quantum
+            if not final:
+                queue.insert(0, (asked, order, remaining - served, grant, total, True))
+            stats = self.stats[client]
             stats.busy_ns_total += served
             end = now + served
             self._busy_until = end
             self._last_granted = client
-            self._dispatch_pending = True
-            if loop is None or not loop.running:
-                self._schedule(end, self._on_free)
-                if not sliced_remnant:
-                    self._reference_grant(stats, grant, end - total, asked)
+            self._waking = True
+            loop = self._loop
+            batched = loop is not None and loop.running
+            if batched:
+                # EventLoop.at in two halves: claim the sequence now...
+                wake_sequence = loop._sequence
+                loop._sequence += 1
+            else:
+                self._schedule(end, self._wake)
+            if final:
+                start = end - total
+                if start > asked:
+                    wait = start - asked
+                    stats.waited += 1
+                    stats.wait_ns_total += wait
+                    stats.wait_ns_max = max(stats.wait_ns_max, wait)
+                grant(start)
+            if not batched:
                 return
-            wake_sequence = loop.reserve()
-            if not sliced_remnant:
-                self._reference_grant(stats, grant, end - total, asked)
             if loop.peek_time() > end:
-                self._dispatch_pending = False
+                self._waking = False
+                self._unpushed = (end, wake_sequence)
                 now = end
                 continue
-            loop.at_sequenced(end, wake_sequence, self._on_free)
+            # ...and push under it only when an event precedes the service end.
+            heapq.heappush(loop._heap, (end, wake_sequence, self._wake))
             return
 
 
 WEIGHTS = st.sampled_from((0.5, 1.0, 2.0, 3.0, 8.0))
 #: Durations around the sliced quanta below, so remnants are common.
 DURATIONS = st.sampled_from((0.0, 3.0, 4.0, 8.0, 16.0, 17.0, 40.0, 100.0))
+#: How requests reach the arbiter: one scheduled event each
+#: (``loop.at``), one event per distinct time submitting all of that
+#: time's requests (``grouped``), the loop's pre-sorted arrival stream
+#: (``loop.feed``), or direct calls before the loop runs, in the drawn
+#: order or in time order (which often leaves one request queued in the
+#: resource's future).
+SUBMISSIONS = ("at", "grouped", "feed", "ahead", "ahead in time order")
 
 
 @st.composite
@@ -129,11 +229,14 @@ def scenarios(draw):
         st.none()
         | st.tuples(st.integers(0, 60).map(float), weight_list.map(tuple))
     )
-    # Times on a coarse 4 ns grid: many requests share an instant.
+    # Times on a coarse grid: with five 4 ns slots most requests share an
+    # instant with another; on the 40 ns grid the resource often idles
+    # between them.
+    spacing, slots = draw(st.sampled_from(((4.0, 4), (4.0, 40), (40.0, 40))))
     requests = draw(
         st.lists(
             st.tuples(
-                st.integers(0, 40).map(lambda t: 4.0 * t),
+                st.integers(0, slots).map(lambda t: spacing * t),
                 st.integers(0, clients - 1),
                 DURATIONS,
                 st.booleans(),
@@ -152,18 +255,60 @@ def scenarios(draw):
         "retune": retune,
         "requests": requests,
         "batched": draw(st.booleans()),
-        "ahead_of_loop": draw(st.booleans()),
+        "submission": draw(st.sampled_from(SUBMISSIONS)),
     }
 
 
-def _stats(stats: ArbiterClientStats) -> tuple:
-    return (
-        stats.requests,
-        stats.waited,
-        stats.wait_ns_total,
-        stats.wait_ns_max,
-        stats.busy_ns_total,
-    )
+def _scenario(scheme="fcfs", *, requests, batched, submission, quantum_ns=None):
+    return {
+        "clients": 2,
+        "scheme": scheme,
+        "weights": None,
+        "quantum_ns": quantum_ns,
+        "retune": None,
+        "requests": requests,
+        "batched": batched,
+        "submission": submission,
+    }
+
+
+#: Hand-written schedules, one per dispatch short cut (see the module
+#: docstring), each in the mode that reaches it.
+SHORT_CUT_EXAMPLES = (
+    # A lone request on an idle resource, then an idle wake-up.
+    _scenario(requests=[(0.0, 0, 8.0, False)], batched=False, submission="at"),
+    # A lone request queued behind a grant (a follow-up at t=4).
+    _scenario(
+        "wrr",
+        requests=[(0.0, 0, 8.0, False), (4.0, 1, 8.0, False)],
+        batched=True,
+        submission="feed",
+    ),
+    # A lone request sliced into quanta: its remnant is granted alone.
+    _scenario(
+        "sliced",
+        requests=[(0.0, 1, 40.0, False)],
+        batched=True,
+        submission="at",
+        quantum_ns=16.0,
+    ),
+    # Driven ahead of the loop: the second request is still in the future
+    # when the first grant's wake-up fires.
+    _scenario(
+        "rr",
+        requests=[(0.0, 0, 8.0, False), (40.0, 1, 8.0, False)],
+        batched=False,
+        submission="ahead",
+    ),
+    # One event requests twice: the first dispatch returns idle, and the
+    # second request resumes its wake-up.
+    _scenario(
+        "age",
+        requests=[(0.0, 0, 8.0, False), (0.0, 1, 8.0, False)],
+        batched=True,
+        submission="grouped",
+    ),
+)
 
 
 def _simulate(cls, scenario) -> tuple:
@@ -198,12 +343,33 @@ def _simulate(cls, scenario) -> tuple:
     if scenario["retune"] is not None:
         at, weights = scenario["retune"]
         loop.at(at, lambda now: arbiter.set_weights(weights))
-    for index, (time, client, duration, chain) in enumerate(scenario["requests"]):
+    requests = list(enumerate(scenario["requests"]))
+    if scenario["submission"] == "ahead in time order":
+        requests.sort(key=lambda request: request[1][0])
+    def submit_group(now: float, group: list) -> None:
+        for label, client, duration, chain in group:
+            submit(label, client, now, duration, chain)
+
+    groups: dict[float, list] = {}
+    for index, (time, client, duration, chain) in requests:
         label = f"r{index}"
-        if scenario["ahead_of_loop"]:
+        if scenario["submission"] == "grouped":
+            if time not in groups:
+                groups[time] = []
+                loop.at(
+                    time, lambda now, group=groups[time]: submit_group(now, group)
+                )
+            groups[time].append((label, client, duration, chain))
+        elif scenario["submission"].startswith("ahead"):
             # Submitted before the loop runs: requests in the future of
             # the resource's clock exercise the sleep-until-arrival path.
             submit(label, client, time, duration, chain)
+        elif scenario["submission"] == "feed":
+            loop.feed(
+                time,
+                lambda now, arg: submit(arg[0], arg[1], now, arg[2], arg[3]),
+                (label, client, duration, chain),
+            )
         else:
             loop.at(
                 time,
@@ -213,21 +379,50 @@ def _simulate(cls, scenario) -> tuple:
     loop.run()
     return (
         grants,
-        [_stats(stats) for stats in arbiter.stats],
+        [
+            (
+                stats.requests,
+                stats.waited,
+                stats.wait_ns_total,
+                stats.wait_ns_max,
+                stats.busy_ns_total,
+            )
+            for stats in arbiter.stats
+        ],
         loop.processed,
         arbiter.busy_until,
         arbiter.pending,
-    )
+    ), arbiter
+
+
+def _examples(test):
+    for scenario in SHORT_CUT_EXAMPLES:
+        test = example(scenario=scenario)(test)
+    return test
 
 
 @given(scenario=scenarios())
+@_examples
 @settings(max_examples=300, deadline=None)
 def test_one_pass_pick_matches_reference_picker(scenario):
-    expected = _simulate(ReferenceArbiter, scenario)
-    actual = _simulate(ArbitratedResource, scenario)
+    expected, _ = _simulate(ReferenceArbiter, scenario)
+    actual, _ = _simulate(ArbitratedResource, scenario)
     assert actual == expected
     grants = actual[0]
     # Every request (and every follow-up) was eventually granted once.
     chained = sum(1 for request in scenario["requests"] if request[3])
     assert len(grants) == len(scenario["requests"]) + chained
     assert actual[4] == 0
+
+
+def test_examples_reach_every_short_cut():
+    reached: Counter[str] = Counter()
+    for scenario in SHORT_CUT_EXAMPLES:
+        reached += _simulate(ReferenceArbiter, scenario)[1].situations
+    assert set(reached) == {
+        "idle wake-up",
+        "lone request",
+        "lone remnant",
+        "lone future request",
+        "resumed wake-up",
+    }

@@ -177,34 +177,6 @@ class TestContractCases:
         assert loop.processed == 1
 
 
-class TestReservedSequences:
-    """The reserve()/at_sequenced() pair batched grants rely on."""
-
-    def test_reserved_sequence_keeps_pre_reservation_order(self):
-        # reserve() claims a tie-break slot *now*; an event scheduled with
-        # it later still dispatches before same-time events scheduled in
-        # between — exactly how a batched grant keeps its wake-up's place.
-        loop = EventLoop()
-        order = []
-        loop.at(10.0, lambda now: order.append("early"))
-        seq = loop.reserve()
-        loop.at(10.0, lambda now: order.append("later"))
-        loop.at_sequenced(10.0, seq, lambda now: order.append("reserved"))
-        loop.run()
-        assert order == ["early", "reserved", "later"]
-
-    def test_unused_reservation_is_invisible(self):
-        # A batched grant skips its wake-up: the claimed-but-unused
-        # sequence must leave no hole in dispatch order.
-        loop = EventLoop()
-        order = []
-        loop.at(5.0, lambda now: order.append("a"))
-        loop.reserve()
-        loop.at(5.0, lambda now: order.append("b"))
-        loop.run()
-        assert order == ["a", "b"]
-
-
 class TestEngineProfile:
     def test_derived_metrics_and_serialisation(self):
         profile = EngineProfile(

@@ -495,6 +495,106 @@ class TestArbitratedResource:
         sliced = ArbitratedResource("x", 2, schedule=loop.at, scheme="sliced")
         assert sliced.quantum_ns == DEFAULT_QUANTUM_NS
 
+    @pytest.mark.parametrize("batched", (False, True))
+    def test_wake_up_precedes_same_time_events_its_grant_schedules(
+        self, batched
+    ):
+        # The wake-up for a grant's service end sorts ahead of any event
+        # the grant callback schedules for that instant: unbatched it is
+        # scheduled before the callback runs, batched its sequence is
+        # claimed before the callback runs.  So the queued request is
+        # granted at t=10 before the callback's own t=10 event.
+        from repro.sim.engine import ArbitratedResource, EventLoop
+
+        loop = EventLoop()
+        resource = ArbitratedResource("x", 2, schedule=loop.at)
+        if batched:
+            resource.attach_loop(loop)
+        order = []
+
+        def first(start):
+            order.append(("first", start))
+            loop.at(10.0, lambda now: order.append(("event", now)))
+
+        loop.at(0.0, lambda now: resource.request(0, now, 10.0, first))
+        loop.at(
+            0.0,
+            lambda now: resource.request(
+                1, now, 5.0, lambda start: order.append(("second", start))
+            ),
+        )
+        loop.run()
+        assert order == [("first", 0.0), ("second", 10.0), ("event", 10.0)]
+        # Batched or not, the same events were dispatched: two requests,
+        # the callback's event and two wake-ups (the second one idle).
+        assert loop.processed == 5
+        assert resource.pending == 0
+
+    def test_batched_grants_follow_inline_when_nothing_intervenes(self):
+        # The grant callback queues a follow-up and nothing else is
+        # pending before either service end, so both grants run inside
+        # the one requesting event: no wake-up is scheduled at all.
+        from repro.sim.engine import ArbitratedResource, EventLoop
+
+        loop = EventLoop()
+        resource = ArbitratedResource("x", 2, schedule=loop.at)
+        resource.attach_loop(loop)
+        starts = []
+
+        def first(start):
+            starts.append(start)
+            resource.request(1, start, 5.0, starts.append)
+
+        loop.at(0.0, lambda now: resource.request(0, now, 10.0, first))
+        loop.run()
+        assert starts == [0.0, 10.0]
+        assert loop.processed == 1
+        assert resource.busy_until == 15.0
+
+    @pytest.mark.parametrize("batched", (False, True))
+    def test_second_request_of_one_event_waits_for_the_first(self, batched):
+        # One event requests twice.  Batched, the first request's dispatch
+        # finds nothing else queued or pending and returns without a
+        # wake-up; the second request must still be granted when the
+        # first one's service ends, exactly as without batching.
+        from repro.sim.engine import ArbitratedResource, EventLoop
+
+        loop = EventLoop()
+        resource = ArbitratedResource("x", 2, schedule=loop.at)
+        if batched:
+            resource.attach_loop(loop)
+        starts = []
+
+        def both(now):
+            resource.request(0, now, 10.0, starts.append)
+            resource.request(1, now, 5.0, starts.append)
+
+        loop.at(0.0, both)
+        loop.run()
+        assert starts == [0.0, 10.0]
+        assert resource.pending == 0
+        assert resource.busy_until == 15.0
+        # Batching leaves out only the idle wake-up at t=15.
+        assert loop.processed == (2 if batched else 3)
+
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+    def test_non_finite_weights_and_quantum_are_rejected(self, bad):
+        from repro.sim.engine import ArbitratedResource
+
+        loop = _ManualLoop()
+        with pytest.raises(ValidationError, match="finite and positive"):
+            ArbitratedResource(
+                "x", 2, schedule=loop.at, scheme="wrr", weights=(1.0, bad)
+            )
+        with pytest.raises(ValidationError, match="finite and positive"):
+            ArbitratedResource(
+                "x", 2, schedule=loop.at, scheme="sliced", quantum_ns=bad
+            )
+        resource = ArbitratedResource("x", 2, schedule=loop.at, scheme="wrr")
+        with pytest.raises(ValidationError, match="finite and positive"):
+            resource.set_weights((bad, 1.0))
+        assert resource.weights == (1.0, 1.0)
+
     def test_stats_snapshot_into_fabric_port_stats(self):
         from repro.sim.fabric import FabricPortStats
 

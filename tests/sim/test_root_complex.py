@@ -8,7 +8,7 @@ from repro.sim.iommu import Iommu, IommuConfig
 from repro.sim.noise import TightNoise
 from repro.sim.numa import NumaTopology
 from repro.sim.rng import SimRng
-from repro.sim.root_complex import RootComplex, RootComplexConfig
+from repro.sim.root_complex import HostAccess, RootComplex, RootComplexConfig
 from repro.units import KIB
 
 
@@ -22,6 +22,41 @@ def make_root_complex(**kwargs) -> RootComplex:
     )
     defaults.update(kwargs)
     return RootComplex(**defaults)
+
+
+class TestHostAccessRecord:
+    def test_positional_field_order_and_defaults(self):
+        # RootComplex.read/write build the record positionally, so the
+        # field order is part of its contract.
+        access = HostAccess(1.0, 2.0, 3.0, True, False, True, True)
+        assert (
+            access.latency_ns,
+            access.walker_occupancy_ns,
+            access.ingress_occupancy_ns,
+            access.cache_hit,
+            access.iotlb_hit,
+            access.writeback,
+            access.remote,
+        ) == (1.0, 2.0, 3.0, True, False, True, True)
+        default = HostAccess(5.0)
+        assert (
+            default.walker_occupancy_ns,
+            default.ingress_occupancy_ns,
+            default.cache_hit,
+            default.iotlb_hit,
+            default.writeback,
+            default.remote,
+        ) == (0.0, 0.0, False, True, False, False)
+        assert HostAccess(latency_ns=5.0, remote=True) == HostAccess(
+            5.0, remote=True
+        )
+
+    def test_is_immutable(self):
+        access = make_root_complex().read(0, 64)
+        with pytest.raises(AttributeError):
+            access.latency_ns = 0.0
+        with pytest.raises(AttributeError):
+            access.cache_hit = True
 
 
 class TestReads:

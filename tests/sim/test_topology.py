@@ -170,6 +170,20 @@ class TestCompiledTopology:
                 weights=(1.0,),
             )
 
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf"), 0.0))
+    def test_retuned_weights_must_be_finite_and_positive(self, bad):
+        loop = _ManualLoop()
+        tree = compile_topology(
+            "resource",
+            FabricTopology.parse("a=root,b=sw0,c=sw0,sw0=root"),
+            ("a", "b", "c"),
+            schedule=loop.at,
+            scheme="wrr",
+        )
+        with pytest.raises(ValidationError, match="finite and positive"):
+            tree.set_device_weights((1.0, bad, 1.0))
+        assert tree.root.weights == (1.0, 2.0)
+
     def test_compile_rejects_mismatched_leaves(self):
         loop = _ManualLoop()
         with pytest.raises(ValidationError):
