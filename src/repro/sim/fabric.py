@@ -98,6 +98,10 @@ from .topology import CompiledTopology, FabricTopology, compile_topology
 class FabricConfig:
     """The host and arbitration settings every device shares.
 
+    The weights, the quantum, the partition shares and the control window
+    must be finite and positive; anything else raises
+    :class:`~repro.errors.ValidationError`.
+
     Attributes:
         system: Table 1 profile supplying the shared root complex, cache,
             IOMMU, NUMA and noise calibrations.

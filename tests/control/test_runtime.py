@@ -207,8 +207,9 @@ class TestRuntimeTicks:
             runtime.add_device("dev1", 1, [FakeQueue()], [], FakeCoupling())
 
     def test_window_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            ControlRuntime(StaticController(), 0.0, EventLoop())
+        for window in (0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                ControlRuntime(StaticController(), window, EventLoop())
 
 
 class TestActuators:

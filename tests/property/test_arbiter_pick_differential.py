@@ -7,24 +7,26 @@ lone requests, and a sliced remnant is rewritten in place.  This suite
 keeps a straightforward arbiter as the reference.  It shares no code with
 the class under test: its own queues and request path, the backlog and
 eligible lists with ``min`` / ``max`` and a tie-break key per scheme, and
-the same wake-up rule — scheduled before the grant callback when
-unbatched; when batched, the loop's next sequence is claimed before the
-callback and the wake-up is pushed under it only if ``peek_time`` shows
-an event at or before the service end, otherwise the next grant follows
-inline.  Hypothesis drives both with the same request schedules and
-requires the same grant order, the same grant start times, the same
-number of dispatched events, the same per-client counters, the same
-``busy_until`` and the same ``pending`` count.
+the same wake-up rule.  Unbatched, the wake-up is scheduled before the
+grant callback runs.  Batched, the loop's next sequence is claimed
+before the callback, and the wake-up is pushed under it only if
+``peek_time`` shows an event at or before the service end; otherwise the
+next grant follows inline, and a request that later finds the resource
+busy with no wake-up pending pushes the claimed one.  Hypothesis drives
+both with the same request schedules and requires the same grant order,
+the same grant start times, the same number of dispatched events, the
+same per-client counters, the same ``busy_until`` and the same
+``pending`` count.
 
 The schedules cover 2-4 clients, many equal-time ties, weights (and a
 ``set_weights`` retune mid-run), sliced remnants, all five schemes,
 batched and unbatched grants, follow-up requests submitted on completion,
-requests fed through the loop's arrival stream (which a batched grant
-must look at too) and requests submitted outside the event loop ahead of
-time.  The
-explicit examples reach each short cut of the dispatch loop: an idle
-wake-up, a lone queued request, a lone sliced remnant and a lone request
-still in the future (``test_examples_reach_every_short_cut``).
+several requests from one event, requests fed through the loop's arrival
+stream (which a batched grant must look at too) and requests submitted
+outside the event loop ahead of time.  The explicit examples reach each
+short cut of the dispatch loop — an idle wake-up, a lone queued request,
+a lone sliced remnant and a lone request still in the future — and a
+resumed wake-up (``test_examples_reach_every_dispatch_path``).
 """
 
 from __future__ import annotations
@@ -272,8 +274,8 @@ def _scenario(scheme="fcfs", *, requests, batched, submission, quantum_ns=None):
     }
 
 
-#: Hand-written schedules, one per dispatch short cut (see the module
-#: docstring), each in the mode that reaches it.
+#: Hand-written schedules, one per dispatch path named in the module
+#: docstring, each in the mode that reaches it.
 SHORT_CUT_EXAMPLES = (
     # A lone request on an idle resource, then an idle wake-up.
     _scenario(requests=[(0.0, 0, 8.0, False)], batched=False, submission="at"),
@@ -415,7 +417,7 @@ def test_one_pass_pick_matches_reference_picker(scenario):
     assert actual[4] == 0
 
 
-def test_examples_reach_every_short_cut():
+def test_examples_reach_every_dispatch_path():
     reached: Counter[str] = Counter()
     for scenario in SHORT_CUT_EXAMPLES:
         reached += _simulate(ReferenceArbiter, scenario)[1].situations

@@ -346,7 +346,14 @@ class TestArbitratedResource:
             ArbitratedResource("x", 2, schedule=loop.at, weights=(1.0,))
         with pytest.raises(ValidationError):
             ArbitratedResource("x", 2, schedule=loop.at, weights=(1.0, -1.0))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="finite and positive"):
+                ArbitratedResource("x", 2, schedule=loop.at, weights=(1.0, bad))
         resource = ArbitratedResource("x", 2, schedule=loop.at)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="finite and positive"):
+                resource.set_weights((bad, 1.0))
+        assert resource.weights == (1.0, 1.0)
         with pytest.raises(ValidationError, match=r"client must be within \[0, 2\)"):
             resource.request(5, 0.0, 1.0, lambda t: None)
         with pytest.raises(ValidationError, match="now must be non-negative"):
@@ -481,10 +488,11 @@ class TestArbitratedResource:
         from repro.sim.engine import ArbitratedResource
 
         loop = _ManualLoop()
-        with pytest.raises(ValidationError):
-            ArbitratedResource(
-                "x", 2, schedule=loop.at, scheme="sliced", quantum_ns=0.0
-            )
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                ArbitratedResource(
+                    "x", 2, schedule=loop.at, scheme="sliced", quantum_ns=bad
+                )
         with pytest.raises(ValidationError):
             ArbitratedResource(
                 "x", 2, schedule=loop.at, scheme="wrr", quantum_ns=16.0
@@ -576,24 +584,6 @@ class TestArbitratedResource:
         assert resource.busy_until == 15.0
         # Batching leaves out only the idle wake-up at t=15.
         assert loop.processed == (2 if batched else 3)
-
-    @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
-    def test_non_finite_weights_and_quantum_are_rejected(self, bad):
-        from repro.sim.engine import ArbitratedResource
-
-        loop = _ManualLoop()
-        with pytest.raises(ValidationError, match="finite and positive"):
-            ArbitratedResource(
-                "x", 2, schedule=loop.at, scheme="wrr", weights=(1.0, bad)
-            )
-        with pytest.raises(ValidationError, match="finite and positive"):
-            ArbitratedResource(
-                "x", 2, schedule=loop.at, scheme="sliced", quantum_ns=bad
-            )
-        resource = ArbitratedResource("x", 2, schedule=loop.at, scheme="wrr")
-        with pytest.raises(ValidationError, match="finite and positive"):
-            resource.set_weights((bad, 1.0))
-        assert resource.weights == (1.0, 1.0)
 
     def test_stats_snapshot_into_fabric_port_stats(self):
         from repro.sim.fabric import FabricPortStats
