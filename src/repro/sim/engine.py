@@ -184,7 +184,7 @@ class EventLoop:
         #: True while :meth:`run` is draining.  Batch-granting resources
         #: check this: outside the loop, a "nothing happens before t"
         #: conclusion drawn from the pending events would be unsound,
-        #: because the driver may still schedule arbitrary events before
+        #: because the caller may still schedule arbitrary events before
         #: calling run.
         self.running = False
 
@@ -656,7 +656,7 @@ class ArbitratedResource:
         self._busy_until = 0.0
         self._dispatch_pending = False
         #: The wake-up sequence an idle batched dispatch claimed but did
-        #: not use (see :meth:`_resume_wake_up`).
+        #: not use, or -1 (see :meth:`_resume_wake_up`).
         self._unused_wake = -1
         self._last_granted = clients - 1
         self.stats = tuple(ArbiterClientStats() for _ in range(clients))
@@ -900,16 +900,23 @@ class ArbitratedResource:
             now = end
 
     def _resume_wake_up(self) -> None:
-        """Schedule the wake-up an idle batched dispatch left out.
+        """Schedule the wake-up for a request that finds the resource busy.
 
         A batched dispatch that finds nothing queued after its last grant
         returns without a wake-up, but when :meth:`request` started it,
         the event that called may go on to request again before that
         grant's service ends.  The wake-up then goes where the unbatched
         path would have put it: at the service end, under the sequence
-        claimed before the grant callback ran.
+        claimed before the grant callback ran.  Without such a sequence
+        the caller asked in the resource's past, from outside the loop,
+        and the wake-up is simply scheduled at the service end.
         """
         self._dispatch_pending = True
+        sequence = self._unused_wake
+        if sequence < 0:
+            self._schedule(self._busy_until, self._dispatch)
+            return
+        self._unused_wake = -1
         heapq.heappush(
-            self._loop._heap, (self._busy_until, self._unused_wake, self._dispatch)
+            self._loop._heap, (self._busy_until, sequence, self._dispatch)
         )

@@ -116,6 +116,7 @@ class ReferenceArbiter:
             self.situations["resumed wake-up"] += 1
             self._waking = True
             heapq.heappush(self._loop._heap, (*self._unpushed, self._wake))
+            self._unpushed = None
 
     def _pick(self, eligible: list[int], now: float) -> int:
         queues = self._queues

@@ -585,6 +585,20 @@ class TestArbitratedResource:
         # Batching leaves out only the idle wake-up at t=15.
         assert loop.processed == (2 if batched else 3)
 
+    def test_request_in_the_past_waits_for_the_service_end(self):
+        # Driven from outside a loop, a request may ask at a time before
+        # the last grant's service end after that grant's wake-up has
+        # fired: it is granted when the service ends, not left queued.
+        loop, resource = self._arbiter("fcfs")
+        starts = []
+        resource.request(0, 0.0, 10.0, starts.append)
+        loop.run()
+        resource.request(1, 5.0, 2.0, starts.append)
+        loop.run()
+        assert starts == [0.0, 10.0]
+        assert resource.stats[1].wait_ns_total == 5.0
+        assert resource.pending == 0
+
     def test_stats_snapshot_into_fabric_port_stats(self):
         from repro.sim.fabric import FabricPortStats
 
