@@ -103,6 +103,33 @@ def traced_nicsim_record(golden: dict) -> dict:
     }
 
 
+def microbench_record(golden: dict) -> dict:
+    """The golden's micro-benchmarks on fresh and on shared hosts.
+
+    ``run_all`` builds a fresh host per entry; one runner's ``run`` goes
+    through the list in order on the hosts it shares between entries of
+    one configuration.  The record ends with a digest of one latency run's
+    raw samples.
+    """
+    from repro.bench.latency import run_latency_benchmark
+    from repro.bench.params import BenchmarkParams
+    from repro.bench.runner import BenchmarkRunner
+
+    params_list = [BenchmarkParams.from_dict(params) for params in golden["params"]]
+    shared = BenchmarkRunner()
+    samples = run_latency_benchmark(
+        BenchmarkParams.from_dict(golden["samples_params"]), keep_samples=True
+    ).samples_ns
+    encoded = json.dumps([float(value) for value in samples]).encode()
+    return {
+        "run_all": [
+            result.as_dict() for result in BenchmarkRunner().run_all(params_list)
+        ],
+        "run": [shared.run(params).as_dict() for params in params_list],
+        "samples_sha256": hashlib.sha256(encoded).hexdigest(),
+    }
+
+
 def main() -> int:
     from repro.bench.contention import ContentionParams, run_contention_benchmark
     from repro.bench.fleet import FleetParams, run_fleet_benchmark
@@ -135,6 +162,7 @@ def main() -> int:
         )
     ok &= check("trace_tree_sliced_seeded.json", traced_record)
     ok &= check("trace_nicsim_multiqueue_seeded.json", traced_nicsim_record)
+    ok &= check("microbench_seeded.json", microbench_record)
     return 0 if ok else 1
 
 
