@@ -1,9 +1,12 @@
-"""Exact (bit-for-bit) golden reproduction check for the event-core refactor.
+"""Exact (bit-for-bit) reproduction check of every seeded golden.
 
-The golden *tests* compare within a 1e-6 relative tolerance; this script
-holds the simulator to the stricter standard the refactor promises: the
-serialised result records must be **exactly** equal to the committed golden
-files, value for value.  Run it after any change to the event core:
+Some golden *tests* compare within a 1e-6 relative tolerance; this script
+holds the simulator to the stricter standard every speed-only change
+promises: the serialised result records must be **exactly** equal to the
+committed golden files, value for value.  Each file in ``tests/golden`` is
+rebuilt by its entry in :data:`CHECKERS`; a file without one fails the
+check, so no golden goes unchecked.  Run it after any change to the
+simulator:
 
     PYTHONPATH=src python scripts/check_goldens.py
 """
@@ -111,13 +114,13 @@ def microbench_record(golden: dict) -> dict:
     one configuration.  The record ends with a digest of one latency run's
     raw samples.
     """
-    from repro.bench.latency import run_latency_benchmark
+    from repro.bench.micro import run_micro_benchmark
     from repro.bench.params import BenchmarkParams
     from repro.bench.runner import BenchmarkRunner
 
     params_list = [BenchmarkParams.from_dict(params) for params in golden["params"]]
     shared = BenchmarkRunner()
-    samples = run_latency_benchmark(
+    samples = run_micro_benchmark(
         BenchmarkParams.from_dict(golden["samples_params"]), keep_samples=True
     ).samples_ns
     encoded = json.dumps([float(value) for value in samples]).encode()
@@ -130,39 +133,50 @@ def microbench_record(golden: dict) -> dict:
     }
 
 
-def main() -> int:
-    from repro.bench.contention import ContentionParams, run_contention_benchmark
-    from repro.bench.fleet import FleetParams, run_fleet_benchmark
+def nicsim_record(golden: dict) -> dict:
     from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
 
-    ok = True
-    for name in ("nicsim_seeded.json", "nicsim_multiqueue_seeded.json"):
-        ok &= check(
-            name,
-            lambda g: run_nicsim_benchmark(
-                NicSimParams.from_dict(g["params"])
-            ).as_dict(),
-        )
-    ok &= check(
-        "fleet_seeded.json",
-        lambda g: run_fleet_benchmark(
-            FleetParams.from_dict(g["params"])
-        ).as_dict(),
+    return run_nicsim_benchmark(NicSimParams.from_dict(golden["params"])).as_dict()
+
+
+def fleet_record(golden: dict) -> dict:
+    from repro.bench.fleet import FleetParams, run_fleet_benchmark
+
+    return run_fleet_benchmark(FleetParams.from_dict(golden["params"])).as_dict()
+
+
+def contention_record(golden: dict) -> dict:
+    from repro.bench.contention import ContentionParams, run_contention_benchmark
+
+    return run_contention_benchmark(
+        ContentionParams.from_dict(golden["params"])
+    ).as_dict()
+
+
+#: The checker of every file in ``tests/golden``, in the order they run.
+CHECKERS = {
+    "nicsim_seeded.json": nicsim_record,
+    "nicsim_multiqueue_seeded.json": nicsim_record,
+    "fleet_seeded.json": fleet_record,
+    "contention_pair_iommu_seeded.json": contention_record,
+    "contention_tree_sliced_control_seeded.json": contention_record,
+    "contention_pair_wrr_control_seeded.json": contention_record,
+    "trace_tree_sliced_seeded.json": traced_record,
+    "trace_nicsim_multiqueue_seeded.json": traced_nicsim_record,
+    "microbench_seeded.json": microbench_record,
+}
+
+
+def main() -> int:
+    # A golden nobody checks pins nothing: every file needs a checker.
+    unchecked = sorted(
+        path.name for path in GOLDEN_DIR.iterdir() if path.name not in CHECKERS
     )
-    for name in (
-        "contention_pair_iommu_seeded.json",
-        "contention_tree_sliced_control_seeded.json",
-        "contention_pair_wrr_control_seeded.json",
-    ):
-        ok &= check(
-            name,
-            lambda g: run_contention_benchmark(
-                ContentionParams.from_dict(g["params"])
-            ).as_dict(),
-        )
-    ok &= check("trace_tree_sliced_seeded.json", traced_record)
-    ok &= check("trace_nicsim_multiqueue_seeded.json", traced_nicsim_record)
-    ok &= check("microbench_seeded.json", microbench_record)
+    for name in unchecked:
+        print(f"{name}: UNCHECKED (no checker in CHECKERS)")
+    ok = not unchecked
+    for name, produce in CHECKERS.items():
+        ok &= check(name, produce)
     return 0 if ok else 1
 
 

@@ -1,6 +1,5 @@
 """The pcie-bench methodology: latency and bandwidth micro-benchmarks (§4)."""
 
-from .bandwidth import bw_rd, bw_rdwr, bw_wr, run_bandwidth_benchmark
 from .contention import (
     CONTENTION_KIND,
     FOUR_DEVICE_NAMES,
@@ -17,7 +16,7 @@ from .fleet import (
     FleetResult,
     run_fleet_benchmark,
 )
-from .latency import lat_rd, lat_wrrd, run_latency_benchmark
+from .micro import bw_rd, bw_rdwr, bw_wr, lat_rd, lat_wrrd, run_micro_benchmark
 from .nicsim import NICSIM_KIND, NicSimParams, run_nicsim_benchmark
 from .params import (
     COMMON_TRANSFER_SIZES,
@@ -42,10 +41,9 @@ __all__ = [
     "bw_rd",
     "bw_rdwr",
     "bw_wr",
-    "run_bandwidth_benchmark",
     "lat_rd",
     "lat_wrrd",
-    "run_latency_benchmark",
+    "run_micro_benchmark",
     "NICSIM_KIND",
     "NicSimParams",
     "run_nicsim_benchmark",

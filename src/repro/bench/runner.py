@@ -17,11 +17,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from ..errors import BenchmarkError, ValidationError
-from ..sim.dma import DmaEngine
 from ..sim.fabric import ContentionResult
 from ..sim.host import HostSystem
 from ..sim.nicsim import NicSimResult
-from .bandwidth import run_bandwidth_benchmark
 from .contention import (
     FOUR_DEVICE_NAMES,
     ContentionParams,
@@ -30,7 +28,7 @@ from .contention import (
     run_contention_benchmark,
 )
 from .fleet import FleetParams, FleetResult, run_fleet_benchmark
-from .latency import run_latency_benchmark
+from .micro import build_host, run_micro_benchmark
 from .nicsim import NicSimParams, run_nicsim_benchmark
 from .params import BenchmarkKind, BenchmarkParams, WINDOW_SWEEP
 from .results import BenchmarkResult, save_results_csv, save_results_json
@@ -46,14 +44,12 @@ class BenchmarkRunner:
     """Executes micro-benchmarks, caching host systems per configuration.
 
     Attributes:
-        keep_samples: attach raw latency samples to latency results.
         progress: optional callback invoked as ``progress(index, total,
             params)`` before each run (used by the CLI for status output).
             With parallel execution it fires as runs complete, with a
             running completion count as the index.
     """
 
-    keep_samples: bool = False
     progress: Callable[[int, int, RunnableParams], None] | None = None
     _hosts: dict[tuple[str, bool, int, object], HostSystem] = field(
         default_factory=dict, repr=False
@@ -69,30 +65,18 @@ class BenchmarkRunner:
         """
         key = _host_key(params)
         if key not in self._hosts:
-            seed_kwargs = {} if params.seed is None else {"seed": params.seed}
-            self._hosts[key] = HostSystem.from_profile(
-                params.system,
-                iommu_enabled=params.iommu_enabled,
-                iommu_page_size=params.iommu_page_size,
-                **seed_kwargs,
-            )
+            self._hosts[key] = build_host(params)
         return self._hosts[key]
 
     def run(self, params: RunnableParams) -> RunnerResult:
-        """Run a single benchmark (micro-benchmark, simulation or contention)."""
-        if isinstance(params, FleetParams):
-            return run_fleet_benchmark(params)
-        if isinstance(params, ContentionParams):
-            return run_contention_benchmark(params)
-        if isinstance(params, NicSimParams):
-            return run_nicsim_benchmark(params)
-        host = self.host_for(params)
-        engine = DmaEngine(host)
-        if params.kind.is_latency:
-            return run_latency_benchmark(
-                params, host=host, engine=engine, keep_samples=self.keep_samples
-            )
-        return run_bandwidth_benchmark(params, host=host, engine=engine)
+        """Run a single benchmark (micro-benchmark, simulation or contention).
+
+        A micro-benchmark runs on this runner's cached host for its
+        configuration; every other kind builds its own hosts.
+        """
+        if isinstance(params, BenchmarkParams):
+            return run_micro_benchmark(params, host=self.host_for(params))
+        return _run_isolated(params)
 
     def run_all(
         self,
@@ -123,7 +107,7 @@ class BenchmarkRunner:
             for index, params in enumerate(params_list):
                 if self.progress is not None:
                     self.progress(index, total, params)
-                results.append(_run_isolated(self.keep_samples, params))
+                results.append(_run_isolated(params))
             return results
 
         chunk_size = max(1, -(-total // (jobs * 4)))
@@ -136,9 +120,7 @@ class BenchmarkRunner:
         completed = 0
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                pool.submit(
-                    _run_chunk, self.keep_samples, [params for _, params in chunk]
-                ): chunk
+                pool.submit(_run_chunk, [params for _, params in chunk]): chunk
                 for chunk in chunks
             }
             for future in as_completed(futures):
@@ -212,7 +194,7 @@ def _host_key(params: BenchmarkParams) -> tuple[str, bool, int, object]:
     )
 
 
-def _run_isolated(keep_samples: bool, params: RunnableParams) -> RunnerResult:
+def _run_isolated(params: RunnableParams) -> RunnerResult:
     """Run one parameter set on a freshly built host.
 
     Because nothing is shared between runs, serial and parallel execution
@@ -226,16 +208,12 @@ def _run_isolated(keep_samples: bool, params: RunnableParams) -> RunnerResult:
         return run_contention_benchmark(params)
     if isinstance(params, NicSimParams):
         return run_nicsim_benchmark(params)
-    if params.kind.is_latency:
-        return run_latency_benchmark(params, keep_samples=keep_samples)
-    return run_bandwidth_benchmark(params)
+    return run_micro_benchmark(params)
 
 
-def _run_chunk(
-    keep_samples: bool, params_chunk: list[RunnableParams]
-) -> list[RunnerResult]:
+def _run_chunk(params_chunk: list[RunnableParams]) -> list[RunnerResult]:
     """Process-pool worker entry point: run one chunk of isolated params."""
-    return [_run_isolated(keep_samples, params) for params in params_chunk]
+    return [_run_isolated(params) for params in params_chunk]
 
 
 def full_suite_params(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..bench.latency import run_latency_benchmark
+from ..bench.micro import run_micro_benchmark
 from ..bench.params import BenchmarkKind, BenchmarkParams
 from ..bench.stats import cdf, fraction_within
 from ..units import KIB
@@ -45,7 +45,7 @@ def run(quick: bool = True) -> ExperimentResult:
             system=system,
             transactions=samples,
         )
-        result = run_latency_benchmark(params, keep_samples=True)
+        result = run_micro_benchmark(params, keep_samples=True)
         results[system] = result
         raw[system] = result.samples_ns
 

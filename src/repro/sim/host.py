@@ -31,13 +31,19 @@ FAITHFUL_CACHE_LINE_LIMIT = 64 * KIB // CACHELINE_BYTES
 
 @dataclass
 class HostSystem:
-    """A simulated host: profile + component models + benchmark buffers."""
+    """A simulated host: profile + component models + benchmark buffers.
+
+    ``cache_model`` is the policy :meth:`prepare` applies: ``"auto"``
+    swaps between the line-accurate and the statistical cache by window
+    size; ``"statistical"`` and ``"faithful"`` keep the one built.
+    """
 
     profile: SystemProfile
     root_complex: RootComplex
     numa: NumaTopology
     iommu: Iommu
     rng: SimRng
+    cache_model: str = "auto"
 
     # -- construction -----------------------------------------------------------
 
@@ -101,15 +107,14 @@ class HostSystem:
             noise=profile.noise,
             rng=rng,
         )
-        host = cls(
+        return cls(
             profile=profile,
             root_complex=root_complex,
             numa=numa,
             iommu=iommu,
             rng=rng,
+            cache_model=cache_model,
         )
-        host._cache_model = cache_model  # type: ignore[attr-defined]
-        return host
 
     # -- buffers ---------------------------------------------------------------------
 
@@ -166,8 +171,7 @@ class HostSystem:
         host was built with ``cache_model="auto"``.
         """
         state = CacheState.from_value(cache_state)
-        mode = getattr(self, "_cache_model", "auto")
-        if mode == "auto":
+        if self.cache_model == "auto":
             wanted_faithful = buffer.window_cachelines <= FAITHFUL_CACHE_LINE_LIMIT
             currently_faithful = isinstance(
                 self.root_complex.cache, SetAssociativeCache
@@ -184,17 +188,10 @@ class HostSystem:
         # buffer, so translations for as much of the window as the IOTLB can
         # hold start out cached; misses during the measurement then reflect
         # steady-state capacity behaviour rather than a cold-start transient.
-        if self.iommu.enabled:
-            page_size = self.iommu.config.page_size
-            pages_to_warm = min(
-                buffer.window_pages, self.iommu.config.iotlb_entries
-            )
-            self.iommu.warm(
-                [
-                    buffer.base_address + index * page_size
-                    for index in range(pages_to_warm)
-                ]
-            )
+        self.iommu.warm(
+            buffer.base_address,
+            min(buffer.window_pages, self.iommu.config.iotlb_entries),
+        )
         self.iommu.reset_stats()
 
     # -- convenience ---------------------------------------------------------------------

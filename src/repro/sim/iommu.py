@@ -188,10 +188,17 @@ class Iommu:
         self.iotlb.insert(page)
         return self._miss
 
-    def warm(self, addresses: list[int]) -> None:
-        """Pre-load translations (e.g. after the driver maps the buffer)."""
-        for address in addresses:
-            self.iotlb.insert(self.page_of(address))
+    def warm(self, base_address: int, pages: int) -> None:
+        """Pre-load ``pages`` consecutive translations from ``base_address``.
+
+        Models a driver that has just mapped (and touched) a buffer.  The
+        pages are inserted in address order, so the last is the most
+        recently used.  Nothing is cached while translation is disabled.
+        """
+        if self.config.enabled:
+            first = self.page_of(base_address)
+            for page in range(first, first + pages):
+                self.iotlb.insert(page)
 
     def invalidate(self) -> None:
         """Invalidate the IOTLB (unmap / domain flush)."""

@@ -641,27 +641,15 @@ class SharedHost:
         """
         iommu = self.host.iommu
         iommu.invalidate()
-        if iommu.enabled:
-            page = iommu.config.page_size
-            for coupling in self.couplings:
-                buffer = coupling.payload_buffer
-                pages_to_warm = min(
-                    buffer.window_pages, iommu.config.iotlb_entries
-                )
-                iommu.warm(
-                    [
-                        buffer.base_address + index * page
-                        for index in range(pages_to_warm)
-                    ]
-                )
-            for coupling in self.couplings:
-                for buffer in coupling.ring_buffers.values():
-                    iommu.warm(
-                        [
-                            buffer.base_address + index * page
-                            for index in range(buffer.window_pages)
-                        ]
-                    )
+        for coupling in self.couplings:
+            buffer = coupling.payload_buffer
+            iommu.warm(
+                buffer.base_address,
+                min(buffer.window_pages, iommu.config.iotlb_entries),
+            )
+        for coupling in self.couplings:
+            for buffer in coupling.ring_buffers.values():
+                iommu.warm(buffer.base_address, buffer.window_pages)
         iommu.reset_stats()
 
     def _prepare_faithful(self) -> None:

@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.bench.bandwidth import bw_rd, bw_rdwr, bw_wr, run_bandwidth_benchmark
-from repro.bench.latency import lat_rd, lat_wrrd, run_latency_benchmark
+from repro.bench.micro import (
+    bw_rd,
+    bw_rdwr,
+    bw_wr,
+    lat_rd,
+    lat_wrrd,
+    run_micro_benchmark,
+)
 from repro.bench.params import BenchmarkKind, BenchmarkParams
 from repro.bench.runner import BenchmarkRunner, full_suite_params
 from repro.errors import BenchmarkError
@@ -29,14 +35,9 @@ class TestLatencyEntryPoints:
         cold = lat_rd(64, cache_state="cold", seed=7, **FAST)
         assert cold.latency.median > warm.latency.median
 
-    def test_wrong_kind_rejected(self):
-        params = BenchmarkParams(kind="BW_RD", transfer_size=64, transactions=10)
-        with pytest.raises(BenchmarkError):
-            run_latency_benchmark(params)
-
     def test_keep_samples(self):
         params = BenchmarkParams(kind="LAT_RD", transfer_size=64, transactions=50)
-        result = run_latency_benchmark(params, keep_samples=True)
+        result = run_micro_benchmark(params, keep_samples=True)
         assert result.samples_ns is not None and len(result.samples_ns) == 50
 
 
@@ -55,11 +56,6 @@ class TestBandwidthEntryPoints:
         rd = bw_rd(64, seed=3, **FAST)
         rdwr = bw_rdwr(64, seed=3, **FAST)
         assert rdwr.bandwidth_gbps < rd.bandwidth_gbps
-
-    def test_wrong_kind_rejected(self):
-        params = BenchmarkParams(kind="LAT_RD", transfer_size=64, transactions=10)
-        with pytest.raises(BenchmarkError):
-            run_bandwidth_benchmark(params)
 
     def test_iommu_flag_propagates(self):
         off = bw_rd(64, window_size=16 * MIB, iommu_enabled=False,

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.latency import run_latency_benchmark
+from repro.bench.micro import run_micro_benchmark
 from repro.bench.params import BenchmarkParams
 from repro.bench.runner import BenchmarkRunner
 from repro.sim.host import FAITHFUL_CACHE_LINE_LIMIT
@@ -76,7 +76,7 @@ def test_fresh_and_shared_hosts_are_bit_identical(golden, params_list):
 def test_raw_samples_are_bit_identical(golden):
     params = BenchmarkParams.from_dict(golden["samples_params"])
     assert params.kind.is_latency
-    samples = run_latency_benchmark(params, keep_samples=True).samples_ns
+    samples = run_micro_benchmark(params, keep_samples=True).samples_ns
     assert len(samples) == params.transactions
     encoded = json.dumps([float(value) for value in samples]).encode()
     assert hashlib.sha256(encoded).hexdigest() == golden["result"]["samples_sha256"]

@@ -100,8 +100,9 @@ class TestIommuTranslate:
 
     def test_warm_preloads_translations(self):
         iommu = Iommu(IommuConfig(enabled=True))
-        iommu.warm([0, 4 * KIB, 8 * KIB])
-        assert iommu.translate(4 * KIB).hit is True
+        iommu.warm(4 * KIB, 2)
+        assert iommu.translate(8 * KIB).hit is True
+        assert iommu.translate(0).hit is False
 
     def test_invalidate_clears_and_counts(self):
         iommu = Iommu(IommuConfig(enabled=True))
