@@ -20,6 +20,7 @@ bit-identical :class:`FleetResult` records.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -98,9 +99,10 @@ class FleetParams:
             raise ValidationError(
                 f"tenants must be positive, got {self.tenants}"
             )
-        if self.tenant_skew < 0.0:
+        if not 0.0 <= self.tenant_skew < math.inf:
             raise ValidationError(
-                f"tenant_skew must be non-negative, got {self.tenant_skew}"
+                f"tenant_skew must be finite and non-negative, "
+                f"got {self.tenant_skew}"
             )
         object.__setattr__(
             self, "load_profile", canonical_load_profile(self.load_profile)
@@ -126,9 +128,10 @@ class FleetParams:
                 f"aggressor_packets must be positive, "
                 f"got {self.aggressor_packets}"
             )
-        if self.rack_load_gbps <= 0.0:
+        if not 0.0 < self.rack_load_gbps < math.inf:
             raise ValidationError(
-                f"rack_load_gbps must be positive, got {self.rack_load_gbps}"
+                f"rack_load_gbps must be finite and positive, "
+                f"got {self.rack_load_gbps}"
             )
 
     @property

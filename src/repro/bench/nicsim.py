@@ -17,6 +17,7 @@ picks a Table 1 profile (``None`` keeps the link-only datapath), and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..core.nic import model_by_name
@@ -116,9 +117,10 @@ class NicSimParams:
             raise ValidationError(
                 f"packet_size must be positive, got {self.packet_size}"
             )
-        if self.offered_load_gbps is not None and self.offered_load_gbps <= 0:
+        load = self.offered_load_gbps
+        if load is not None and not 0 < load < math.inf:
             raise ValidationError(
-                f"offered_load_gbps must be positive, got {self.offered_load_gbps}"
+                f"offered_load_gbps must be finite and positive, got {load}"
             )
         if self.packets <= 0:
             raise ValidationError(f"packets must be positive, got {self.packets}")

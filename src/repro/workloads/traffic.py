@@ -10,6 +10,7 @@ traffic is full-duplex.  ``generate`` materialises a concrete, reproducible
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,9 +133,10 @@ class Workload:
     flows: FlowModel | None = None
 
     def __post_init__(self) -> None:
-        if self.offered_load_gbps is not None and self.offered_load_gbps <= 0:
+        load = self.offered_load_gbps
+        if load is not None and not 0 < load < math.inf:
             raise ValidationError(
-                f"offered load must be positive, got {self.offered_load_gbps}"
+                f"offered load must be finite and positive, got {load}"
             )
 
     @property

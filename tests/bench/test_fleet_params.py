@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -158,6 +159,13 @@ class TestFleetParams:
             FleetParams(arbiter="lottery")
         with pytest.raises(ValidationError):
             FleetParams(tenant_skew=-1.0)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf), ids=("nan", "inf"))
+    def test_non_finite_load_and_skew_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            FleetParams(rack_load_gbps=bad)
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            FleetParams(tenant_skew=bad)
         with pytest.raises(ValidationError):
             FleetParams(victim_packets=0)
         with pytest.raises(ValidationError):

@@ -1,5 +1,7 @@
 """Tests for NIC datapath simulation parameters and runner integration."""
 
+import math
+
 import pytest
 
 from repro.bench.nicsim import NICSIM_KIND, NicSimParams, run_nicsim_benchmark
@@ -45,6 +47,11 @@ class TestNicSimParams:
             NicSimParams(ring_depth=0)
         with pytest.raises(ValidationError):
             NicSimParams(offered_load_gbps=0.0)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf), ids=("nan", "inf"))
+    def test_non_finite_load_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            NicSimParams(offered_load_gbps=bad)
 
     def test_label_mentions_the_interesting_knobs(self):
         label = NicSimParams(

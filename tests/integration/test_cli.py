@@ -177,6 +177,28 @@ class TestCommands:
         assert code == 1
         assert "--jobs must be at least 1, got 0" in captured.err
 
+    @pytest.mark.parametrize(
+        ("argv", "knob"),
+        (
+            (["nicsim", "--load", "nan"], "offered_load_gbps"),
+            (["nicsim", "--load", "inf"], "offered_load_gbps"),
+            (["contend", "--device", "name=a,load=nan"], "offered_load_gbps"),
+            (["fleet", "--rack-load", "nan"], "rack_load_gbps"),
+            (["fleet", "--rack-load", "inf"], "rack_load_gbps"),
+            (["fleet", "--skew", "nan"], "tenant_skew"),
+            (["fleet", "--skew", "inf"], "tenant_skew"),
+        ),
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+    )
+    def test_non_finite_loads_are_rejected(self, capsys, argv, knob):
+        # These used to run: NaN loads printed NaN latencies, an infinite
+        # load released every packet at once, and a NaN fleet knob failed
+        # only inside the run, naming a sketch value.
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: {knob} must be finite" in captured.err
+
 
 class TestContendCommand:
     def test_contend_with_explicit_devices(self, capsys):

@@ -1,5 +1,7 @@
 """Tests for the traffic-workload subsystem (sizes, arrivals, schedules)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,11 @@ class TestWorkloads:
         workload = build_workload("uniform", load_gbps=25.0)
         schedule = workload.generate(2000, SimRng(3))
         assert schedule.offered_load_gbps() == pytest.approx(25.0, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf), ids=("nan", "inf"))
+    def test_non_finite_offered_load_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            build_workload("imix", load_gbps=bad)
 
     def test_saturating_default(self):
         workload = build_workload("fixed")
