@@ -354,8 +354,10 @@ class _DirSolver:
         order = np.argsort(np.asarray(arrivals, dtype=np.float64), kind="stable")
         self.arrivals = np.asarray(arrivals, dtype=np.float64)[order]
         self.sizes = np.asarray(sizes, dtype=np.int64)[order]
-        self.hrl = sim_config.host_read_latency_ns
-        self.mmio = sim_config.mmio_read_latency_ns
+        from .nicsim import HOST_READ_LATENCY_NS, MMIO_READ_LATENCY_NS
+
+        self.hrl = HOST_READ_LATENCY_NS
+        self.mmio = MMIO_READ_LATENCY_NS
         self.ring_depth = sim_config.ring_depth
         p = self.arrivals.size
 
@@ -617,14 +619,12 @@ class _DirSolver:
                 self.dones,
                 self.notifies,
                 self.sizes,
-                warmup_fraction=sim_config.warmup_fraction,
                 ring_depth=sim_config.ring_depth,
             )
         else:
             stream = _StreamStats()
             threshold = _streaming_warmup_threshold(
                 self.packets,
-                warmup_fraction=sim_config.warmup_fraction,
                 ring_depth=sim_config.ring_depth,
             )
             if p > threshold:

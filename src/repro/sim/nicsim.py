@@ -118,6 +118,16 @@ from .root_complex import HostAccess
 #: frame size works; it only needs to dominate descriptor-sized DMAs).
 _REFERENCE_PACKET = 1024
 
+#: Host-side latency from a DMA read request arriving at the root complex
+#: to the first completion data, in a run not coupled to a host model.
+HOST_READ_LATENCY_NS = 400.0
+#: Device-register read turnaround for driver pointer reads, in a run not
+#: coupled to a host model.
+MMIO_READ_LATENCY_NS = 300.0
+#: Leading fraction of delivered packets excluded from throughput and
+#: latency statistics (pipeline fill).
+WARMUP_FRACTION = 0.25
+
 
 @dataclass(frozen=True)
 class NicSimConfig:
@@ -125,12 +135,6 @@ class NicSimConfig:
 
     Attributes:
         ring_depth: descriptor ring depth per direction (entries).
-        host_read_latency_ns: host-side latency from a DMA read request
-            arriving at the root complex to the first completion data.
-        mmio_read_latency_ns: device-register read turnaround for driver
-            pointer reads.
-        warmup_fraction: leading fraction of delivered packets excluded
-            from throughput and latency statistics (pipeline fill).
         rx_backpressure: when true a full RX ring stalls the source instead
             of dropping — the lossless-fabric premise of the closed-form
             model, used by the cross-validation harness.  The realistic
@@ -138,7 +142,7 @@ class NicSimConfig:
         host: optional :class:`~repro.sim.nichost.NicHostConfig` coupling
             the datapath to a Table 1 host model; when set, DMAs are
             serviced by the root complex (cache, IOMMU, NUMA, noise) and
-            ``host_read_latency_ns`` / ``mmio_read_latency_ns`` are
+            :data:`HOST_READ_LATENCY_NS` / :data:`MMIO_READ_LATENCY_NS` are
             superseded by the profile's calibrated behaviour.
         num_queues: TX/RX ring pairs per device.  Each queue has its own
             descriptor ring and batching state; packets steer to queues by
@@ -163,9 +167,6 @@ class NicSimConfig:
     """
 
     ring_depth: int = 512
-    host_read_latency_ns: float = 400.0
-    mmio_read_latency_ns: float = 300.0
-    warmup_fraction: float = 0.25
     rx_backpressure: bool = False
     host: NicHostConfig | None = None
     num_queues: int = 1
@@ -180,13 +181,6 @@ class NicSimConfig:
         if self.ring_depth <= 0:
             raise ValidationError(
                 f"ring_depth must be positive, got {self.ring_depth}"
-            )
-        for attr in ("host_read_latency_ns", "mmio_read_latency_ns"):
-            if getattr(self, attr) < 0:
-                raise ValidationError(f"{attr} must be non-negative")
-        if not 0.0 <= self.warmup_fraction < 0.9:
-            raise ValidationError(
-                f"warmup_fraction must be within [0, 0.9), got {self.warmup_fraction}"
             )
         if not 1 <= self.num_queues <= 256:
             raise ValidationError(
@@ -706,9 +700,7 @@ def _ignore(_now: float) -> None:
     """Completion sink for transactions nothing waits on."""
 
 
-def _streaming_warmup_threshold(
-    packets: int, *, warmup_fraction: float, ring_depth: int
-) -> int:
+def _streaming_warmup_threshold(packets: int, *, ring_depth: int) -> int:
     """A-priori warmup cutoff for streaming (``retain_samples=False``) runs.
 
     Mirrors the retained-mode rule in :func:`_path_statistics`, with the
@@ -717,7 +709,7 @@ def _streaming_warmup_threshold(
     would already have polluted the sketch.
     """
     return max(
-        int(packets * warmup_fraction),
+        int(packets * WARMUP_FRACTION),
         min(ring_depth, packets // 2),
     )
 
@@ -1328,7 +1320,6 @@ class _Datapath:
                 self.dones,
                 self.notifies,
                 self.delivered_sizes,
-                warmup_fraction=self._sim_config.warmup_fraction,
                 ring_depth=self._sim_config.ring_depth,
             )
         else:
@@ -1399,7 +1390,7 @@ class _Transfer:
             start = path._link_up.occupy(now, up_ns)
             if path._coupling is None:
                 path._loop.at(
-                    start + up_ns + path._sim_config.host_read_latency_ns,
+                    start + up_ns + HOST_READ_LATENCY_NS,
                     self.read_completion,
                 )
             else:
@@ -1423,7 +1414,7 @@ class _Transfer:
             turnaround = (
                 path._coupling.mmio_read_ns
                 if path._coupling is not None
-                else path._sim_config.mmio_read_latency_ns
+                else MMIO_READ_LATENCY_NS
             )
             path._loop.at(start + op.down_ns + turnaround, self.mmio_completion)
 
@@ -1561,7 +1552,6 @@ class _Device:
                 else _WarmupGate(
                     _streaming_warmup_threshold(
                         packets,
-                        warmup_fraction=sim_config.warmup_fraction,
                         ring_depth=sim_config.ring_depth,
                     )
                 )
@@ -1692,7 +1682,6 @@ def _path_statistics(
     notifies: list[float] | np.ndarray,
     sizes: list[int] | np.ndarray,
     *,
-    warmup_fraction: float,
     ring_depth: int,
 ) -> tuple[float, float, LatencySummary | None]:
     """Steady-state throughput, packet rate and latency of one packet set.
@@ -1706,9 +1695,9 @@ def _path_statistics(
     order = np.argsort(np.asarray(dones), kind="stable")
     # The pipeline-fill transient lasts about one ring depth of
     # packets; skip at least that much (up to half the run) on top
-    # of the configured warmup fraction.
+    # of the warmup fraction.
     warmup = max(
-        int(delivered * warmup_fraction),
+        int(delivered * WARMUP_FRACTION),
         min(ring_depth, delivered // 2),
     )
     warmup = min(warmup, delivered - 2)
@@ -1763,7 +1752,6 @@ def _direction_result(
             dones,
             notifies,
             sizes,
-            warmup_fraction=sim_config.warmup_fraction,
             ring_depth=sim_config.ring_depth,
         )
     ring = RingStats(

@@ -247,7 +247,3 @@ class TestSimulatorMechanics:
             simulator.run(build_workload("fixed"), 0)
         with pytest.raises(ValidationError):
             NicSimConfig(ring_depth=0)
-        with pytest.raises(ValidationError):
-            NicSimConfig(warmup_fraction=0.95)
-        with pytest.raises(ValidationError):
-            NicSimConfig(host_read_latency_ns=-1.0)

@@ -139,13 +139,9 @@ class TestStreamingEquivalence:
 
     def test_warmup_threshold_matches_retained_rule_shape(self):
         # Small runs: floor is half the run (capped by ring depth).
-        assert _streaming_warmup_threshold(
-            100, warmup_fraction=0.25, ring_depth=512
-        ) == 50
-        # Large runs: the configured fraction dominates.
-        assert _streaming_warmup_threshold(
-            10_000, warmup_fraction=0.25, ring_depth=512
-        ) == 2500
+        assert _streaming_warmup_threshold(100, ring_depth=512) == 50
+        # Large runs: the warmup fraction dominates.
+        assert _streaming_warmup_threshold(10_000, ring_depth=512) == 2500
 
 
 class TestEmptyLatencySummary:
