@@ -3,17 +3,14 @@
 Fleet-scale sweeps (:mod:`repro.fleet`) simulate racks of hosts whose
 aggregate packet counts cannot be summarised by keeping every latency
 sample in a numpy array the way single-host results historically did.
-This package provides the three streaming estimators the fleet layer (and
-the ``retain_samples=False`` simulator mode) build on:
+This package provides the streaming estimators the fleet layer (and the
+``retain_samples=False`` simulator mode) build on:
 
 * :class:`QuantileSketch` — a DDSketch-style log-bucketed quantile sketch
   with a documented relative-error bound (default 0.5%), exact count /
   sum / min / max, and an order-insensitive integer-bucket ``merge``;
 * :class:`StreamingMoments` — Welford mean/variance with Chan's parallel
   merge, for cheap dispersion estimates without any sample storage;
-* :class:`ReservoirSample` — seeded bottom-k reservoir sampling by hashed
-  priority, so shards can each keep a small deterministic trace sample
-  and ``merge`` reproduces the sample a single pass would have kept;
 * :class:`WindowedStats` — a sketch + moments pair that snapshots and
   resets on a window boundary without disturbing the cumulative view,
   the per-window observation signal the control plane ticks on.
@@ -26,14 +23,12 @@ host order so even float accumulators (sum, M2) are bit-stable.
 """
 
 from .moments import StreamingMoments
-from .reservoir import ReservoirSample
 from .sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 from .windowed import WindowSnapshot, WindowedStats
 
 __all__ = [
     "DEFAULT_RELATIVE_ACCURACY",
     "QuantileSketch",
-    "ReservoirSample",
     "StreamingMoments",
     "WindowSnapshot",
     "WindowedStats",

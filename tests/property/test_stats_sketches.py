@@ -1,6 +1,6 @@
 """Property tests for the streaming estimators (repro.stats).
 
-Three contracts the fleet layer depends on:
+Two contracts the fleet layer depends on:
 
 * sketch quantiles stay within the documented relative-error bound of the
   exact order statistic (``np.percentile(..., method="lower")``, the
@@ -8,9 +8,7 @@ Three contracts the fleet layer depends on:
   workload grid and across arbitrary hypothesis-generated samples;
 * ``merge`` is associative and commutative: quantiles depend only on
   integer bucket counts, so any grouping of the same shards answers the
-  same quantiles *exactly*;
-* reservoir sampling is a pure function of (seed, stream): the same seed
-  and stream keep the same sample, and shard merges are order-invariant.
+  same quantiles *exactly*.
 """
 
 import numpy as np
@@ -18,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.rng import SimRng
-from repro.stats import QuantileSketch, ReservoirSample, StreamingMoments
+from repro.stats import QuantileSketch, StreamingMoments
 from repro.stats.sketch import MIN_TRACKED_VALUE
 from repro.workloads import build_workload, workload_names
 
@@ -157,37 +155,3 @@ class TestMergeAlgebra:
         assert merged.minimum == whole.minimum
         assert merged.maximum == whole.maximum
         assert merged.mean == pytest.approx(whole.mean, rel=1e-9, abs=1e-9)
-
-
-class TestReservoirDeterminism:
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        count=st.integers(min_value=1, max_value=300),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_same_seed_same_stream_same_sample(self, seed, count):
-        stream = [float(i) * 3.25 for i in range(count)]
-        first = ReservoirSample(16, seed=seed)
-        second = ReservoirSample(16, seed=seed)
-        first.add_many(stream)
-        second.add_many(stream)
-        assert first.values() == second.values()
-        assert len(first) == min(16, count)
-        assert set(first.values()) <= set(stream)
-
-    @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4, unique=True))
-    @settings(max_examples=25, deadline=None)
-    def test_shard_merge_is_order_invariant(self, seeds):
-        shards = []
-        for index, seed in enumerate(seeds):
-            shard = ReservoirSample(8, seed=seed)
-            shard.add_many([float(index * 100 + i) for i in range(40)])
-            shards.append(shard)
-        forward = shards[0].copy()
-        for shard in shards[1:]:
-            forward.merge(shard.copy())
-        backward = shards[-1].copy()
-        for shard in reversed(shards[:-1]):
-            backward.merge(shard.copy())
-        assert forward.values() == backward.values()
-        assert forward.count == backward.count == 40 * len(seeds)

@@ -1,9 +1,8 @@
 """Hardening regressions for the streaming-stats layer.
 
-Pins the three field-reported failure modes of PR 8's sweep: the
-``math domain error`` from a cancellation-produced negative second
-moment, silently-poisoned accumulators rebuilt from corrupt records,
-and reservoir self-merge / shared-shard double counting.
+Pins two field-reported failure modes of the fleet sweep: the ``math
+domain error`` from a cancellation-produced negative second moment, and
+silently-poisoned accumulators rebuilt from corrupt records.
 """
 
 import math
@@ -13,7 +12,6 @@ import pytest
 from repro.errors import ValidationError
 from repro.stats import (
     QuantileSketch,
-    ReservoirSample,
     StreamingMoments,
     WindowedStats,
 )
@@ -98,82 +96,6 @@ class TestFromDictValidation:
             QuantileSketch.from_dict(
                 {"count": 2, "zero_count": 0, "buckets": {"10": 2}}
             )
-
-    def test_reservoir_rejects_negative_offered_and_next_tag(self):
-        with pytest.raises(ValidationError):
-            ReservoirSample.from_dict(
-                {"capacity": 4, "seed": 1, "offered": -1, "items": []}
-            )
-        with pytest.raises(ValidationError):
-            ReservoirSample.from_dict(
-                {"capacity": 4, "seed": 1, "offered": 0, "next_tag": -5,
-                 "items": []}
-            )
-
-    def test_reservoir_rejects_malformed_and_overfull_items(self):
-        with pytest.raises(ValidationError):
-            ReservoirSample.from_dict(
-                {"capacity": 4, "seed": 1, "offered": 1,
-                 "items": [[1, 2, 3]]}
-            )
-        with pytest.raises(ValidationError):
-            ReservoirSample.from_dict(
-                {"capacity": 4, "seed": 1, "offered": 1,
-                 "items": [[-1, 0, 0, 2.0]]}
-            )
-        with pytest.raises(ValidationError):
-            ReservoirSample.from_dict(
-                {"capacity": 1, "seed": 1, "offered": 2,
-                 "items": [[1, 1, 0, 2.0], [2, 1, 1, 3.0]]}
-            )
-
-    def test_round_trip_still_works_after_validation(self):
-        reservoir = ReservoirSample(4, seed=7)
-        reservoir.add_many([1.0, 2.0, 3.0])
-        rebuilt = ReservoirSample.from_dict(reservoir.as_dict())
-        assert rebuilt.values() == reservoir.values()
-        assert rebuilt.count == reservoir.count
-
-
-class TestReservoirMergeUnionSemantics:
-    def test_self_merge_is_rejected(self):
-        reservoir = ReservoirSample(4, seed=3)
-        reservoir.add_many([1.0, 2.0])
-        with pytest.raises(ValidationError):
-            reservoir.merge(reservoir)
-        # Rejection left the reservoir untouched.
-        assert reservoir.count == 2
-        assert len(reservoir) == 2
-
-    def test_copy_merge_dedupes_shared_stream(self):
-        # A copy shares seed AND tag range: every kept item collides.
-        # The merge must not double count or duplicate items.
-        reservoir = ReservoirSample(8, seed=3)
-        reservoir.add_many([1.0, 2.0, 3.0])
-        before_values = reservoir.values()
-        reservoir.merge(reservoir.copy())
-        assert reservoir.values() == before_values
-        assert reservoir.count == 3
-
-    def test_partial_overlap_dedupes_only_the_overlap(self):
-        # Two shards that share a seed over overlapping tag ranges:
-        # one saw items 0..4, the other a superset 0..7 of the same
-        # stream.  The union's offered total is 8, not 13.
-        small = ReservoirSample(16, seed=9)
-        small.add_many([float(i) for i in range(5)])
-        large = ReservoirSample(16, seed=9)
-        large.add_many([float(i) for i in range(8)])
-        small.merge(large)
-        assert small.count == 8
-        assert sorted(small.values()) == [float(i) for i in range(8)]
-
-    def test_disjoint_shards_still_sum(self):
-        a = ReservoirSample(4, seed=1)
-        a.add_many([1.0, 2.0, 3.0])
-        b = ReservoirSample(4, seed=2)
-        b.add_many([4.0, 5.0])
-        a.merge(b)
-        assert a.count == 5
 
 
 class TestWindowedStats:

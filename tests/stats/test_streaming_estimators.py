@@ -9,7 +9,6 @@ from repro.errors import ValidationError
 from repro.stats import (
     DEFAULT_RELATIVE_ACCURACY,
     QuantileSketch,
-    ReservoirSample,
     StreamingMoments,
 )
 from repro.stats.sketch import MIN_TRACKED_VALUE
@@ -233,62 +232,3 @@ class TestStreamingMoments:
         clone.push(100.0)
         assert moments.count == 3
         assert StreamingMoments.from_dict(StreamingMoments().as_dict()).count == 0
-
-
-class TestReservoirSample:
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            ReservoirSample(0, seed=1)
-        with pytest.raises(ValidationError):
-            ReservoirSample(4, seed="abc")
-
-    def test_keeps_everything_below_capacity(self):
-        reservoir = ReservoirSample(10, seed=1)
-        reservoir.add_many([1.0, 2.0, 3.0])
-        assert len(reservoir) == 3
-        assert reservoir.count == 3
-        assert sorted(reservoir.values()) == [1.0, 2.0, 3.0]
-
-    def test_caps_at_capacity_with_subset_of_stream(self):
-        reservoir = ReservoirSample(8, seed=42)
-        stream = [float(i) for i in range(200)]
-        reservoir.add_many(stream)
-        assert len(reservoir) == 8
-        assert reservoir.count == 200
-        assert set(reservoir.values()) <= set(stream)
-
-    def test_seeded_determinism(self):
-        first = ReservoirSample(8, seed=7)
-        second = ReservoirSample(8, seed=7)
-        stream = [float(i) * 1.5 for i in range(500)]
-        first.add_many(stream)
-        second.add_many(stream)
-        assert first.values() == second.values()
-        assert first == second
-
-    def test_merge_requires_matching_capacity_and_type(self):
-        reservoir = ReservoirSample(4, seed=1)
-        with pytest.raises(ValidationError):
-            reservoir.merge(ReservoirSample(8, seed=1))
-        with pytest.raises(ValidationError):
-            reservoir.merge(None)
-
-    def test_merge_sums_offered_counts(self):
-        left = ReservoirSample(4, seed=1)
-        right = ReservoirSample(4, seed=2)
-        left.add_many([1.0] * 30)
-        right.add_many([2.0] * 20)
-        assert left.merge(right).count == 50
-
-    def test_round_trip_and_copy(self):
-        import json
-
-        reservoir = ReservoirSample(4, seed=3)
-        reservoir.add_many([float(i) for i in range(50)])
-        encoded = json.dumps(reservoir.as_dict())
-        restored = ReservoirSample.from_dict(json.loads(encoded))
-        assert restored == reservoir
-        assert restored.count == reservoir.count
-        clone = reservoir.copy()
-        clone.add(999.0)
-        assert clone.count == reservoir.count + 1
