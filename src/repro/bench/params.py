@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from ..errors import ValidationError, record_reader
 from ..units import CACHELINE_BYTES, KIB, MIB, format_size, parse_size
 from ..sim.cache import CacheState
-from ..sim.hostbuffer import AccessPattern
+from ..sim.hostbuffer import AccessPattern, unit_bytes
 
 
 class BenchmarkKind(enum.Enum):
@@ -130,14 +130,16 @@ class BenchmarkParams:
             raise ValidationError(
                 f"transfer_size must be positive, got {self.transfer_size}"
             )
-        if self.window_size < self.transfer_size:
-            raise ValidationError(
-                "window_size must be at least transfer_size "
-                f"({self.window_size} < {self.transfer_size})"
-            )
         if not 0 <= self.offset < CACHELINE_BYTES:
             raise ValidationError(
                 f"offset must be within [0, {CACHELINE_BYTES}), got {self.offset}"
+            )
+        unit = unit_bytes(self.transfer_size, self.offset)
+        if self.window_size < unit:
+            raise ValidationError(
+                f"window of {self.window_size} bytes cannot hold a single "
+                f"{unit}-byte unit (offset plus transfer_size, rounded up "
+                "to a cache line)"
             )
         if self.transactions is not None and self.transactions <= 0:
             raise ValidationError(

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Sequence
 from ..errors import BenchmarkError, ValidationError
 from ..sim.fabric import ContentionResult
 from ..sim.host import HostSystem
+from ..sim.hostbuffer import unit_bytes
 from ..sim.nicsim import NicSimResult
 from .contention import (
     FOUR_DEVICE_NAMES,
@@ -229,8 +230,9 @@ def full_suite_params(
 
     The defaults generate a few hundred tests, a scaled-down analogue of the
     ~2500-test suite the paper's control program executes.  Combinations
-    whose window is smaller than the transfer size are skipped, and
-    duplicate combinations (overlapping ``transfer_sizes``/``windows``
+    whose window cannot hold one unit (the transfer size rounded up to a
+    cache line, :func:`~repro.sim.hostbuffer.unit_bytes`) are skipped,
+    and duplicate combinations (overlapping ``transfer_sizes``/``windows``
     inputs) are generated only once.  ``include_contention`` appends the
     shared-host contention scenarios from :func:`contention_suite_params`,
     so the suite count reflects the multi-device matrix too.
@@ -240,7 +242,7 @@ def full_suite_params(
     for kind in kinds:
         for size in transfer_sizes:
             for window in windows:
-                if window < size:
+                if window < unit_bytes(size):
                     continue
                 for state in cache_states:
                     candidate = BenchmarkParams(

@@ -96,12 +96,11 @@ def _worst_victim_wait(scheme: str, quantum_ns: float | None) -> float:
     resource = ArbitratedResource(
         "fig11.microbench",
         2,
-        schedule=loop.at,
+        loop,
         scheme=scheme,
         weights=WEIGHTS,
         quantum_ns=quantum_ns,
     )
-    resource.attach_loop(loop)
     bulk_service = 100.0
     horizon = 20_000.0
 

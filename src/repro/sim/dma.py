@@ -303,10 +303,11 @@ class DmaEngine:
         # For the alternating read/write benchmark the paper reports the
         # per-direction payload rate (half the transactions move data each
         # way), which is what makes BW_RDWR comparable to the unidirectional
-        # curves and to the bidirectional model line of Figure 4(c).
+        # curves and to the bidirectional model line of Figure 4(c).  The
+        # half is exact, so an odd total keeps its half byte.
         accounted_bytes = count * size
         if operation is DmaOperation.READ_WRITE:
-            accounted_bytes //= 2
+            accounted_bytes /= 2
         iommu_stats = self.host.iommu.stats
         return BandwidthMeasurement(
             operation=operation,

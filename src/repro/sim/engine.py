@@ -158,11 +158,11 @@ class EventLoop:
       beats paying per-event scheduling for half of all events, and
       keeps the heap small.
 
-    ``peek_time`` exposes the earliest pending event.  Batched
+    ``peek_time`` exposes the earliest pending event.
     :class:`ArbitratedResource` grants read the same state directly, and
     claim a wake-up's insertion sequence before scheduling it, so they
     can service back-to-back grants without a scheduler round trip per
-    grant (see :meth:`ArbitratedResource.attach_loop`).
+    grant.
     """
 
     __slots__ = (
@@ -181,7 +181,7 @@ class EventLoop:
         self._stream_pos = 0
         #: Events dispatched by :meth:`run` (the profiling hook's counter).
         self.processed = 0
-        #: True while :meth:`run` is draining.  Batch-granting resources
+        #: True while :meth:`run` is draining.  Arbitrated resources
         #: check this: outside the loop, a "nothing happens before t"
         #: conclusion drawn from the pending events would be unsound,
         #: because the caller may still schedule arbitrary events before
@@ -560,10 +560,10 @@ class ArbitratedResource:
       queueing accounting (``wait_*``) uses the same virtual start and
       therefore includes preemption gaps.
 
-    The class is event-driven: it needs a ``schedule(time, fn)`` hook (an
-    event loop's ``at``) so it can wake itself when the in-flight grant's
-    service ends.  Grants are delivered through ``grant(start_time)``
-    callbacks; service for a grant occupies ``[start, start + duration)``.
+    The class is event-driven: it runs on the :class:`EventLoop` it is
+    built with, waking itself when the in-flight grant's service ends.
+    Grants are delivered through ``grant(start_time)`` callbacks; service
+    for a grant occupies ``[start, start + duration)``.
 
     **Dispatch.**  One method decides every grant.  The wake-up event
     scheduled for a grant's service end runs it directly, and
@@ -578,15 +578,16 @@ class ArbitratedResource:
     order, scheme, weights, quantum); same-time dispatch decisions use
     client index as the final tie-break, so runs reproduce bit for bit.
 
-    **Batched grants.**  With :meth:`attach_loop`, back-to-back grants
-    skip the scheduler round trip: when the loop's next pending event is
-    strictly *after* this grant's service end, nothing can change the
-    queues before the resource frees, so the next grant is dispatched
-    inline instead of through a wake-up event.  The wake-up's tie-break
-    sequence is claimed from the loop before the grant callback runs, so
-    when batching is *not* possible the scheduled wake-up sorts exactly
-    where the unbatched code would have put it — pop order, and therefore
-    every seeded golden, is bit-identical either way.
+    **Wake-ups.**  Every grant claims its wake-up's tie-break sequence
+    from the loop before the grant callback runs, so the wake-up sorts
+    ahead of any same-time event the callback schedules, and pushes the
+    wake-up after the callback.  One exception batches back-to-back
+    grants: while the loop is running and its next pending event is
+    strictly *after* the service end, nothing can change the queues
+    before the resource frees, so the next grant is dispatched inline
+    instead of through a wake-up event — the same pop order either way.
+    A request made outside :meth:`EventLoop.run` always gets its wake-up
+    pushed: the caller may still schedule anything before the loop runs.
     """
 
     __slots__ = (
@@ -595,7 +596,6 @@ class ArbitratedResource:
         "scheme",
         "weights",
         "quantum_ns",
-        "_schedule",
         "_loop",
         "_queues",
         "_sequence",
@@ -611,8 +611,8 @@ class ArbitratedResource:
         self,
         name: str,
         clients: int,
+        loop: EventLoop,
         *,
-        schedule: Callable[[float, Callable[[float], None]], None],
         scheme: str = "fcfs",
         weights: "tuple[float, ...] | None" = None,
         quantum_ns: float | None = None,
@@ -642,8 +642,7 @@ class ArbitratedResource:
         self.scheme = scheme
         self.set_weights(weights)
         self.quantum_ns = None if quantum_ns is None else float(quantum_ns)
-        self._schedule = schedule
-        self._loop: EventLoop | None = None
+        self._loop = loop
         # Queue entries are (asked, sequence, remaining, grant, total):
         # remaining == total except for a preempted slice remnant.
         self._queues: tuple[
@@ -655,7 +654,7 @@ class ArbitratedResource:
         self._backlog = 0
         self._busy_until = 0.0
         self._dispatch_pending = False
-        #: The wake-up sequence an idle batched dispatch claimed but did
+        #: The wake-up sequence an idle inline dispatch claimed but did
         #: not use, or -1 (see :meth:`_resume_wake_up`).
         self._unused_wake = -1
         self._last_granted = clients - 1
@@ -723,20 +722,10 @@ class ArbitratedResource:
 
     # -- scheduling ------------------------------------------------------------
 
-    def attach_loop(self, loop: EventLoop) -> None:
-        """Enable batched grants against ``loop``.
-
-        ``loop`` must be the event loop behind the ``schedule`` hook this
-        resource was constructed with; batching reads its pending events
-        and claims its insertion sequences to prove the inline dispatch is
-        indistinguishable from a scheduled wake-up.
-        """
-        self._loop = loop
-
     def _dispatch(self, now: float) -> None:
         """Grant the resource at ``now`` (the wake-up event itself).
 
-        Grants back to back while batching allows, then leaves at most
+        Grants back to back while the loop allows, then leaves at most
         one wake-up pending: at the in-flight grant's service end, or at
         the earliest queued arrival when every queued request is still in
         the future.  The pick is one pass over the queue heads, and only
@@ -747,7 +736,7 @@ class ArbitratedResource:
         if not backlog:
             return
         loop = self._loop
-        batched = loop is not None and loop.running
+        running = loop.running
         queues = self._queues
         scheme = self.scheme
         # Only the sliced scheme has a quantum (checked at construction).
@@ -769,7 +758,7 @@ class ArbitratedResource:
                 arrival = queue[0][0]
                 if arrival > now:
                     self._dispatch_pending = True
-                    self._schedule(arrival, self._dispatch)
+                    loop.at(arrival, self._dispatch)
                     return
             else:
                 client = -1
@@ -826,7 +815,7 @@ class ArbitratedResource:
                     # happens only when the resource is driven outside an
                     # event loop: wake at the earliest arrival.
                     self._dispatch_pending = True
-                    self._schedule(
+                    loop.at(
                         min(queue[0][0] for queue in queues if queue),
                         self._dispatch,
                     )
@@ -852,18 +841,13 @@ class ArbitratedResource:
             self._busy_until = end
             self._last_granted = client
             self._dispatch_pending = True
-            if batched:
-                # EventLoop.at, open-coded in two halves like every loop
-                # access on this path, which runs once per grant.  Claim
-                # the wake-up's tie-break sequence now, so it sorts ahead
-                # of any same-time event the grant callback schedules;
-                # push it after the callback only if needed.
-                wake_sequence = loop._sequence
-                loop._sequence = wake_sequence + 1
-            else:
-                # Unbatched: the wake-up is scheduled *before* the grant
-                # callback runs, with the same effect.
-                self._schedule(end, self._dispatch)
+            # EventLoop.at, open-coded in two halves like every loop access
+            # on this path, which runs once per grant.  Claim the wake-up's
+            # tie-break sequence now, so it sorts ahead of any same-time
+            # event the grant callback schedules; push it after the
+            # callback only if needed.
+            wake_sequence = loop._sequence
+            loop._sequence = wake_sequence + 1
             if final:
                 # The virtual start backdates a sliced grant so that
                 # start + total == the true completion time; for unsliced
@@ -876,15 +860,13 @@ class ArbitratedResource:
                     if wait > stats.wait_ns_max:
                         stats.wait_ns_max = wait
                 grant(start)
-            if not batched:
-                return
-            # EventLoop.peek_time, open-coded: if any event is pending at
-            # or before the service end, schedule the wake-up under the
-            # claimed sequence.  Otherwise the loop state at ``end`` is
-            # already final and the next grant is dispatched inline —
-            # the same pop order either way.
+            # EventLoop.peek_time, open-coded: if the loop is not running
+            # or any event is pending at or before the service end, push
+            # the wake-up under the claimed sequence.  Otherwise the loop
+            # state at ``end`` is already final and the next grant is
+            # dispatched inline — the same pop order either way.
             heap = loop._heap
-            if heap and heap[0][0] <= end:
+            if not running or heap and heap[0][0] <= end:
                 heapq.heappush(heap, (end, wake_sequence, self._dispatch))
                 return
             stream = loop._stream
@@ -902,11 +884,11 @@ class ArbitratedResource:
     def _resume_wake_up(self) -> None:
         """Schedule the wake-up for a request that finds the resource busy.
 
-        A batched dispatch that finds nothing queued after its last grant
+        An inline dispatch that finds nothing queued after its last grant
         returns without a wake-up, but when :meth:`request` started it,
         the event that called may go on to request again before that
-        grant's service ends.  The wake-up then goes where the unbatched
-        path would have put it: at the service end, under the sequence
+        grant's service ends.  The wake-up then goes where it would have
+        gone had it been pushed: at the service end, under the sequence
         claimed before the grant callback ran.  Without such a sequence
         the caller asked in the resource's past, from outside the loop,
         and the wake-up is simply scheduled at the service end.
@@ -914,7 +896,7 @@ class ArbitratedResource:
         self._dispatch_pending = True
         sequence = self._unused_wake
         if sequence < 0:
-            self._schedule(self._busy_until, self._dispatch)
+            self._loop.at(self._busy_until, self._dispatch)
             return
         self._unused_wake = -1
         heapq.heappush(

@@ -736,7 +736,7 @@ class FabricSimulator:
                 "fabric.root_complex.ingress",
                 fabric.topology,
                 self.names,
-                schedule=loop.at,
+                loop,
                 scheme=fabric.arbiter,
                 weights=weights,
                 quantum_ns=fabric.quantum_ns,
@@ -746,16 +746,12 @@ class FabricSimulator:
                 "fabric.iommu.walker",
                 fabric.topology,
                 self.names,
-                schedule=loop.at,
+                loop,
                 scheme=fabric.arbiter,
                 weights=weights,
                 quantum_ns=fabric.quantum_ns,
                 trace=self._arb_trace(tracer, "walker"),
             )
-            # Batched grants: back-to-back grants on an idle horizon skip
-            # the scheduler round trip (bit-identical pop order).
-            ingress_arb.attach_loop(loop)
-            walker_arb.attach_loop(loop)
         else:
             # Degenerate case: one device, nothing to arbitrate.  Without
             # an upstream port the device serialises on private ingress

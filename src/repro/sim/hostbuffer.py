@@ -37,6 +37,11 @@ class AccessPattern(enum.Enum):
             raise ValidationError(f"unknown access pattern {value!r}") from exc
 
 
+def unit_bytes(transfer_size: int, offset: int = 0) -> int:
+    """Size of one unit: offset + transfer size rounded up to a cache line."""
+    return align_up(offset + transfer_size, CACHELINE_BYTES)
+
+
 @dataclass(frozen=True)
 class HostBuffer:
     """A DMA target buffer on the host (Figure 3).
@@ -102,8 +107,8 @@ class HostBuffer:
 
     @property
     def unit_size(self) -> int:
-        """Size of one unit: offset + transfer size rounded up to a cache line."""
-        return align_up(self.offset + self.transfer_size, CACHELINE_BYTES)
+        """Size of one unit (see :func:`unit_bytes`)."""
+        return unit_bytes(self.transfer_size, self.offset)
 
     @property
     def unit_count(self) -> int:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..errors import ValidationError
-from .engine import ArbitratedResource, ArbiterClientStats, TagPool
+from .engine import ArbitratedResource, ArbiterClientStats, EventLoop, TagPool
 
 #: Name of the distinguished root-port node every topology drains into.
 ROOT = "root"
@@ -278,7 +278,7 @@ class _Ascent:
         if trace is not None:
             node = topology._hops[self.device][self.level][0]
             trace(self.device, node, self.time, start, self.duration)
-        topology._schedule(start + self.duration, self.want_credit)
+        topology._loop.at(start + self.duration, self.want_credit)
 
     def want_credit(self, now: float) -> None:
         """The hop's service is over: ask for the switch's upstream credit."""
@@ -300,9 +300,9 @@ class _Ascent:
         device = self.device
         duration = self.duration
         completion = start + duration
-        schedule = topology._schedule
+        at = topology._loop.at
         for credit in topology._upstream[device]:
-            schedule(completion, credit.release)
+            at(completion, credit.release)
         topology._accounting[device].record(
             self.asked, start, duration, len(topology._hops[device])
         )
@@ -318,10 +318,11 @@ class CompiledTopology:
     Exposes the same ``request(device_index, now, duration, grant)`` shape
     as a single :class:`~repro.sim.engine.ArbitratedResource`, so the
     datapath's upstream port does not care how deep the fabric is.  For
-    the flat topology the request goes straight to the (single) root
-    arbiter and per-device statistics are read from its client counters —
-    the exact PR 4 code path.  For trees, requests ascend store-and-forward
-    and per-device statistics are folded end to end.
+    the flat topology an untraced request goes straight to the (single)
+    root arbiter, and a traced one takes a one-hop ascent so that its
+    root grant is traced; per-device statistics are read from the root's
+    client counters either way.  For trees, requests ascend
+    store-and-forward and per-device statistics are folded end to end.
     """
 
     def __init__(
@@ -329,8 +330,8 @@ class CompiledTopology:
         name: str,
         topology: FabricTopology,
         device_names: Sequence[str],
+        loop: EventLoop,
         *,
-        schedule: Callable[[float, Callable[[float], None]], None],
         scheme: str = "fcfs",
         weights: Sequence[float] | None = None,
         quantum_ns: float | None = None,
@@ -343,7 +344,7 @@ class CompiledTopology:
         #: every hop grant along a request's ascent (once, at the root,
         #: for the flat topology).  ``None`` keeps the request paths on
         #: the exact historical code — the flat fast path stays a direct
-        #: arbiter call with no wrapper closure.
+        #: arbiter call.
         self._trace = trace
         self.topology = topology
         self.device_names = tuple(device_names)
@@ -355,7 +356,7 @@ class CompiledTopology:
                 f"got {len(weights)}"
             )
         device_weight = dict(zip(self.device_names, weights))
-        self._schedule = schedule
+        self._loop = loop
 
         # Children per node, in link order (fixes client indices).
         children: dict[str, list[str]] = {ROOT: []}
@@ -371,7 +372,7 @@ class CompiledTopology:
             self._arbiters[node] = ArbitratedResource(
                 label,
                 len(kids),
-                schedule=schedule,
+                loop,
                 scheme=scheme,
                 weights=tuple(
                     self._subtree_weight(kid, device_weight) for kid in kids
@@ -460,16 +461,6 @@ class CompiledTopology:
                 tuple(self._subtree_weight(kid, device_weight) for kid in kids)
             )
 
-    def attach_loop(self, loop) -> None:
-        """Enable batched grants on every arbiter in the tree.
-
-        ``loop`` must be the event loop behind the ``schedule`` hook this
-        topology was compiled with (see
-        :meth:`~repro.sim.engine.ArbitratedResource.attach_loop`).
-        """
-        for arbiter in self._arbiters.values():
-            arbiter.attach_loop(loop)
-
     def request(
         self,
         device: int,
@@ -485,19 +476,10 @@ class CompiledTopology:
         :class:`~repro.sim.engine.ArbitratedResource`.
         """
         direct = self._direct[device]
-        trace = self._trace
-        if direct is not None:
-            # Flat attachment: straight to the root arbiter.
+        if direct is not None and self._trace is None:
+            # Untraced flat attachment: straight to the root arbiter.
             arbiter, client = direct
-            if trace is None:
-                arbiter.request(client, now, duration, grant)
-                return
-
-            def traced_grant(start: float) -> None:
-                trace(device, ROOT, now, start, duration)
-                grant(start)
-
-            arbiter.request(client, now, duration, traced_grant)
+            arbiter.request(client, now, duration, grant)
             return
         _Ascent(self, device, now, duration, grant).submit()
 
@@ -514,8 +496,8 @@ def compile_topology(
     name: str,
     topology: FabricTopology | None,
     device_names: Sequence[str],
+    loop: EventLoop,
     *,
-    schedule: Callable[[float, Callable[[float], None]], None],
     scheme: str = "fcfs",
     weights: Sequence[float] | None = None,
     quantum_ns: float | None = None,
@@ -528,7 +510,7 @@ def compile_topology(
         name,
         topology,
         device_names,
-        schedule=schedule,
+        loop,
         scheme=scheme,
         weights=weights,
         quantum_ns=quantum_ns,

@@ -130,3 +130,17 @@ class TestRunner:
             kinds=(BenchmarkKind.BW_RD,),
         )
         assert params == []
+
+    def test_full_suite_skips_windows_that_cannot_hold_one_unit(self):
+        # An 8-byte transfer occupies a whole 64-byte cache-line unit, so
+        # the suite skips an 8-byte window for it.
+        params = full_suite_params(
+            transfer_sizes=(8, 64),
+            windows=(8, 64),
+            cache_states=("cold",),
+            kinds=(BenchmarkKind.BW_RD,),
+        )
+        assert [(p.transfer_size, p.window_size) for p in params] == [
+            (8, 64),
+            (64, 64),
+        ]

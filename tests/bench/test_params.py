@@ -57,6 +57,21 @@ class TestBenchmarkParams:
         with pytest.raises(ValidationError):
             BenchmarkParams(kind="BW_RD", transfer_size=8 * KIB, window_size=4 * KIB)
 
+    def test_window_must_hold_one_unit(self):
+        # A unit is offset plus transfer size, rounded up to a cache line:
+        # the host buffer's own layout rule, checked at construction.
+        with pytest.raises(ValidationError, match="single 4160-byte unit"):
+            BenchmarkParams(
+                kind="LAT_RD", transfer_size=4096, window_size=4096, offset=8
+            )
+        with pytest.raises(ValidationError, match="single 64-byte unit"):
+            BenchmarkParams(kind="BW_RD", transfer_size=8, window_size=8)
+        fits = BenchmarkParams(
+            kind="LAT_RD", transfer_size=4096, window_size=4160, offset=8
+        )
+        assert fits.window_size == 4160
+        assert BenchmarkParams(kind="BW_RD", transfer_size=8, window_size=64)
+
     def test_offset_bounds(self):
         with pytest.raises(ValidationError):
             BenchmarkParams(kind="BW_RD", transfer_size=64, offset=64)
@@ -112,6 +127,19 @@ class TestBenchmarkParams:
             {"kind": "BW_RD", "transfer_size": 64, "window_size": "8K"}
         )
         assert params.window_size == 8 * KIB
+
+    def test_from_dict_rejects_a_window_without_a_unit(self):
+        # 60 bytes at offset 8 span two cache lines: a 64-byte window
+        # covers the transfer but cannot hold its 128-byte unit.
+        with pytest.raises(ValidationError, match="single 128-byte unit"):
+            BenchmarkParams.from_dict(
+                {
+                    "kind": "BW_RD",
+                    "transfer_size": 60,
+                    "window_size": "64",
+                    "offset": 8,
+                }
+            )
 
 
 class TestSweepConstants:

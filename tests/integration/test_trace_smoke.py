@@ -13,6 +13,7 @@ from repro.bench.contention import (
     run_contention_benchmark,
 )
 from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
+from repro.sim.engine import ARBITER_SCHEMES
 from repro.obs import (
     ARB_PREFIX,
     PACKET_STAGES,
@@ -114,6 +115,43 @@ class TestSpanSemantics:
         assert any(stage.startswith(ARB_PREFIX) for stage in stages)
         assert any(stage.endswith("@root") for stage in stages)
         assert "walker" in stages
+
+    @pytest.mark.parametrize("scheme", ARBITER_SCHEMES)
+    def test_flat_root_spans_are_the_ports_waits(self, scheme) -> None:
+        # A traced flat request takes a one-hop ascent to the root arbiter.
+        # Each grant that waited records one arb:<resource>@root span of
+        # exactly that wait, so per device and resource the spans count
+        # the port's waited grants and sum, in record (= grant) order, to
+        # its wait_ns_total bit for bit.
+        victim, aggressor = noisy_neighbour_pair(
+            victim_packets=300, aggressor_packets=2400
+        )
+        params = ContentionParams(
+            devices=(victim, aggressor),
+            names=("victim", "aggressor"),
+            iommu_enabled=True,
+            arbiter=scheme,
+            seed=7,
+        )
+        tracer = Tracer(capacity=1 << 20)
+        result = run_contention_benchmark(params, tracer=tracer)
+        assert tracer.evicted == 0
+        spans = tracer.spans
+        for name in ("victim", "aggressor"):
+            record = result.device(name)
+            for resource in ("ingress", "walker"):
+                port = getattr(record, resource)
+                stage = f"{ARB_PREFIX}{resource}@root"
+                waits = [
+                    span.duration_ns
+                    for span in spans
+                    if span.device == name and span.stage == stage
+                ]
+                assert len(waits) == port.waited > 0, (name, resource)
+                total = 0.0
+                for wait in waits:
+                    total += wait
+                assert total == port.wait_ns_total, (name, resource)
 
     def test_flight_recorder_bounds_memory(self) -> None:
         tracer = Tracer(capacity=256)

@@ -7,26 +7,25 @@ lone requests, and a sliced remnant is rewritten in place.  This suite
 keeps a straightforward arbiter as the reference.  It shares no code with
 the class under test: its own queues and request path, the backlog and
 eligible lists with ``min`` / ``max`` and a tie-break key per scheme, and
-the same wake-up rule.  Unbatched, the wake-up is scheduled before the
-grant callback runs.  Batched, the loop's next sequence is claimed
-before the callback, and the wake-up is pushed under it only if
-``peek_time`` shows an event at or before the service end; otherwise the
-next grant follows inline, and a request that later finds the resource
-busy with no wake-up pending pushes the claimed one.  Hypothesis drives
-both with the same request schedules and requires the same grant order,
-the same grant start times, the same number of dispatched events, the
-same per-client counters, the same ``busy_until`` and the same
-``pending`` count.
+the same wake-up rule: the loop's next sequence is claimed before the
+grant callback runs, and the wake-up is pushed under it after the
+callback unless the loop is running and ``peek_time`` shows no event at
+or before the service end.  Then the next grant follows inline, and a
+request that later finds the resource busy with no wake-up pending
+pushes the claimed one.  Hypothesis drives both with the same request
+schedules and requires the same grant order, the same grant start
+times, the same number of dispatched events, the same per-client
+counters, the same ``busy_until`` and the same ``pending`` count.
 
 The schedules cover 2-4 clients, many equal-time ties, weights (and a
 ``set_weights`` retune mid-run), sliced remnants, all five schemes,
-batched and unbatched grants, follow-up requests submitted on completion,
-several requests from one event, requests fed through the loop's arrival
-stream (which a batched grant must look at too) and requests submitted
-outside the event loop ahead of time.  The explicit examples reach each
-short cut of the dispatch loop — an idle wake-up, a lone queued request,
-a lone sliced remnant and a lone request still in the future — and a
-resumed wake-up (``test_examples_reach_every_dispatch_path``).
+follow-up requests submitted on completion, several requests from one
+event, requests fed through the loop's arrival stream (which an inline
+grant must look at too) and requests submitted outside the event loop
+ahead of time.  The explicit examples reach each short cut of the
+dispatch loop — an idle wake-up, a lone queued request, a lone sliced
+remnant and a lone request still in the future — and a resumed wake-up
+(``test_examples_reach_every_dispatch_path``).
 """
 
 from __future__ import annotations
@@ -59,12 +58,12 @@ class ReferenceArbiter:
     ``situations`` tallies what each dispatch found, so a test can show
     which paths of the class under test a schedule exercises: the short
     cuts ``idle wake-up``, ``lone request``, ``lone remnant`` and ``lone
-    future request``, and ``resumed wake-up``, a batched wake-up pushed
-    late because the event that started an idle dispatch requested again.
+    future request``, and ``resumed wake-up``, a wake-up pushed late
+    because the event that started an idle dispatch requested again.
     """
 
     def __init__(
-        self, name, clients, *, schedule, scheme, weights=None, quantum_ns=None
+        self, name, clients, loop, *, scheme, weights=None, quantum_ns=None
     ):
         self.clients = clients
         self.scheme = scheme
@@ -72,8 +71,7 @@ class ReferenceArbiter:
         if scheme == "sliced" and quantum_ns is None:
             quantum_ns = REFERENCE_QUANTUM_NS
         self.quantum_ns = quantum_ns
-        self._schedule = schedule
-        self._loop = None
+        self._loop = loop
         # Entries are (asked, order, remaining, grant, total, sliced).
         self._queues = [[] for _ in range(clients)]
         self._order = 0
@@ -94,9 +92,6 @@ class ReferenceArbiter:
 
     def set_weights(self, weights) -> None:
         self.weights = tuple(weights)
-
-    def attach_loop(self, loop: EventLoop) -> None:
-        self._loop = loop
 
     def request(self, client, now, duration, grant) -> None:
         self._queues[client].append(
@@ -162,7 +157,7 @@ class ReferenceArbiter:
                 if lone:
                     self.situations["lone future request"] += 1
                 self._waking = True
-                self._schedule(
+                self._loop.at(
                     min(queues[index][0][0] for index in backlog), self._wake
                 )
                 return
@@ -182,14 +177,10 @@ class ReferenceArbiter:
             self._busy_until = end
             self._last_granted = client
             self._waking = True
+            # EventLoop.at in two halves: claim the sequence now...
             loop = self._loop
-            batched = loop is not None and loop.running
-            if batched:
-                # EventLoop.at in two halves: claim the sequence now...
-                wake_sequence = loop._sequence
-                loop._sequence += 1
-            else:
-                self._schedule(end, self._wake)
+            wake_sequence = loop._sequence
+            loop._sequence += 1
             if final:
                 start = end - total
                 if start > asked:
@@ -198,14 +189,13 @@ class ReferenceArbiter:
                     stats.wait_ns_total += wait
                     stats.wait_ns_max = max(stats.wait_ns_max, wait)
                 grant(start)
-            if not batched:
-                return
-            if loop.peek_time() > end:
+            if loop.running and loop.peek_time() > end:
                 self._waking = False
                 self._unpushed = (end, wake_sequence)
                 now = end
                 continue
-            # ...and push under it only when an event precedes the service end.
+            # ...and push under it outside the loop or when an event
+            # precedes the service end.
             heapq.heappush(loop._heap, (end, wake_sequence, self._wake))
             return
 
@@ -257,12 +247,11 @@ def scenarios(draw):
         ),
         "retune": retune,
         "requests": requests,
-        "batched": draw(st.booleans()),
         "submission": draw(st.sampled_from(SUBMISSIONS)),
     }
 
 
-def _scenario(scheme="fcfs", *, requests, batched, submission, quantum_ns=None):
+def _scenario(scheme="fcfs", *, requests, submission, quantum_ns=None):
     return {
         "clients": 2,
         "scheme": scheme,
@@ -270,28 +259,27 @@ def _scenario(scheme="fcfs", *, requests, batched, submission, quantum_ns=None):
         "quantum_ns": quantum_ns,
         "retune": None,
         "requests": requests,
-        "batched": batched,
         "submission": submission,
     }
 
 
 #: Hand-written schedules, one per dispatch path named in the module
-#: docstring, each in the mode that reaches it.
+#: docstring, each in the submission mode that reaches it.
 SHORT_CUT_EXAMPLES = (
-    # A lone request on an idle resource, then an idle wake-up.
-    _scenario(requests=[(0.0, 0, 8.0, False)], batched=False, submission="at"),
+    # A lone request on an idle resource, then an idle wake-up: the
+    # chained follow-up at the service end makes the grant push its
+    # wake-up, which sorts first and finds nothing queued.
+    _scenario(requests=[(0.0, 0, 8.0, True)], submission="at"),
     # A lone request queued behind a grant (a follow-up at t=4).
     _scenario(
         "wrr",
         requests=[(0.0, 0, 8.0, False), (4.0, 1, 8.0, False)],
-        batched=True,
         submission="feed",
     ),
     # A lone request sliced into quanta: its remnant is granted alone.
     _scenario(
         "sliced",
         requests=[(0.0, 1, 40.0, False)],
-        batched=True,
         submission="at",
         quantum_ns=16.0,
     ),
@@ -300,7 +288,6 @@ SHORT_CUT_EXAMPLES = (
     _scenario(
         "rr",
         requests=[(0.0, 0, 8.0, False), (40.0, 1, 8.0, False)],
-        batched=False,
         submission="ahead",
     ),
     # One event requests twice: the first dispatch returns idle, and the
@@ -308,7 +295,6 @@ SHORT_CUT_EXAMPLES = (
     _scenario(
         "age",
         requests=[(0.0, 0, 8.0, False), (0.0, 1, 8.0, False)],
-        batched=True,
         submission="grouped",
     ),
 )
@@ -319,13 +305,11 @@ def _simulate(cls, scenario) -> tuple:
     arbiter = cls(
         "port",
         scenario["clients"],
-        schedule=loop.at,
+        loop,
         scheme=scenario["scheme"],
         weights=scenario["weights"],
         quantum_ns=scenario["quantum_ns"],
     )
-    if scenario["batched"]:
-        arbiter.attach_loop(loop)
     grants: list[tuple[str, float]] = []
 
     def submit(label: str, client: int, now: float, duration: float, chain: bool):

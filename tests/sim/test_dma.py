@@ -122,6 +122,13 @@ class TestBandwidthMeasurement:
         rdwr = engine.measure_bandwidth(buffer, "read_write", 1500)
         assert rdwr.gbps <= engine.config.tlp_bandwidth_gbps
 
+    def test_rdwr_books_the_exact_half_of_an_odd_total(self, host, engine):
+        # 5 transactions of 3 bytes move 15 bytes; the per-direction
+        # payload is 7.5 bytes, not the 7 a floor division books.
+        buffer = warm_buffer(host, 8 * KIB, 3)
+        rdwr = engine.measure_bandwidth(buffer, "read_write", 5)
+        assert rdwr.gbps == 5 * 3 / 2 * 8 / rdwr.elapsed_ns
+
     def test_link_utilisation_bounded(self, host, engine):
         buffer = warm_buffer(host, 8 * KIB, 1024)
         result = engine.measure_bandwidth(buffer, "read", 1000)

@@ -10,7 +10,14 @@ which both the DMA engine and the NIC datapath simulator rely on.
 import pytest
 
 from repro.errors import SimulationError, ValidationError
-from repro.sim.engine import SerialResource, TagPool, WorkerPool
+from repro.sim.engine import (
+    DEFAULT_QUANTUM_NS,
+    ArbitratedResource,
+    EventLoop,
+    SerialResource,
+    TagPool,
+    WorkerPool,
+)
 
 
 class TestWorkerPoolInterleaving:
@@ -226,33 +233,13 @@ class TestValidationPaths:
         assert pool.acquire(0.0) == 0.0
 
 
-class _ManualLoop:
-    """Minimal schedule() target: collects (time, fn) and runs in time order."""
-
-    def __init__(self):
-        self.events = []
-        self._sequence = 0
-
-    def at(self, time, fn):
-        self.events.append((time, self._sequence, fn))
-        self._sequence += 1
-
-    def run(self):
-        while self.events:
-            self.events.sort()
-            time, _, fn = self.events.pop(0)
-            fn(time)
-
-
 class TestArbitratedResource:
     def _arbiter(self, scheme, clients=2, weights=None, quantum_ns=None):
-        from repro.sim.engine import ArbitratedResource
-
-        loop = _ManualLoop()
+        loop = EventLoop()
         resource = ArbitratedResource(
             "test",
             clients,
-            schedule=loop.at,
+            loop,
             scheme=scheme,
             weights=weights,
             quantum_ns=quantum_ns,
@@ -335,21 +322,19 @@ class TestArbitratedResource:
         assert resource.busy_until == serial.free_at
 
     def test_validation_errors(self):
-        from repro.sim.engine import ArbitratedResource
-
-        loop = _ManualLoop()
+        loop = EventLoop()
         with pytest.raises(ValidationError):
-            ArbitratedResource("x", 0, schedule=loop.at)
+            ArbitratedResource("x", 0, loop)
         with pytest.raises(ValidationError):
-            ArbitratedResource("x", 2, schedule=loop.at, scheme="lottery")
+            ArbitratedResource("x", 2, loop, scheme="lottery")
         with pytest.raises(ValidationError):
-            ArbitratedResource("x", 2, schedule=loop.at, weights=(1.0,))
+            ArbitratedResource("x", 2, loop, weights=(1.0,))
         with pytest.raises(ValidationError):
-            ArbitratedResource("x", 2, schedule=loop.at, weights=(1.0, -1.0))
+            ArbitratedResource("x", 2, loop, weights=(1.0, -1.0))
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="finite and positive"):
-                ArbitratedResource("x", 2, schedule=loop.at, weights=(1.0, bad))
-        resource = ArbitratedResource("x", 2, schedule=loop.at)
+                ArbitratedResource("x", 2, loop, weights=(1.0, bad))
+        resource = ArbitratedResource("x", 2, loop)
         for bad in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="finite and positive"):
                 resource.set_weights((bad, 1.0))
@@ -370,14 +355,11 @@ class TestArbitratedResource:
         # A zero wrr weight would mean "never serve this client" — a
         # starvation hazard dressed up as configuration.  Pinned: weights
         # must be strictly positive, zero included in the rejection.
-        from repro.sim.engine import ArbitratedResource
-
-        loop = _ManualLoop()
+        loop = EventLoop()
         for scheme in ("wrr", "age", "sliced"):
             with pytest.raises(ValidationError):
                 ArbitratedResource(
-                    "x", 2, schedule=loop.at, scheme=scheme,
-                    weights=(1.0, 0.0),
+                    "x", 2, loop, scheme=scheme, weights=(1.0, 0.0)
                 )
 
     def test_single_queue_degeneracy_for_every_scheme(self):
@@ -485,39 +467,25 @@ class TestArbitratedResource:
         assert completions["bulk"] == pytest.approx(110.0)
 
     def test_quantum_validation(self):
-        from repro.sim.engine import ArbitratedResource
-
-        loop = _ManualLoop()
+        loop = EventLoop()
         for bad in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValidationError):
                 ArbitratedResource(
-                    "x", 2, schedule=loop.at, scheme="sliced", quantum_ns=bad
+                    "x", 2, loop, scheme="sliced", quantum_ns=bad
                 )
         with pytest.raises(ValidationError):
-            ArbitratedResource(
-                "x", 2, schedule=loop.at, scheme="wrr", quantum_ns=16.0
-            )
+            ArbitratedResource("x", 2, loop, scheme="wrr", quantum_ns=16.0)
         # sliced without an explicit quantum takes the engine default.
-        from repro.sim.engine import DEFAULT_QUANTUM_NS
-
-        sliced = ArbitratedResource("x", 2, schedule=loop.at, scheme="sliced")
+        sliced = ArbitratedResource("x", 2, loop, scheme="sliced")
         assert sliced.quantum_ns == DEFAULT_QUANTUM_NS
 
-    @pytest.mark.parametrize("batched", (False, True))
-    def test_wake_up_precedes_same_time_events_its_grant_schedules(
-        self, batched
-    ):
+    def test_wake_up_precedes_same_time_events_its_grant_schedules(self):
         # The wake-up for a grant's service end sorts ahead of any event
-        # the grant callback schedules for that instant: unbatched it is
-        # scheduled before the callback runs, batched its sequence is
+        # the grant callback schedules for that instant: its sequence is
         # claimed before the callback runs.  So the queued request is
         # granted at t=10 before the callback's own t=10 event.
-        from repro.sim.engine import ArbitratedResource, EventLoop
-
         loop = EventLoop()
-        resource = ArbitratedResource("x", 2, schedule=loop.at)
-        if batched:
-            resource.attach_loop(loop)
+        resource = ArbitratedResource("x", 2, loop)
         order = []
 
         def first(start):
@@ -533,8 +501,8 @@ class TestArbitratedResource:
         )
         loop.run()
         assert order == [("first", 0.0), ("second", 10.0), ("event", 10.0)]
-        # Batched or not, the same events were dispatched: two requests,
-        # the callback's event and two wake-ups (the second one idle).
+        # Two requests, the callback's event and two wake-ups (the second
+        # one idle).
         assert loop.processed == 5
         assert resource.pending == 0
 
@@ -542,11 +510,8 @@ class TestArbitratedResource:
         # The grant callback queues a follow-up and nothing else is
         # pending before either service end, so both grants run inside
         # the one requesting event: no wake-up is scheduled at all.
-        from repro.sim.engine import ArbitratedResource, EventLoop
-
         loop = EventLoop()
-        resource = ArbitratedResource("x", 2, schedule=loop.at)
-        resource.attach_loop(loop)
+        resource = ArbitratedResource("x", 2, loop)
         starts = []
 
         def first(start):
@@ -559,18 +524,13 @@ class TestArbitratedResource:
         assert loop.processed == 1
         assert resource.busy_until == 15.0
 
-    @pytest.mark.parametrize("batched", (False, True))
-    def test_second_request_of_one_event_waits_for_the_first(self, batched):
-        # One event requests twice.  Batched, the first request's dispatch
-        # finds nothing else queued or pending and returns without a
-        # wake-up; the second request must still be granted when the
-        # first one's service ends, exactly as without batching.
-        from repro.sim.engine import ArbitratedResource, EventLoop
-
+    def test_second_request_of_one_event_waits_for_the_first(self):
+        # One event requests twice.  The first request's dispatch finds
+        # nothing else queued or pending and returns without a wake-up;
+        # the second request must still be granted when the first one's
+        # service ends.
         loop = EventLoop()
-        resource = ArbitratedResource("x", 2, schedule=loop.at)
-        if batched:
-            resource.attach_loop(loop)
+        resource = ArbitratedResource("x", 2, loop)
         starts = []
 
         def both(now):
@@ -582,8 +542,9 @@ class TestArbitratedResource:
         assert starts == [0.0, 10.0]
         assert resource.pending == 0
         assert resource.busy_until == 15.0
-        # Batching leaves out only the idle wake-up at t=15.
-        assert loop.processed == (2 if batched else 3)
+        # The event and the resumed wake-up at t=10, with no idle wake-up
+        # at t=15.
+        assert loop.processed == 2
 
     def test_request_in_the_past_waits_for_the_service_end(self):
         # Driven from outside a loop, a request may ask at a time before

@@ -15,28 +15,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ValidationError
+from repro.sim.engine import EventLoop
 from repro.sim.topology import (
     ROOT,
     CompiledTopology,
     FabricTopology,
     compile_topology,
 )
-
-
-class _ManualLoop:
-    def __init__(self):
-        self.events = []
-        self._sequence = 0
-
-    def at(self, time, fn):
-        self.events.append((time, self._sequence, fn))
-        self._sequence += 1
-
-    def run(self):
-        while self.events:
-            self.events.sort()
-            time, _, fn = self.events.pop(0)
-            fn(time)
 
 
 class TestFabricTopology:
@@ -89,9 +74,9 @@ class TestFabricTopology:
 
 class TestCompiledTopology:
     def test_flat_topology_is_a_direct_root_arbiter(self):
-        loop = _ManualLoop()
+        loop = EventLoop()
         tree = compile_topology(
-            "resource", None, ("a", "b"), schedule=loop.at, scheme="fcfs"
+            "resource", None, ("a", "b"), loop, scheme="fcfs"
         )
         grants = []
         tree.request(0, 0.0, 10.0, lambda t: grants.append(("a", t)))
@@ -104,12 +89,12 @@ class TestCompiledTopology:
         assert tree.root.name == "resource"
 
     def test_switch_hop_adds_store_and_forward_latency(self):
-        loop = _ManualLoop()
+        loop = EventLoop()
         tree = compile_topology(
             "resource",
             FabricTopology.parse("a=sw0,sw0=root"),
             ("a",),
-            schedule=loop.at,
+            loop,
         )
         grants = []
         tree.request(0, 0.0, 10.0, grants.append)
@@ -126,12 +111,12 @@ class TestCompiledTopology:
         # root.  With one upstream credit per switch, at most one bulk
         # request is pending at the root, so under fcfs the direct
         # device's wait is bounded by ~2 services, not the whole backlog.
-        loop = _ManualLoop()
+        loop = EventLoop()
         tree = compile_topology(
             "resource",
             FabricTopology.parse("direct=root,bulk=sw0,sw0=root"),
             ("direct", "bulk"),
-            schedule=loop.at,
+            loop,
         )
         for _ in range(50):
             tree.request(1, 0.0, 10.0, lambda t: None)
@@ -144,12 +129,12 @@ class TestCompiledTopology:
         assert tree.client_stats(1).busy_ns_total == 50 * 10.0
 
     def test_switch_weight_is_its_subtree_sum(self):
-        loop = _ManualLoop()
+        loop = EventLoop()
         tree = compile_topology(
             "resource",
             FabricTopology.parse("a=root,b=sw0,c=sw0,sw0=root"),
             ("a", "b", "c"),
-            schedule=loop.at,
+            loop,
             scheme="wrr",
             weights=(4.0, 1.0, 3.0),
         )
@@ -159,25 +144,25 @@ class TestCompiledTopology:
             tree.arbiter("nowhere")
 
     def test_weights_must_match_devices(self):
-        loop = _ManualLoop()
+        loop = EventLoop()
         with pytest.raises(ValidationError):
             compile_topology(
                 "resource",
                 None,
                 ("a", "b"),
-                schedule=loop.at,
+                loop,
                 scheme="wrr",
                 weights=(1.0,),
             )
 
     @pytest.mark.parametrize("bad", (float("nan"), float("inf"), 0.0))
     def test_retuned_weights_must_be_finite_and_positive(self, bad):
-        loop = _ManualLoop()
+        loop = EventLoop()
         tree = compile_topology(
             "resource",
             FabricTopology.parse("a=root,b=sw0,c=sw0,sw0=root"),
             ("a", "b", "c"),
-            schedule=loop.at,
+            loop,
             scheme="wrr",
         )
         with pytest.raises(ValidationError, match="finite and positive"):
@@ -185,11 +170,11 @@ class TestCompiledTopology:
         assert tree.root.weights == (1.0, 2.0)
 
     def test_compile_rejects_mismatched_leaves(self):
-        loop = _ManualLoop()
+        loop = EventLoop()
         with pytest.raises(ValidationError):
             CompiledTopology(
                 "resource",
                 FabricTopology.parse("a=root"),
                 ("a", "b"),
-                schedule=loop.at,
+                loop,
             )
