@@ -36,7 +36,7 @@ def _diff(path: str, old: object, new: object, out: list[str]) -> None:
             out.append(f"{path}: length {len(old)} != {len(new)}")
         for index, (a, b) in enumerate(zip(old, new)):
             _diff(f"{path}[{index}]", a, b, out)
-    elif old != new:
+    elif old != new and not (old != old and new != new):  # NaN matches NaN
         out.append(f"{path}: golden {old!r} != new {new!r}")
 
 
@@ -153,6 +153,32 @@ def contention_record(golden: dict) -> dict:
     ).as_dict()
 
 
+def experiment_record(result) -> dict:
+    """Every series point, table row and check of one experiment result."""
+    return {
+        "series": result.series,
+        "table_rows": result.table_rows,
+        "checks": [
+            {
+                "description": check.description,
+                "passed": check.passed,
+                "detail": check.detail,
+            }
+            for check in result.checks
+        ],
+    }
+
+
+def experiments_record(golden: dict) -> dict:
+    """The golden's experiments, run quick, keyed by experiment id."""
+    from repro.experiments import run_experiment
+
+    return {
+        experiment_id: experiment_record(run_experiment(experiment_id, quick=True))
+        for experiment_id in golden["experiments"]
+    }
+
+
 #: The checker of every file in ``tests/golden``, in the order they run.
 CHECKERS = {
     "nicsim_seeded.json": nicsim_record,
@@ -164,6 +190,7 @@ CHECKERS = {
     "trace_tree_sliced_seeded.json": traced_record,
     "trace_nicsim_multiqueue_seeded.json": traced_nicsim_record,
     "microbench_seeded.json": microbench_record,
+    "experiments_solo_seeded.json": experiments_record,
 }
 
 
