@@ -6,12 +6,12 @@ the transaction-level simulation sustains.  Useful when extending the
 simulator to check for performance regressions.
 """
 
+from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
 from repro.core.bandwidth import effective_bidirectional_bandwidth_gbps
 from repro.core.config import PAPER_DEFAULT_CONFIG
 from repro.core.nic import MODERN_NIC_KERNEL
 from repro.sim.dma import DmaEngine
 from repro.sim.host import HostSystem
-from repro.sim.nicsim import simulate_nic
 from repro.units import KIB
 
 
@@ -80,15 +80,15 @@ def test_micro_streaming_mode_memory_is_o1_in_packet_count():
     guard for the fleet-scale O(1)-memory contract.
     """
     runs = {}
+    params = NicSimParams(
+        model="dpdk",
+        workload="imix",
+        offered_load_gbps=20.0,
+        retain_samples=False,
+        seed=7,
+    )
     for packets in (1_000, 4_000):
-        result = simulate_nic(
-            "dpdk",
-            workload="imix",
-            packets=packets,
-            load_gbps=20.0,
-            retain_samples=False,
-            seed=7,
-        )
+        result = run_nicsim_benchmark(params.with_(packets=packets))
         sketch = result.tx.latency.sketch
         assert sketch is not None
         assert sketch.count >= packets // 2

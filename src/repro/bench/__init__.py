@@ -17,7 +17,13 @@ from .fleet import (
     run_fleet_benchmark,
 )
 from .micro import bw_rd, bw_rdwr, bw_wr, lat_rd, lat_wrrd, run_micro_benchmark
-from .nicsim import NICSIM_KIND, NicSimParams, run_nicsim_benchmark
+from .nicsim import (
+    NICSIM_KIND,
+    CrossValidationPoint,
+    NicSimParams,
+    cross_validate,
+    run_nicsim_benchmark,
+)
 from .params import (
     COMMON_TRANSFER_SIZES,
     DEFAULT_BANDWIDTH_TRANSACTIONS,
@@ -45,7 +51,9 @@ __all__ = [
     "lat_wrrd",
     "run_micro_benchmark",
     "NICSIM_KIND",
+    "CrossValidationPoint",
     "NicSimParams",
+    "cross_validate",
     "run_nicsim_benchmark",
     "CONTENTION_KIND",
     "FLEET_KIND",

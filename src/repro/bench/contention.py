@@ -34,7 +34,6 @@ from ..sim.fabric import (
 from ..sim.iommu import SUPPORTED_PAGE_SIZES
 from ..sim.topology import FabricTopology
 from ..units import KIB, MIB, format_size
-from ..workloads import build_flow_model, build_workload
 from .nicsim import NicSimParams
 
 #: The ``kind`` tag used in labels and serialised records.
@@ -428,16 +427,8 @@ def solo_device_params(params: ContentionParams, index: int) -> NicSimParams:
 
 def _fabric_device(device: NicSimParams, name: str) -> FabricDevice:
     """Translate one device spec into the simulator's device description."""
-    workload = build_workload(
-        device.workload,
-        size=device.packet_size,
-        load_gbps=device.offered_load_gbps,
-        duplex=device.duplex,
-    )
-    if device.num_queues > 1 and workload.flows is None:
-        workload = workload.with_(flows=build_flow_model(device.rss))
     return FabricDevice(
-        workload=workload,
+        workload=device.build_workload(),
         model=device.model,
         packets=device.packets,
         name=name,

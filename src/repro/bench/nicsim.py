@@ -13,6 +13,10 @@ picks a Table 1 profile (``None`` keeps the link-only datapath), and
 ``iommu_enabled`` / ``iommu_page_size`` / ``payload_window`` /
 ``payload_cache_state`` / ``payload_placement`` configure the
 :class:`~repro.sim.nichost.NicHostConfig` the simulator builds from them.
+
+:func:`run_nicsim_benchmark` is the one way to run a solo NIC datapath from
+parameters; :func:`cross_validate` runs a record's fixed-size saturating
+variants against the analytic model.
 """
 
 from __future__ import annotations
@@ -24,9 +28,15 @@ from ..core.nic import model_by_name
 from ..errors import ValidationError, record_reader
 from ..sim.engine import MODES
 from ..sim.nichost import NicHostConfig
-from ..sim.nicsim import NicSimConfig, NicSimResult, simulate_nic
+from ..sim.nicsim import NicDatapathSimulator, NicSimConfig, NicSimResult
 from ..units import KIB, MIB, format_size
-from ..workloads import canonical_flow_name, workload_names
+from ..workloads import (
+    Workload,
+    build_flow_model,
+    build_workload,
+    canonical_flow_name,
+    workload_names,
+)
 
 #: The ``kind`` tag used in labels and serialised records, mirroring the
 #: ``BenchmarkKind`` values of the classic micro-benchmarks.
@@ -131,13 +141,7 @@ class NicSimParams:
         # the simulator runs with, one source of truth.  Params without a
         # host check their host knobs against the default profile, so a bad
         # value fails where it is written, not at a later with_(system=...).
-        datapath = NicSimConfig(
-            ring_depth=self.ring_depth,
-            num_queues=self.num_queues,
-            dma_tags=self.dma_tags,
-            rss_table=self.rss_table,
-        )
-        object.__setattr__(self, "rss_table", datapath.rss_table)
+        object.__setattr__(self, "rss_table", self.sim_config().rss_table)
         if self.system is None and self.iommu_enabled:
             raise ValidationError(
                 "iommu_enabled requires a host system (set system=...)"
@@ -172,6 +176,34 @@ class NicSimParams:
             payload_cache_state=self.payload_cache_state,
             payload_placement=self.payload_placement,
         )
+
+    def sim_config(self) -> NicSimConfig:
+        """The datapath configuration the run's simulator is built with."""
+        return NicSimConfig(
+            ring_depth=self.ring_depth,
+            rx_backpressure=self.rx_backpressure,
+            host=self.host_config(),
+            num_queues=self.num_queues,
+            dma_tags=self.dma_tags,
+            retain_samples=self.retain_samples,
+            rss_table=self.rss_table,
+        )
+
+    def build_workload(self) -> Workload:
+        """The traffic the run replays.
+
+        A multi-queue run steers packets by flow, so a workload without a
+        flow model gets the ``rss`` scenario's.
+        """
+        workload = build_workload(
+            self.workload,
+            size=self.packet_size,
+            load_gbps=self.offered_load_gbps,
+            duplex=self.duplex,
+        )
+        if self.num_queues > 1 and workload.flows is None:
+            workload = workload.with_(flows=build_flow_model(self.rss))
+        return workload
 
     def with_(self, **changes: object) -> "NicSimParams":
         """Return a copy with selected fields replaced."""
@@ -279,26 +311,86 @@ def run_nicsim_benchmark(
     ``tracer`` / ``metrics`` opt the run into the observability layer
     (:mod:`repro.obs`) — span traces of every packet lifecycle stage and
     a window-sampled metrics registry attached as ``result.metrics``.
+    ``device`` names the run in spans and metric names.
     """
-    return simulate_nic(
-        params.model,
-        params.workload,
-        packets=params.packets,
-        packet_size=params.packet_size,
-        load_gbps=params.offered_load_gbps,
-        duplex=params.duplex,
-        ring_depth=params.ring_depth,
-        rx_backpressure=params.rx_backpressure,
-        host=params.host_config(),
-        num_queues=params.num_queues,
-        dma_tags=params.dma_tags,
-        rss=params.rss,
-        rss_table=params.rss_table,
-        retain_samples=params.retain_samples,
-        mode=params.mode,
+    simulator = NicDatapathSimulator(params.model, params.sim_config())
+    result = simulator.run(
+        params.build_workload(),
+        params.packets,
         seed=params.seed,
-        profile_sink=profile_sink,
         tracer=tracer,
         metrics=metrics,
         device=device,
+        mode=params.mode,
     )
+    if profile_sink is not None:
+        profile_sink.append(simulator.last_profile)
+        result = replace(result, profile=simulator.last_profile)
+    return result
+
+
+@dataclass(frozen=True)
+class CrossValidationPoint:
+    """Analytic vs simulated throughput for one (model, packet size) pair."""
+
+    model: str
+    packet_size: int
+    analytic_gbps: float
+    simulated_gbps: float
+
+    @property
+    def relative_error(self) -> float:
+        """``|simulated - analytic| / analytic``."""
+        return abs(self.simulated_gbps - self.analytic_gbps) / self.analytic_gbps
+
+    def within(self, tolerance: float = 0.1) -> bool:
+        """Whether the simulation agrees with the model to ``tolerance``."""
+        return self.relative_error <= tolerance
+
+
+def cross_validate(
+    params: NicSimParams, sizes: tuple[int, ...] = (64, 512, 1500)
+) -> list[CrossValidationPoint]:
+    """Compare steady-state simulated throughput with the analytic curve.
+
+    Runs each size as the fixed-size, saturating, full-duplex variant of
+    ``params`` — the exact setting the closed-form model describes — and
+    pairs the measured per-direction payload throughput with
+    :meth:`~repro.core.nic.NicModel.throughput_gbps`.  RX backpressure is
+    enabled so both directions stay in the 1:1 lossless mix the model
+    assumes (with tail-drop, dropped RX packets would free upstream
+    bandwidth and let TX exceed the model's bound).  Agreement here is
+    what licenses trusting the simulator where the model cannot go (bursty
+    arrivals, mixed sizes, shallow rings).  Every other field of
+    ``params`` (model, packets, ring depth, seed, host, tag pool, ...)
+    applies as written.
+
+    A host-coupled ``params`` runs the comparison with the datapath
+    coupled to a host model; with a *neutral* host configuration (IOMMU
+    off, warm cache, local buffers) the agreement must survive the
+    coupling — the regression contract the host-coupling refactor is held
+    to.  A ``dma_tags`` bound participates in the same contract only while
+    the pool is deep enough not to bind; a deliberately small pool
+    *should* break the agreement (that is the Figure 8 experiment).
+    """
+    model = model_by_name(params.model)
+    points = []
+    for size in sizes:
+        result = run_nicsim_benchmark(
+            params.with_(
+                workload="fixed",
+                packet_size=size,
+                offered_load_gbps=None,
+                duplex=True,
+                rx_backpressure=True,
+            )
+        )
+        points.append(
+            CrossValidationPoint(
+                model=model.name,
+                packet_size=size,
+                analytic_gbps=model.throughput_gbps(size),
+                simulated_gbps=result.throughput_gbps,
+            )
+        )
+    return points

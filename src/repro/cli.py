@@ -52,7 +52,7 @@ from .bench.contention import (
     solo_device_params,
 )
 from .bench.fleet import FleetParams, run_fleet_benchmark
-from .bench.nicsim import NicSimParams, run_nicsim_benchmark
+from .bench.nicsim import NicSimParams, cross_validate, run_nicsim_benchmark
 from .bench.params import BenchmarkKind, BenchmarkParams
 from .bench.results import save_results_json
 from .bench.runner import BenchmarkRunner, full_suite_params
@@ -64,7 +64,6 @@ from .experiments.registry import experiment_ids, run_all, run_experiment
 from .control import CONTROL_POLICIES
 from .obs import DEFAULT_CAPACITY, Tracer
 from .sim.engine import ARBITER_SCHEMES, MODES
-from .sim.nicsim import cross_validate
 from .sim.profiles import profile_names
 from .units import parse_size
 from .workloads import flow_model_names, workload_names
@@ -514,7 +513,7 @@ def _cmd_nicsim(args: argparse.Namespace) -> int:
         models = [model_by_name(args.model).name]
     tracer = _build_tracer(args)
     records = []
-    host_config = None
+    runs = []
     for model in models:
         params = NicSimParams(
             model=model,
@@ -536,7 +535,7 @@ def _cmd_nicsim(args: argparse.Namespace) -> int:
             seed=args.seed,
             mode=args.mode,
         )
-        host_config = params.host_config()
+        runs.append(params)
         print(params.label(), file=sys.stderr)
         profiles: list = [] if args.profile else None  # type: ignore[assignment]
         records.append(
@@ -555,11 +554,8 @@ def _cmd_nicsim(args: argparse.Namespace) -> int:
         _emit_trace(tracer, args)
     if args.compare_analytic:
         rows = []
-        for model in models:
-            for point in cross_validate(
-                model, (args.size,), packets=args.packets,
-                ring_depth=args.ring_depth, host=host_config, seed=args.seed,
-            ):
+        for params in runs:
+            for point in cross_validate(params, (args.size,)):
                 rows.append(
                     [
                         point.model,

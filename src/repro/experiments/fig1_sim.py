@@ -19,8 +19,8 @@ models through the packet-level datapath simulator
 
 from __future__ import annotations
 
+from ..bench.nicsim import NicSimParams, cross_validate, run_nicsim_benchmark
 from ..core.nic import FIGURE1_MODELS, MODERN_NIC_DPDK, MODERN_NIC_KERNEL
-from ..sim.nicsim import cross_validate, simulate_nic
 from .base import Check, ExperimentResult
 
 EXPERIMENT_ID = "figure-1-sim"
@@ -43,7 +43,9 @@ def run(quick: bool = True) -> ExperimentResult:
     series: dict[str, list[tuple[float, float]]] = {}
     checks: list[Check] = []
     for model in FIGURE1_MODELS:
-        points = cross_validate(model, sizes, packets=packets)
+        points = cross_validate(
+            NicSimParams(model=model.name, packets=packets), sizes
+        )
         series[f"{model.name} (model)"] = [
             (float(point.packet_size), point.analytic_gbps) for point in points
         ]
@@ -62,22 +64,16 @@ def run(quick: bool = True) -> ExperimentResult:
 
     # Scenarios the closed form cannot express: mixed sizes, moderation
     # latency, burst-driven ring occupancy and drops.
-    kernel_imix = simulate_nic(
-        MODERN_NIC_KERNEL, "imix", packets=scenario_packets,
-        load_gbps=SCENARIO_LOAD_GBPS,
+    scenario = NicSimParams(
+        model=MODERN_NIC_DPDK.name,
+        workload="imix",
+        packets=scenario_packets,
+        offered_load_gbps=SCENARIO_LOAD_GBPS,
     )
-    dpdk_imix = simulate_nic(
-        MODERN_NIC_DPDK, "imix", packets=scenario_packets,
-        load_gbps=SCENARIO_LOAD_GBPS,
-    )
-    smooth = simulate_nic(
-        MODERN_NIC_DPDK, "fixed", packets=scenario_packets, packet_size=512,
-        load_gbps=SCENARIO_LOAD_GBPS,
-    )
-    bursty = simulate_nic(
-        MODERN_NIC_DPDK, "bursty", packets=scenario_packets, packet_size=512,
-        load_gbps=SCENARIO_LOAD_GBPS,
-    )
+    kernel_imix = run_nicsim_benchmark(scenario.with_(model=MODERN_NIC_KERNEL.name))
+    dpdk_imix = run_nicsim_benchmark(scenario)
+    smooth = run_nicsim_benchmark(scenario.with_(workload="fixed", packet_size=512))
+    bursty = run_nicsim_benchmark(scenario.with_(workload="bursty", packet_size=512))
 
     assert kernel_imix.rx is not None and dpdk_imix.rx is not None
     assert smooth.rx is not None and bursty.rx is not None

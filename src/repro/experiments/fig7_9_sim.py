@@ -32,8 +32,8 @@ host-coupling refactor.
 
 from __future__ import annotations
 
-from ..sim.nichost import NicHostConfig
-from ..sim.nicsim import NicSimResult, cross_validate, simulate_nic
+from ..bench.nicsim import NicSimParams, cross_validate, run_nicsim_benchmark
+from ..sim.nicsim import NicSimResult
 from ..units import KIB, MIB
 from .base import Check, ExperimentResult
 
@@ -56,31 +56,31 @@ WINDOWS = (64 * KIB, 256 * KIB, 1 * MIB, 4 * MIB, 16 * MIB)
 #: Cross-validation tolerance (the PR 1 contract, kept through the refactor).
 TOLERANCE = 0.10
 
-#: Neutral coupling: everything a host can do to stay out of the way.
-NEUTRAL_HOST = NicHostConfig(
-    system=SYSTEM,
-    iommu_enabled=False,
-    payload_window=256 * KIB,
-    payload_cache_state="host_warm",
-    payload_placement="local",
-)
+#: The DPDK datapath coupled to the host; runs vary the host fields.
+COUPLED = NicSimParams(model="dpdk", system=SYSTEM)
+#: Neutral coupling: everything a host can do to stay out of the way
+#: (IOMMU off, warm cache, local buffers, a small window).
+NEUTRAL = COUPLED.with_(payload_window=256 * KIB)
 
 
-def _coupled(
+def _run_coupled(
     window: int,
     *,
     iommu: bool = False,
     page_size: int = 4 * KIB,
     cache: str = "device_warm",
     placement: str = "local",
-) -> NicHostConfig:
-    return NicHostConfig(
-        system=SYSTEM,
-        iommu_enabled=iommu,
-        iommu_page_size=page_size,
-        payload_window=window,
-        payload_cache_state=cache,
-        payload_placement=placement,
+    **run: object,
+) -> NicSimResult:
+    return run_nicsim_benchmark(
+        COUPLED.with_(
+            iommu_enabled=iommu,
+            iommu_page_size=page_size,
+            payload_window=window,
+            payload_cache_state=cache,
+            payload_placement=placement,
+            **run,
+        )
     )
 
 
@@ -95,10 +95,10 @@ def run(quick: bool = True) -> ExperimentResult:
     xval_packets = 1500 if quick else 4000
 
     # -- contract: decoupled and neutral-coupled agree with the closed form
-    decoupled_points = cross_validate("dpdk", (64, 1500), packets=xval_packets)
-    coupled_points = cross_validate(
-        "dpdk", (64, 1500), packets=xval_packets, host=NEUTRAL_HOST
+    decoupled_points = cross_validate(
+        NicSimParams(model="dpdk", packets=xval_packets), (64, 1500)
     )
+    coupled_points = cross_validate(NEUTRAL.with_(packets=xval_packets), (64, 1500))
     worst_decoupled = max(p.relative_error for p in decoupled_points)
     worst_coupled = max(p.relative_error for p in coupled_points)
 
@@ -109,22 +109,20 @@ def run(quick: bool = True) -> ExperimentResult:
         "IOMMU on (2M pages)": [],
     }
     sweep: dict[tuple[str, int], NicSimResult] = {}
+    imix = {
+        "workload": "imix",
+        "packets": packets,
+        "offered_load_gbps": SCENARIO_LOAD_GBPS,
+    }
     for window in WINDOWS:
         variants = {
-            "IOMMU off": _coupled(window),
-            "IOMMU on (4K pages)": _coupled(window, iommu=True),
-            "IOMMU on (2M pages)": _coupled(
-                window, iommu=True, page_size=2 * MIB
+            "IOMMU off": _run_coupled(window, **imix),
+            "IOMMU on (4K pages)": _run_coupled(window, iommu=True, **imix),
+            "IOMMU on (2M pages)": _run_coupled(
+                window, iommu=True, page_size=2 * MIB, **imix
             ),
         }
-        for name, host in variants.items():
-            result = simulate_nic(
-                "dpdk",
-                "imix",
-                packets=packets,
-                load_gbps=SCENARIO_LOAD_GBPS,
-                host=host,
-            )
+        for name, result in variants.items():
             sweep[(name, window)] = result
             series[name].append((float(window), _tx_p50(result)))
 
@@ -140,49 +138,29 @@ def run(quick: bool = True) -> ExperimentResult:
     # -- cache state: warm small window vs cold large window, smooth load
     # (fixed-size traffic exposes the DRAM penalty across the whole
     # latency distribution; IMIX medians are batch-fill dominated)
-    cache_warm = simulate_nic(
-        "dpdk",
-        "fixed",
-        packets=packets,
-        packet_size=512,
-        load_gbps=SCENARIO_LOAD_GBPS,
-        host=_coupled(256 * KIB, cache="host_warm"),
-    )
-    cache_cold = simulate_nic(
-        "dpdk",
-        "fixed",
-        packets=packets,
-        packet_size=512,
-        load_gbps=SCENARIO_LOAD_GBPS,
-        host=_coupled(large, cache="cold"),
-    )
+    smooth = {
+        "packets": packets,
+        "packet_size": 512,
+        "offered_load_gbps": SCENARIO_LOAD_GBPS,
+    }
+    cache_warm = _run_coupled(256 * KIB, cache="host_warm", **smooth)
+    cache_cold = _run_coupled(large, cache="cold", **smooth)
     cache_adder = _tx_p50(cache_cold) - _tx_p50(cache_warm)
 
     # -- IOMMU throughput collapse: saturating small packets, large window
-    sat_off = simulate_nic(
-        "dpdk", "fixed", packets=packets, packet_size=64, host=_coupled(large)
-    )
-    sat_on = simulate_nic(
-        "dpdk",
-        "fixed",
-        packets=packets,
-        packet_size=64,
-        host=_coupled(large, iommu=True),
-    )
+    sat_off = _run_coupled(large, packets=packets, packet_size=64)
+    sat_on = _run_coupled(large, iommu=True, packets=packets, packet_size=64)
 
     # -- NUMA placement under smooth, IMIX and bursty traffic
     numa: dict[tuple[str, str], NicSimResult] = {}
     for workload in ("fixed", "imix", "bursty"):
         for placement in ("local", "remote"):
-            numa[(workload, placement)] = simulate_nic(
-                "dpdk",
-                workload,
-                packets=packets,
-                packet_size=512,
-                load_gbps=SCENARIO_LOAD_GBPS,
-                host=_coupled(
-                    1 * MIB, cache="host_warm", placement=placement
-                ),
+            numa[(workload, placement)] = _run_coupled(
+                1 * MIB,
+                cache="host_warm",
+                placement=placement,
+                workload=workload,
+                **smooth,
             )
     fixed_adder = _tx_p50(numa[("fixed", "remote")]) - _tx_p50(
         numa[("fixed", "local")]

@@ -21,8 +21,8 @@ so whichever is smaller binds:
 
 from __future__ import annotations
 
-from ..sim.nichost import NicHostConfig
-from ..sim.nicsim import NicSimResult, simulate_nic
+from ..bench.nicsim import NicSimParams, run_nicsim_benchmark
+from ..sim.nicsim import NicSimResult
 from ..units import KIB
 from .base import Check, ExperimentResult, value_at
 
@@ -42,19 +42,17 @@ KNEE_FRACTION = 0.95
 
 
 def _run(ring_depth: int, tags: int, packets: int) -> NicSimResult:
-    return simulate_nic(
-        "dpdk",
-        "fixed",
-        packets=packets,
-        packet_size=PACKET_SIZE,
-        ring_depth=ring_depth,
-        host=NicHostConfig(
+    return run_nicsim_benchmark(
+        NicSimParams(
+            model="dpdk",
+            packet_size=PACKET_SIZE,
+            packets=packets,
+            ring_depth=ring_depth,
             system=SYSTEM,
             payload_window=WINDOW,
-            payload_cache_state="host_warm",
             payload_placement="remote",
-        ),
-        dma_tags=tags,
+            dma_tags=tags,
+        )
     )
 
 

@@ -27,8 +27,8 @@ payload placement:
 
 from __future__ import annotations
 
-from ..sim.nichost import NicHostConfig
-from ..sim.nicsim import NicSimResult, cross_validate, simulate_nic
+from ..bench.nicsim import NicSimParams, cross_validate, run_nicsim_benchmark
+from ..sim.nicsim import NicSimResult
 from ..units import KIB
 from .base import Check, ExperimentResult
 
@@ -58,24 +58,19 @@ RESIDUAL_CEILING = 0.02
 TOLERANCE = 0.10
 
 
-def _host(placement: str) -> NicHostConfig:
-    return NicHostConfig(
+def _params(placement: str, packets: int) -> NicSimParams:
+    return NicSimParams(
+        model="dpdk",
+        packet_size=PACKET_SIZE,
+        packets=packets,
         system=SYSTEM,
         payload_window=WINDOW,
-        payload_cache_state="host_warm",
         payload_placement=placement,
     )
 
 
 def _run(placement: str, tags: int | None, packets: int) -> NicSimResult:
-    return simulate_nic(
-        "dpdk",
-        "fixed",
-        packets=packets,
-        packet_size=PACKET_SIZE,
-        host=_host(placement),
-        dma_tags=tags,
-    )
+    return run_nicsim_benchmark(_params(placement, packets).with_(dma_tags=tags))
 
 
 def run(quick: bool = True) -> ExperimentResult:
@@ -110,10 +105,7 @@ def run(quick: bool = True) -> ExperimentResult:
         point
         for placement in ("local", "remote")
         for point in cross_validate(
-            "dpdk",
-            (PACKET_SIZE,),
-            packets=xval_packets,
-            host=_host(placement),
+            _params(placement, xval_packets), (PACKET_SIZE,)
         )
     ]
     worst_xval = max(point.relative_error for point in xval_points)

@@ -40,7 +40,6 @@ from .fabric import (
 )
 from .nichost import HostCoupling, HostSideStats, NicHostConfig, SharedHost
 from .nicsim import (
-    CrossValidationPoint,
     LatencySummary,
     NicDatapathSimulator,
     NicSimConfig,
@@ -48,9 +47,6 @@ from .nicsim import (
     PathResult,
     PathTrace,
     RingStats,
-    cross_validate,
-    cross_validate_figure1,
-    simulate_nic,
 )
 from .host import HostSystem
 from .hostbuffer import AccessPattern, HostBuffer
@@ -102,7 +98,6 @@ __all__ = [
     "FabricPortStats",
     "FabricSimulator",
     "SharedHost",
-    "CrossValidationPoint",
     "HostCoupling",
     "HostSideStats",
     "LatencySummary",
@@ -113,9 +108,6 @@ __all__ = [
     "PathResult",
     "PathTrace",
     "RingStats",
-    "cross_validate",
-    "cross_validate_figure1",
-    "simulate_nic",
     "HostSystem",
     "AccessPattern",
     "HostBuffer",

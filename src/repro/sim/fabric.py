@@ -66,7 +66,6 @@ from ..control import (
     ControlRuntime,
     build_controller,
 )
-from ..core.config import PAPER_DEFAULT_CONFIG, PCIeConfig
 from ..core.nic import NicModel, model_by_name
 from ..errors import ValidationError, record_reader
 from ..obs.metrics import MetricsRegistry, metric_segment
@@ -649,7 +648,6 @@ class FabricSimulator:
         self,
         devices: Sequence[FabricDevice],
         fabric: FabricConfig | None = None,
-        config: PCIeConfig = PAPER_DEFAULT_CONFIG,
     ) -> None:
         if not devices:
             raise ValidationError("a fabric needs at least one device")
@@ -685,7 +683,6 @@ class FabricSimulator:
         self._sim_configs = tuple(
             device.sim_config(self.fabric) for device in self.devices
         )
-        self.config = config
         #: Wall-clock phase timing of the most recent :meth:`run`.
         self.last_profile: EngineProfile | None = None
 
@@ -779,7 +776,6 @@ class FabricSimulator:
                 name,
                 "fabric",
                 device.model,
-                self.config,
                 self._sim_configs[index],
                 loop,
                 device.workload,

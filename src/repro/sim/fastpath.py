@@ -724,7 +724,6 @@ def run_batch(
         path = _Datapath(
             direction,
             simulator.model,
-            simulator.config,
             sim_config,
             EventLoop(),
             SerialResource("fastpath.compile.up"),

@@ -29,10 +29,11 @@ interrupt-driven models, the descriptor write-back for polling drivers.
 
 Under smooth fixed-size load the simulation converges on the closed-form
 :meth:`~repro.core.nic.NicModel.throughput_gbps` (the cross-validation
-harness at the bottom of this module checks that); under bursty or
-mixed-size traffic it additionally exposes what the averages hide — ring
-occupancy, head-of-line waits, drops, and the latency cost of interrupt
-moderation — which is the new scientific output of the subsystem.
+harness :func:`repro.bench.nicsim.cross_validate` checks that); under
+bursty or mixed-size traffic it additionally exposes what the averages
+hide — ring occupancy, head-of-line waits, drops, and the latency cost of
+interrupt moderation — which is the new scientific output of the
+subsystem.
 
 When a :class:`~repro.sim.nichost.NicHostConfig` is attached (via
 ``NicSimConfig.host``), the flat per-DMA host latency is replaced by the
@@ -79,8 +80,8 @@ from typing import Callable
 import numpy as np
 
 from ..control import ControlRuntime, RssSteering, identity_table
-from ..core.config import PAPER_DEFAULT_CONFIG, PCIeConfig
-from ..core.nic import FIGURE1_MODELS, NicModel, model_by_name
+from ..core.config import PAPER_DEFAULT_CONFIG
+from ..core.nic import NicModel, model_by_name
 from ..core.transactions import OpKind
 from ..errors import SimulationError, ValidationError, record_reader
 from ..obs.metrics import (
@@ -101,13 +102,7 @@ from ..obs.trace import (
 )
 from ..stats import QuantileSketch
 from ..units import bytes_over_time_to_gbps, ns_to_s
-from ..workloads import (
-    PacketSchedule,
-    Workload,
-    build_flow_model,
-    build_workload,
-    rss_buckets,
-)
+from ..workloads import PacketSchedule, Workload, rss_buckets
 from ..workloads.rss import check_rss_table
 from .engine import MODES, EngineProfile, EventLoop, SerialResource, TagPool
 from .nichost import HostCoupling, HostSideStats, NicHostConfig, SharedHost
@@ -811,7 +806,6 @@ class _Datapath:
         "queue_index",
         "label",
         "_model",
-        "_config",
         "_sim_config",
         "_loop",
         "_link_up",
@@ -850,7 +844,6 @@ class _Datapath:
         self,
         direction: str,
         model: NicModel,
-        config: PCIeConfig,
         sim_config: NicSimConfig,
         loop: EventLoop,
         link_up: SerialResource,
@@ -872,7 +865,6 @@ class _Datapath:
         #: serialised results stay identical), ``"tx[i]"`` per queue.
         self.label = direction if num_queues == 1 else f"{direction}[{queue_index}]"
         self._model = model
-        self._config = config
         self._sim_config = sim_config
         self._loop = loop
         self._link_up = link_up
@@ -963,10 +955,10 @@ class _Datapath:
                 if self.direction == "tx"
                 else self._model.rx_sequence(size)
             )
-            link = self._config.link
+            link = PAPER_DEFAULT_CONFIG.link
             ops = []
             for transaction in sequence.transactions:
-                wire = transaction.wire_bytes(self._config)
+                wire = transaction.wire_bytes(PAPER_DEFAULT_CONFIG)
                 ops.append(
                     _CompiledOp(
                         kind=transaction.kind,
@@ -1509,7 +1501,6 @@ class _Device:
         name: str,
         prefix: str,
         model: NicModel,
-        config: PCIeConfig,
         sim_config: NicSimConfig,
         loop: EventLoop,
         workload: Workload,
@@ -1560,7 +1551,6 @@ class _Device:
                 _Datapath(
                     direction,
                     model,
-                    config,
                     sim_config,
                     loop,
                     self.link_up,
@@ -1886,11 +1876,9 @@ class NicDatapathSimulator:
     def __init__(
         self,
         model: NicModel | str,
-        config: PCIeConfig = PAPER_DEFAULT_CONFIG,
         sim_config: NicSimConfig | None = None,
     ) -> None:
         self.model = model_by_name(model) if isinstance(model, str) else model
-        self.config = config
         self.sim_config = sim_config or NicSimConfig()
         #: Per-direction :class:`PathTrace` of the most recent ``run``.
         self.last_traces: dict[str, PathTrace] = {}
@@ -1980,7 +1968,6 @@ class NicDatapathSimulator:
             device,
             "nicsim",
             self.model,
-            self.config,
             self.sim_config,
             loop,
             workload,
@@ -2033,192 +2020,3 @@ class NicDatapathSimulator:
             nic.publish(metrics, result)
             result = replace(result, metrics=metrics.as_dict())
         return result
-
-
-def simulate_nic(
-    model: NicModel | str,
-    workload: Workload | str = "fixed",
-    *,
-    packets: int = 4000,
-    packet_size: int = 1024,
-    load_gbps: float | None = None,
-    duplex: bool = True,
-    ring_depth: int = 512,
-    rx_backpressure: bool = False,
-    host: NicHostConfig | str | None = None,
-    num_queues: int = 1,
-    dma_tags: int | None = None,
-    rss: str = "uniform",
-    rss_table: tuple[int, ...] | None = None,
-    flow_count: int = 64,
-    retain_samples: bool = True,
-    seed: int | None = None,
-    config: PCIeConfig = PAPER_DEFAULT_CONFIG,
-    profile_sink: list[EngineProfile] | None = None,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
-    device: str = "nic",
-    mode: str = "exact",
-) -> NicSimResult:
-    """One-call convenience wrapper around :class:`NicDatapathSimulator`.
-
-    ``workload`` accepts either a prepared :class:`Workload` or a registry
-    name (``"fixed"``, ``"imix"``, ``"bursty"``, ...); the ``packet_size``,
-    ``load_gbps`` and ``duplex`` knobs only apply when building by name.
-    ``host`` couples the datapath to a host model: either a full
-    :class:`~repro.sim.nichost.NicHostConfig` or a Table 1 profile name
-    (which uses the config's neutral defaults).
-
-    ``num_queues`` and ``dma_tags`` configure the multi-queue layout and
-    the bounded in-flight DMA tag pool.  A multi-queue run steers packets
-    by flow; if the workload carries no flow model one is attached from
-    the ``rss`` scenario name (``"uniform"``, ``"zipf"``/``"skewed"``,
-    ``"hot"``) with ``flow_count`` distinct flows.
-
-    ``retain_samples=False`` selects the O(1)-memory streaming-statistics
-    mode (see :class:`NicSimConfig`).
-
-    ``profile_sink`` (a caller-owned list) receives the run's
-    :class:`~repro.sim.engine.EngineProfile` — per-phase wall time and
-    event throughput — when provided; the profile is then also attached
-    to the returned result (``result.profile``) so it serialises.
-
-    ``tracer`` and ``metrics`` opt into the observability layer
-    (:mod:`repro.obs`): span traces of every packet lifecycle stage, and
-    a window-sampled counter/gauge/histogram registry attached to the
-    result as ``result.metrics``.  Both default to off; neither changes
-    what is simulated.
-
-    ``mode`` selects the engine (``"exact"`` or ``"batch"``, see
-    :meth:`NicDatapathSimulator.run`).
-    """
-    if isinstance(workload, str):
-        workload = build_workload(
-            workload, size=packet_size, load_gbps=load_gbps, duplex=duplex
-        )
-    if num_queues > 1 and workload.flows is None:
-        workload = workload.with_(
-            flows=build_flow_model(rss, flows=flow_count)
-        )
-    if isinstance(host, str):
-        host = NicHostConfig(system=host)
-    simulator = NicDatapathSimulator(
-        model,
-        config=config,
-        sim_config=NicSimConfig(
-            ring_depth=ring_depth,
-            rx_backpressure=rx_backpressure,
-            host=host,
-            num_queues=num_queues,
-            dma_tags=dma_tags,
-            retain_samples=retain_samples,
-            rss_table=rss_table,
-        ),
-    )
-    result = simulator.run(
-        workload,
-        packets,
-        seed=seed,
-        tracer=tracer,
-        metrics=metrics,
-        device=device,
-        mode=mode,
-    )
-    if profile_sink is not None and simulator.last_profile is not None:
-        profile_sink.append(simulator.last_profile)
-        result = replace(result, profile=simulator.last_profile)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Cross-validation against the analytic model
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CrossValidationPoint:
-    """Analytic vs simulated throughput for one (model, packet size) pair."""
-
-    model: str
-    packet_size: int
-    analytic_gbps: float
-    simulated_gbps: float
-
-    @property
-    def relative_error(self) -> float:
-        """``|simulated - analytic| / analytic``."""
-        return abs(self.simulated_gbps - self.analytic_gbps) / self.analytic_gbps
-
-    def within(self, tolerance: float = 0.1) -> bool:
-        """Whether the simulation agrees with the model to ``tolerance``."""
-        return self.relative_error <= tolerance
-
-
-def cross_validate(
-    model: NicModel | str,
-    sizes: tuple[int, ...] = (64, 512, 1500),
-    *,
-    packets: int = 2000,
-    ring_depth: int = 512,
-    host: NicHostConfig | str | None = None,
-    dma_tags: int | None = None,
-    seed: int | None = None,
-    config: PCIeConfig = PAPER_DEFAULT_CONFIG,
-) -> list[CrossValidationPoint]:
-    """Compare steady-state simulated throughput with the analytic curve.
-
-    Runs a fixed-size full-duplex saturating workload per size — the exact
-    setting the closed-form model describes — and pairs the measured
-    per-direction payload throughput with
-    :meth:`~repro.core.nic.NicModel.throughput_gbps`.  RX backpressure is
-    enabled so both directions stay in the 1:1 lossless mix the model
-    assumes (with tail-drop, dropped RX packets would free upstream
-    bandwidth and let TX exceed the model's bound).  Agreement here is
-    what licenses trusting the simulator where the model cannot go (bursty
-    arrivals, mixed sizes, shallow rings).
-
-    Passing ``host`` runs the comparison with the datapath coupled to a
-    host model; with a *neutral* host configuration (IOMMU off, warm
-    cache, local buffers) the agreement must survive the coupling — the
-    regression contract the host-coupling refactor is held to.  A
-    ``dma_tags`` bound participates in the same contract only while the
-    pool is deep enough not to bind; a deliberately small pool *should*
-    break the agreement (that is the Figure 8 experiment).
-    """
-    resolved = model_by_name(model) if isinstance(model, str) else model
-    points = []
-    for size in sizes:
-        result = simulate_nic(
-            resolved,
-            "fixed",
-            packets=packets,
-            packet_size=size,
-            ring_depth=ring_depth,
-            rx_backpressure=True,
-            host=host,
-            dma_tags=dma_tags,
-            seed=seed,
-            config=config,
-        )
-        points.append(
-            CrossValidationPoint(
-                model=resolved.name,
-                packet_size=size,
-                analytic_gbps=resolved.throughput_gbps(size, config),
-                simulated_gbps=result.throughput_gbps,
-            )
-        )
-    return points
-
-
-def cross_validate_figure1(
-    sizes: tuple[int, ...] = (64, 512, 1500),
-    *,
-    packets: int = 2000,
-    config: PCIeConfig = PAPER_DEFAULT_CONFIG,
-) -> dict[str, list[CrossValidationPoint]]:
-    """Cross-validate all three Figure 1 models; keyed by model name."""
-    return {
-        model.name: cross_validate(model, sizes, packets=packets, config=config)
-        for model in FIGURE1_MODELS
-    }

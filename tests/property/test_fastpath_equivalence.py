@@ -19,9 +19,8 @@ must be *exactly* the fabric exact result for all arbiters.
 import pytest
 
 from repro.bench.contention import ContentionParams, run_contention_benchmark
-from repro.bench.nicsim import NicSimParams
+from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
 from repro.sim.engine import ARBITER_SCHEMES
-from repro.sim.nicsim import simulate_nic
 
 #: Saturated-regime tolerances (relative). Converged runs use none.
 THROUGHPUT_RTOL = 0.01
@@ -47,10 +46,13 @@ SATURATED_GRID = [
 
 
 def _simulate(mode, model, workload, size, load, packets, seed):
-    kwargs = dict(load_gbps=load, packets=packets, seed=seed, mode=mode)
+    params = NicSimParams(
+        model=model, workload=workload, offered_load_gbps=load,
+        packets=packets, seed=seed, mode=mode,
+    )
     if size is not None:
-        kwargs["packet_size"] = size
-    return simulate_nic(model, workload, **kwargs)
+        params = params.with_(packet_size=size)
+    return run_nicsim_benchmark(params)
 
 
 def _direction_metrics(result):

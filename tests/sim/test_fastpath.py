@@ -10,14 +10,14 @@ profile.
 import pytest
 
 from repro.bench.contention import ContentionParams, run_contention_benchmark
-from repro.bench.nicsim import NicSimParams
+from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
 from repro.cli import main
 from repro.errors import ValidationError
 from repro.obs import Tracer
 from repro.obs.trace import BATCH_PREFIX
 from repro.sim.engine import MODES, EngineProfile
 from repro.sim.fastpath import BatchFallback, run_batch
-from repro.sim.nicsim import NicDatapathSimulator, simulate_nic
+from repro.sim.nicsim import NicDatapathSimulator
 from repro.workloads import build_workload
 
 
@@ -72,11 +72,13 @@ class TestModeKnob:
 
 
 def _run(mode, *, model="dpdk", workload="fixed", size=512, load=5.0,
-         packets=400, seed=3, **kwargs):
-    return simulate_nic(
-        model, workload, packet_size=size, load_gbps=load,
-        packets=packets, seed=seed, mode=mode, **kwargs,
+         packets=400, seed=3, profile_sink=None, tracer=None, **fields):
+    params = NicSimParams(
+        model=model, workload=workload, packet_size=size,
+        offered_load_gbps=load, packets=packets, seed=seed, mode=mode,
+        **fields,
     )
+    return run_nicsim_benchmark(params, profile_sink=profile_sink, tracer=tracer)
 
 
 class TestBatchEligibilityFallbacks:
@@ -137,16 +139,16 @@ class TestBatchEligibilityFallbacks:
             self._raw_batch(simulator, size=512, load_gbps=5.0)
         assert "interaction point" in excinfo.value.reason
 
-    def test_simulate_nic_falls_back_silently_to_exact(self):
+    def test_run_nicsim_benchmark_falls_back_silently_to_exact(self):
         # The public entry point absorbs the fallback: a coupled batch
         # run returns the scalar engine's exact result.
-        exact = _run("exact", packets=200, host="NFP6000-HSW")
-        batch = _run("batch", packets=200, host="NFP6000-HSW")
+        exact = _run("exact", packets=200, system="NFP6000-HSW")
+        batch = _run("batch", packets=200, system="NFP6000-HSW")
         assert batch.as_dict() == exact.as_dict()
 
     def test_fallen_back_profile_reports_exact(self):
         sink = []
-        _run("batch", packets=200, host="NFP6000-HSW", profile_sink=sink)
+        _run("batch", packets=200, system="NFP6000-HSW", profile_sink=sink)
         assert sink[0].mode == "exact"
 
 

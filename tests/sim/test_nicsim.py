@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.nicsim import NicSimParams, cross_validate, run_nicsim_benchmark
 from repro.core.nic import (
     FIGURE1_MODELS,
     MODERN_NIC_DPDK,
@@ -9,13 +10,14 @@ from repro.core.nic import (
     SIMPLE_NIC,
 )
 from repro.errors import ValidationError
-from repro.sim.nicsim import (
-    NicDatapathSimulator,
-    NicSimConfig,
-    cross_validate,
-    simulate_nic,
-)
+from repro.sim.nicsim import NicDatapathSimulator, NicSimConfig
 from repro.workloads import build_workload
+
+
+def _run(model, workload="fixed", **fields):
+    return run_nicsim_benchmark(
+        NicSimParams(model=model.name, workload=workload, **fields)
+    )
 
 
 class TestCrossValidation:
@@ -25,7 +27,9 @@ class TestCrossValidation:
         "model", FIGURE1_MODELS, ids=lambda model: model.name
     )
     def test_fixed_size_duplex_throughput_within_10pct(self, model):
-        points = cross_validate(model, (64, 512, 1500), packets=2000)
+        points = cross_validate(
+            NicSimParams(model=model.name, packets=2000), (64, 512, 1500)
+        )
         assert len(points) == 3
         for point in points:
             assert point.within(0.10), (
@@ -40,7 +44,8 @@ class TestCrossValidation:
         # move from averages to per-transaction simulation.
         throughputs = {}
         for model in FIGURE1_MODELS:
-            point = cross_validate(model, (256,), packets=1500)[0]
+            params = NicSimParams(model=model.name, packets=1500)
+            point = cross_validate(params, (256,))[0]
             throughputs[model.name] = point.simulated_gbps
         assert (
             throughputs[SIMPLE_NIC.name]
@@ -51,7 +56,7 @@ class TestCrossValidation:
 
 class TestSaturationBehaviour:
     def test_saturating_load_fills_tx_ring_and_drops_rx(self):
-        result = simulate_nic(
+        result = _run(
             SIMPLE_NIC, "fixed", packets=1500, packet_size=64
         )
         # TX backpressures (no drops, ring pegged); RX tail-drops.
@@ -62,16 +67,16 @@ class TestSaturationBehaviour:
         assert result.tx.delivered_packets == 1500
 
     def test_light_load_keeps_rings_shallow_and_lossless(self):
-        result = simulate_nic(
+        result = _run(
             MODERN_NIC_DPDK, "fixed", packets=1500, packet_size=512,
-            load_gbps=10.0,
+            offered_load_gbps=10.0,
         )
         assert result.total_drops == 0
         assert result.tx.ring.max_occupancy < result.tx.ring.depth / 4
         assert result.throughput_gbps == pytest.approx(10.0, rel=0.05)
 
     def test_link_utilisation_reported(self):
-        result = simulate_nic(
+        result = _run(
             MODERN_NIC_DPDK, "fixed", packets=1500, packet_size=512
         )
         assert 0.5 < result.link_utilisation_up <= 1.0
@@ -82,34 +87,34 @@ class TestLatencyAndOccupancy:
     """The outputs the analytic model cannot produce."""
 
     def test_interrupt_moderation_penalises_kernel_rx_latency(self):
-        kernel = simulate_nic(
-            MODERN_NIC_KERNEL, "imix", packets=2000, load_gbps=24.0
+        kernel = _run(
+            MODERN_NIC_KERNEL, "imix", packets=2000, offered_load_gbps=24.0
         )
-        dpdk = simulate_nic(
-            MODERN_NIC_DPDK, "imix", packets=2000, load_gbps=24.0
+        dpdk = _run(
+            MODERN_NIC_DPDK, "imix", packets=2000, offered_load_gbps=24.0
         )
         assert kernel.rx is not None and dpdk.rx is not None
         assert kernel.rx.latency.p99 > dpdk.rx.latency.p99
 
     def test_bursty_traffic_raises_ring_occupancy(self):
-        smooth = simulate_nic(
+        smooth = _run(
             MODERN_NIC_DPDK, "fixed", packets=2000, packet_size=512,
-            load_gbps=24.0,
+            offered_load_gbps=24.0,
         )
-        bursty = simulate_nic(
+        bursty = _run(
             MODERN_NIC_DPDK, "bursty", packets=2000, packet_size=512,
-            load_gbps=24.0,
+            offered_load_gbps=24.0,
         )
         assert bursty.rx.ring.max_occupancy > 2 * smooth.rx.ring.max_occupancy
 
     def test_shallow_rx_ring_drops_under_bursts(self):
-        deep = simulate_nic(
+        deep = _run(
             MODERN_NIC_KERNEL, "bursty", packets=2000, packet_size=512,
-            load_gbps=30.0, ring_depth=512,
+            offered_load_gbps=30.0, ring_depth=512,
         )
-        shallow = simulate_nic(
+        shallow = _run(
             MODERN_NIC_KERNEL, "bursty", packets=2000, packet_size=512,
-            load_gbps=30.0, ring_depth=16,
+            offered_load_gbps=30.0, ring_depth=16,
         )
         assert deep.rx.drops == 0
         assert shallow.rx.drops > 0
@@ -119,11 +124,11 @@ class TestMultiQueue:
     """N TX/RX ring pairs with RSS flow steering."""
 
     def test_single_queue_knobs_are_the_degenerate_case(self):
-        plain = simulate_nic(
-            MODERN_NIC_DPDK, "imix", packets=600, load_gbps=20.0, seed=3
+        plain = _run(
+            MODERN_NIC_DPDK, "imix", packets=600, offered_load_gbps=20.0, seed=3
         )
-        explicit = simulate_nic(
-            MODERN_NIC_DPDK, "imix", packets=600, load_gbps=20.0, seed=3,
+        explicit = _run(
+            MODERN_NIC_DPDK, "imix", packets=600, offered_load_gbps=20.0, seed=3,
             num_queues=1, dma_tags=None,
         )
         assert plain == explicit
@@ -131,8 +136,8 @@ class TestMultiQueue:
         assert plain.tags is None
 
     def test_queues_partition_the_direction_totals(self):
-        result = simulate_nic(
-            MODERN_NIC_DPDK, "imix", packets=800, load_gbps=20.0,
+        result = _run(
+            MODERN_NIC_DPDK, "imix", packets=800, offered_load_gbps=20.0,
             num_queues=4, rss="uniform", seed=11,
         )
         for path in (result.tx, result.rx):
@@ -149,8 +154,8 @@ class TestMultiQueue:
             assert sum(q.payload_bytes for q in path.queues) == path.payload_bytes
 
     def test_single_hot_flow_saturates_one_queue(self):
-        result = simulate_nic(
-            MODERN_NIC_DPDK, "imix", packets=800, load_gbps=20.0,
+        result = _run(
+            MODERN_NIC_DPDK, "imix", packets=800, offered_load_gbps=20.0,
             num_queues=4, rss="hot", seed=11,
         )
         offered = sorted(q.offered_packets for q in result.tx.queues)
@@ -159,8 +164,8 @@ class TestMultiQueue:
         assert offered[0] < 0.2 * result.tx.offered_packets
 
     def test_zipf_flows_imbalance_the_queues(self):
-        result = simulate_nic(
-            MODERN_NIC_DPDK, "imix", packets=800, load_gbps=20.0,
+        result = _run(
+            MODERN_NIC_DPDK, "imix", packets=800, offered_load_gbps=20.0,
             num_queues=4, rss="zipf", seed=11,
         )
         offered = sorted(q.offered_packets for q in result.tx.queues)
@@ -176,8 +181,8 @@ class TestMultiQueue:
     def test_multi_queue_result_round_trips_through_dict(self):
         from repro.sim.nicsim import NicSimResult
 
-        result = simulate_nic(
-            MODERN_NIC_DPDK, "imix", packets=600, load_gbps=20.0,
+        result = _run(
+            MODERN_NIC_DPDK, "imix", packets=600, offered_load_gbps=20.0,
             num_queues=2, rss="zipf", dma_tags=16, seed=5,
         )
         record = result.as_dict()
@@ -187,12 +192,12 @@ class TestMultiQueue:
 
 class TestSimulatorMechanics:
     def test_same_seed_gives_identical_results(self):
-        a = simulate_nic(MODERN_NIC_DPDK, "imix", packets=800, seed=5)
-        b = simulate_nic(MODERN_NIC_DPDK, "imix", packets=800, seed=5)
+        a = _run(MODERN_NIC_DPDK, "imix", packets=800, seed=5)
+        b = _run(MODERN_NIC_DPDK, "imix", packets=800, seed=5)
         assert a == b
 
     def test_unidirectional_run_has_no_rx(self):
-        result = simulate_nic(
+        result = _run(
             MODERN_NIC_DPDK, "fixed", packets=800, packet_size=512,
             duplex=False,
         )
@@ -201,12 +206,14 @@ class TestSimulatorMechanics:
         assert result.throughput_gbps == result.tx.throughput_gbps
 
     def test_model_accepted_by_alias(self):
-        result = simulate_nic("dpdk", "fixed", packets=500, packet_size=512)
+        result = run_nicsim_benchmark(
+            NicSimParams(model="dpdk", packets=500, packet_size=512)
+        )
         assert result.model == MODERN_NIC_DPDK.name
 
     def test_as_dict_round_structure(self):
-        result = simulate_nic(
-            MODERN_NIC_KERNEL, "imix", packets=800, load_gbps=20.0
+        result = _run(
+            MODERN_NIC_KERNEL, "imix", packets=800, offered_load_gbps=20.0
         )
         record = result.as_dict()
         assert record["model"] == MODERN_NIC_KERNEL.name
@@ -217,9 +224,9 @@ class TestSimulatorMechanics:
     def test_every_admitted_packet_is_accounted(self):
         # The final, partial completion-report batch must still be flushed
         # into the delivered/latency accounting at the end of the run.
-        result = simulate_nic(
+        result = _run(
             MODERN_NIC_KERNEL, "fixed", packets=100, packet_size=512,
-            load_gbps=10.0,
+            offered_load_gbps=10.0,
         )
         assert result.tx.delivered_packets == 100
         assert result.rx.delivered_packets + result.rx.drops == 100
@@ -228,7 +235,7 @@ class TestSimulatorMechanics:
         # Kernel-driver interrupts fire every 16 packets: a 8-deep ring
         # could never fill a batch and would deadlock; refuse it up front.
         with pytest.raises(ValidationError):
-            simulate_nic(
+            _run(
                 MODERN_NIC_KERNEL, "fixed", packets=500, packet_size=512,
                 ring_depth=8,
             )
@@ -236,8 +243,8 @@ class TestSimulatorMechanics:
     def test_result_round_trips_through_dict(self):
         from repro.sim.nicsim import NicSimResult
 
-        result = simulate_nic(
-            MODERN_NIC_KERNEL, "imix", packets=600, load_gbps=20.0
+        result = _run(
+            MODERN_NIC_KERNEL, "imix", packets=600, offered_load_gbps=20.0
         )
         assert NicSimResult.from_dict(result.as_dict()) == result
 

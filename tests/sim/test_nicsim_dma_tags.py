@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.nicsim import NicSimParams, cross_validate, run_nicsim_benchmark
 from repro.errors import ValidationError
-from repro.sim.nichost import NicHostConfig
-from repro.sim.nicsim import NicSimConfig, cross_validate, simulate_nic
+from repro.sim.nicsim import NicSimConfig
 from repro.units import KIB
 
 #: The experiment's setting: small packets (the remote adder is a large
@@ -24,23 +24,23 @@ PACKETS = 2200
 SMALL_TAGS = 4
 
 
-def _host(placement: str) -> NicHostConfig:
-    return NicHostConfig(
+#: The link-only DPDK datapath the mechanics tests vary.
+DPDK = NicSimParams(model="dpdk", packets=1200)
+
+
+def _coupled(placement: str) -> NicSimParams:
+    return NicSimParams(
+        model="dpdk",
+        packet_size=PACKET_SIZE,
         system="NFP6000-BDW",
         payload_window=256 * KIB,
-        payload_cache_state="host_warm",
         payload_placement=placement,
     )
 
 
 def _run(placement: str, tags: int | None):
-    return simulate_nic(
-        "dpdk",
-        "fixed",
-        packets=PACKETS,
-        packet_size=PACKET_SIZE,
-        host=_host(placement),
-        dma_tags=tags,
+    return run_nicsim_benchmark(
+        _coupled(placement).with_(packets=PACKETS, dma_tags=tags)
     )
 
 
@@ -76,7 +76,7 @@ class TestFigure8Dip:
     @pytest.mark.parametrize("placement", ["local", "remote"])
     def test_unbounded_tags_keep_the_analytic_band(self, placement):
         points = cross_validate(
-            "dpdk", (PACKET_SIZE,), packets=2000, host=_host(placement)
+            _coupled(placement).with_(packets=2000), (PACKET_SIZE,)
         )
         for point in points:
             assert point.within(0.10), (
@@ -89,12 +89,8 @@ class TestTagPoolMechanics:
     def test_tiny_pool_caps_link_only_throughput(self):
         # Even without a host model the flat read latency bounds what two
         # tags can keep in flight; the cap must be far below the link.
-        capped = simulate_nic(
-            "dpdk", "fixed", packets=1200, packet_size=1024, dma_tags=2
-        )
-        unbounded = simulate_nic(
-            "dpdk", "fixed", packets=1200, packet_size=1024
-        )
+        capped = run_nicsim_benchmark(DPDK.with_(dma_tags=2))
+        unbounded = run_nicsim_benchmark(DPDK)
         assert capped.throughput_gbps < 0.6 * unbounded.throughput_gbps
         assert capped.tags is not None
         assert capped.tags.max_in_flight == 2
@@ -103,12 +99,8 @@ class TestTagPoolMechanics:
     def test_deep_pool_is_equivalent_to_unbounded(self):
         # A pool deeper than the datapath's natural concurrency changes
         # nothing but the accounting block.
-        deep = simulate_nic(
-            "dpdk", "fixed", packets=1200, packet_size=1024, dma_tags=4096
-        )
-        unbounded = simulate_nic(
-            "dpdk", "fixed", packets=1200, packet_size=1024
-        )
+        deep = run_nicsim_benchmark(DPDK.with_(dma_tags=4096))
+        unbounded = run_nicsim_benchmark(DPDK)
         assert deep.tags is not None
         assert deep.tags.max_in_flight < 4096
         assert deep.tags.waited == 0
@@ -117,8 +109,8 @@ class TestTagPoolMechanics:
         assert stripped == unbounded.as_dict()
 
     def test_tag_stats_round_trip_and_serialise(self):
-        result = simulate_nic(
-            "dpdk", "fixed", packets=800, packet_size=512, dma_tags=8
+        result = run_nicsim_benchmark(
+            DPDK.with_(packets=800, packet_size=512, dma_tags=8)
         )
         record = result.as_dict()
         assert record["tags"]["capacity"] == 8

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.nicsim import NicSimParams, cross_validate, run_nicsim_benchmark
 from repro.errors import ValidationError
 from repro.core.nic import FIGURE1_MODELS
 from repro.sim.nichost import (
@@ -10,19 +11,20 @@ from repro.sim.nichost import (
     PAYLOAD_UNIT_BYTES,
     SharedHost,
 )
-from repro.sim.nicsim import NicSimResult, cross_validate, simulate_nic
+from repro.sim.nicsim import NicSimResult
 from repro.units import KIB, MIB
 
 #: The regression contract: a host coupling configured to stay out of the
 #: way (IOMMU off, warm cache, local buffers, small window) must preserve
 #: the PR 1 agreement with the analytic model.
-NEUTRAL_HOST = NicHostConfig(
-    system="NFP6000-HSW",
-    iommu_enabled=False,
-    payload_window=256 * KIB,
-    payload_cache_state="host_warm",
-    payload_placement="local",
+NEUTRAL = NicSimParams(
+    model="dpdk", system="NFP6000-HSW", payload_window=256 * KIB
 )
+NEUTRAL_HOST = NEUTRAL.host_config()
+
+
+def _run(**fields):
+    return run_nicsim_benchmark(NicSimParams(model="dpdk", **fields))
 
 
 class TestNeutralCouplingCrossValidation:
@@ -33,7 +35,7 @@ class TestNeutralCouplingCrossValidation:
     )
     def test_neutral_coupling_within_10pct_of_analytic(self, model):
         points = cross_validate(
-            model, (64, 512, 1500), packets=1500, host=NEUTRAL_HOST
+            NEUTRAL.with_(model=model.name, packets=1500), (64, 512, 1500)
         )
         for point in points:
             assert point.within(0.10), (
@@ -80,87 +82,52 @@ class TestHostEffects:
     """The new behaviour the coupling exists to produce."""
 
     def test_descriptor_ring_stays_hot_while_payload_thrashes(self):
-        host = NicHostConfig(
-            system="NFP6000-BDW",
-            payload_window=16 * MIB,
+        result = _run(
+            packets=800, packet_size=512, offered_load_gbps=20.0,
+            system="NFP6000-BDW", payload_window=16 * MIB,
             payload_cache_state="cold",
-        )
-        result = simulate_nic(
-            "dpdk", "fixed", packets=800, packet_size=512,
-            load_gbps=20.0, host=host,
         )
         assert result.host is not None
         assert result.host.descriptor_cache_hit_rate > 0.9
         assert result.host.payload_cache_hit_rate < 0.1
 
     def test_cold_cache_adds_dram_penalty_to_tx_latency(self):
-        warm = simulate_nic(
-            "dpdk", "fixed", packets=800, packet_size=512, load_gbps=20.0,
-            host=NEUTRAL_HOST,
-        )
-        cold = simulate_nic(
-            "dpdk", "fixed", packets=800, packet_size=512, load_gbps=20.0,
-            host=NicHostConfig(
-                system="NFP6000-HSW",
-                payload_window=16 * MIB,
-                payload_cache_state="cold",
-            ),
+        base = NEUTRAL.with_(packets=800, packet_size=512, offered_load_gbps=20.0)
+        warm = run_nicsim_benchmark(base)
+        cold = run_nicsim_benchmark(
+            base.with_(payload_window=16 * MIB, payload_cache_state="cold")
         )
         assert cold.tx.latency.median > warm.tx.latency.median + 40.0
 
     def test_iommu_miss_storm_raises_latency_and_stalls_walker(self):
-        base = dict(packets=800, packet_size=512, load_gbps=20.0)
-        off = simulate_nic(
-            "dpdk", "fixed",
-            host=NicHostConfig(system="NFP6000-BDW", payload_window=16 * MIB),
-            **base,
+        base = dict(
+            packets=800, packet_size=512, offered_load_gbps=20.0,
+            system="NFP6000-BDW", payload_window=16 * MIB,
         )
-        on = simulate_nic(
-            "dpdk", "fixed",
-            host=NicHostConfig(
-                system="NFP6000-BDW", iommu_enabled=True,
-                payload_window=16 * MIB,
-            ),
-            **base,
-        )
+        off = _run(**base)
+        on = _run(iommu_enabled=True, **base)
         assert on.host.iotlb_hit_rate < 0.5
         assert on.host.iotlb_misses > 0
         assert on.host.walker_stall_ns_total >= 0.0
         assert on.tx.latency.median > off.tx.latency.median + 150.0
 
     def test_superpages_restore_iotlb_reach(self):
-        on_4k = simulate_nic(
-            "dpdk", "fixed", packets=600, packet_size=512, load_gbps=20.0,
-            host=NicHostConfig(
-                system="NFP6000-BDW", iommu_enabled=True,
-                payload_window=16 * MIB,
-            ),
+        base = dict(
+            packets=600, packet_size=512, offered_load_gbps=20.0,
+            system="NFP6000-BDW", iommu_enabled=True, payload_window=16 * MIB,
         )
-        on_2m = simulate_nic(
-            "dpdk", "fixed", packets=600, packet_size=512, load_gbps=20.0,
-            host=NicHostConfig(
-                system="NFP6000-BDW", iommu_enabled=True,
-                iommu_page_size=2 * MIB, payload_window=16 * MIB,
-            ),
-        )
+        on_4k = _run(**base)
+        on_2m = _run(iommu_page_size=2 * MIB, **base)
         assert on_2m.host.iotlb_hit_rate > 0.99
         assert on_2m.tx.latency.median < on_4k.tx.latency.median - 100.0
 
     def test_remote_payload_pays_the_interconnect_penalty(self):
-        base = dict(packets=800, packet_size=512, load_gbps=20.0)
-        local = simulate_nic(
-            "dpdk", "fixed",
-            host=NicHostConfig(system="NFP6000-BDW", payload_window=1 * MIB),
-            **base,
+        base = dict(
+            packets=800, packet_size=512, offered_load_gbps=20.0,
+            system="NFP6000-BDW", payload_window=1 * MIB,
         )
-        remote = simulate_nic(
-            "dpdk", "fixed",
-            host=NicHostConfig(
-                system="NFP6000-BDW", payload_window=1 * MIB,
-                payload_placement="remote",
-            ),
-            **base,
-        )
+        local = _run(**base)
+        remote = _run(payload_placement="remote", **base)
         adder = remote.tx.latency.median - local.tx.latency.median
         assert 50.0 <= adder <= 200.0
         assert remote.host.remote_fraction > 0.5
@@ -169,44 +136,25 @@ class TestHostEffects:
     def test_e3_ingress_throttles_small_packet_throughput(self):
         # The Xeon E3's slow uncore (52 ns per TLP) caps the transaction
         # rate; the E5 host sustains clearly more at 64 B (§6.2).
-        e5 = simulate_nic(
-            "dpdk", "fixed", packets=800, packet_size=64,
-            host=NicHostConfig(system="NFP6000-HSW", payload_window=256 * KIB),
-        )
-        e3 = simulate_nic(
-            "dpdk", "fixed", packets=800, packet_size=64,
-            host=NicHostConfig(
-                system="NFP6000-HSW-E3", payload_window=256 * KIB
-            ),
-        )
+        base = dict(packets=800, packet_size=64, payload_window=256 * KIB)
+        e5 = _run(system="NFP6000-HSW", **base)
+        e3 = _run(system="NFP6000-HSW-E3", **base)
         assert e3.throughput_gbps < 0.8 * e5.throughput_gbps
 
 
 class TestCouplingMechanics:
     def test_same_seed_gives_identical_results(self):
-        host = NicHostConfig(
-            system="NFP6000-BDW", iommu_enabled=True, payload_window=4 * MIB
+        params = NicSimParams(
+            model="dpdk", workload="imix", packets=500, offered_load_gbps=20.0,
+            system="NFP6000-BDW", iommu_enabled=True, payload_window=4 * MIB,
+            seed=11,
         )
-        a = simulate_nic("dpdk", "imix", packets=500, load_gbps=20.0,
-                         host=host, seed=11)
-        b = simulate_nic("dpdk", "imix", packets=500, load_gbps=20.0,
-                         host=host, seed=11)
-        assert a == b
-
-    def test_profile_name_accepted_as_host(self):
-        result = simulate_nic(
-            "dpdk", "fixed", packets=400, packet_size=512,
-            load_gbps=10.0, host="NFP6000-HSW",
-        )
-        assert result.host is not None
-        assert result.host.accesses > 0
+        assert run_nicsim_benchmark(params) == run_nicsim_benchmark(params)
 
     def test_host_stats_round_trip(self):
-        host = NicHostConfig(
-            system="NFP6000-BDW", iommu_enabled=True, payload_window=4 * MIB
-        )
-        result = simulate_nic(
-            "dpdk", "imix", packets=500, load_gbps=20.0, host=host
+        result = _run(
+            workload="imix", packets=500, offered_load_gbps=20.0,
+            system="NFP6000-BDW", iommu_enabled=True, payload_window=4 * MIB,
         )
         assert result.host is not None
         assert (
@@ -215,9 +163,7 @@ class TestCouplingMechanics:
         assert NicSimResult.from_dict(result.as_dict()) == result
 
     def test_decoupled_result_has_no_host_block(self):
-        result = simulate_nic(
-            "dpdk", "fixed", packets=300, packet_size=512, load_gbps=10.0
-        )
+        result = _run(packets=300, packet_size=512, offered_load_gbps=10.0)
         assert result.host is None
         assert "host" not in result.as_dict()
 

@@ -11,26 +11,31 @@ warmup-rule difference (a-priori cutoff vs sort-by-completion).
 import numpy as np
 import pytest
 
+from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
 from repro.errors import SimulationError
 from repro.sim.fabric import FabricDevice, FabricSimulator
 from repro.sim.nicsim import (
     LatencySummary,
     NicSimConfig,
     _streaming_warmup_threshold,
-    simulate_nic,
 )
 from repro.stats import QuantileSketch
 from repro.workloads import build_workload
 
-RUN_KW = dict(
-    workload="imix", packets=1200, load_gbps=20.0, host="NFP6000-HSW", seed=7
+RUN = NicSimParams(
+    model="dpdk",
+    workload="imix",
+    packets=1200,
+    offered_load_gbps=20.0,
+    system="NFP6000-HSW",
+    seed=7,
 )
 
 
 @pytest.fixture(scope="module")
 def paired_runs():
-    retained = simulate_nic("dpdk", **RUN_KW)
-    streaming = simulate_nic("dpdk", retain_samples=False, **RUN_KW)
+    retained = run_nicsim_benchmark(RUN)
+    streaming = run_nicsim_benchmark(RUN.with_(retain_samples=False))
     return retained, streaming
 
 
@@ -89,15 +94,10 @@ class TestStreamingEquivalence:
         assert simulator.last_traces == {}
 
     def test_streaming_multiqueue_direction_merges_queue_sketches(self):
-        result = simulate_nic(
-            "dpdk",
-            workload="imix",
-            packets=1200,
-            load_gbps=20.0,
-            num_queues=4,
-            rss="zipf",
-            retain_samples=False,
-            seed=7,
+        result = run_nicsim_benchmark(
+            RUN.with_(
+                system=None, num_queues=4, rss="zipf", retain_samples=False
+            )
         )
         assert result.tx.queues is not None and len(result.tx.queues) == 4
         merged = result.tx.latency
