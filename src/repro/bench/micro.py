@@ -14,13 +14,15 @@ traffic would (§4.2).
 
 All five run through :func:`run_micro_benchmark`.  The ``lat_*``/``bw_*``
 wrappers fill in common defaults: the NFP6000-HSW system, a host-warm
-cache and an 8 KiB window (or one transfer, if larger).
+cache and an 8 KiB window (or one unit, if larger: the offset plus the
+transfer, rounded up to a cache line).
 """
 
 from __future__ import annotations
 
 from ..sim.dma import DmaEngine
 from ..sim.host import HostSystem
+from ..sim.hostbuffer import unit_bytes
 from ..sim.rng import DEFAULT_SEED
 from ..units import KIB
 from .params import BenchmarkKind, BenchmarkParams
@@ -129,7 +131,9 @@ def _run_with_defaults(
     """Run ``kind`` on a fresh host; ``options`` are BenchmarkParams fields."""
     settings = {"system": "NFP6000-HSW", "cache_state": "host_warm", **options}
     if not settings.get("window_size"):
-        settings["window_size"] = max(8 * KIB, transfer_size)
+        settings["window_size"] = max(
+            8 * KIB, unit_bytes(transfer_size, settings.get("offset", 0))
+        )
     params = BenchmarkParams(
         kind=kind,
         transfer_size=transfer_size,

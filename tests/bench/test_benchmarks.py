@@ -41,6 +41,17 @@ class TestLatencyEntryPoints:
         assert result.samples_ns is not None and len(result.samples_ns) == 50
 
 
+@pytest.mark.parametrize(
+    "helper", [lat_rd, lat_wrrd, bw_rd, bw_wr, bw_rdwr], ids=lambda h: h.__name__
+)
+def test_default_window_holds_one_unit(helper):
+    # 8193 B rounds up to an 8256-byte unit, more than the 8 KiB default;
+    # an offset joins the unit too.
+    assert helper(8193, transactions=10).params.window_size == 8256
+    assert helper(8192, offset=8, transactions=10).params.window_size == 8256
+    assert helper(64, transactions=10).params.window_size == 8 * KIB
+
+
 class TestBandwidthEntryPoints:
     def test_bw_rd_reports_bandwidth(self):
         result = bw_rd(256, **FAST)
