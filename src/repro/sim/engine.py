@@ -654,8 +654,9 @@ class ArbitratedResource:
         self._backlog = 0
         self._busy_until = 0.0
         self._dispatch_pending = False
-        #: The wake-up sequence an idle inline dispatch claimed but did
-        #: not use, or -1 (see :meth:`_resume_wake_up`).
+        #: The wake-up sequence the last grant claimed but did not use
+        #: (its dispatch ended idle, inline), or -1 (see
+        #: :meth:`_resume_wake_up`).
         self._unused_wake = -1
         self._last_granted = clients - 1
         self.stats = tuple(ArbiterClientStats() for _ in range(clients))
@@ -862,16 +863,19 @@ class ArbitratedResource:
                 grant(start)
             # EventLoop.peek_time, open-coded: if the loop is not running
             # or any event is pending at or before the service end, push
-            # the wake-up under the claimed sequence.  Otherwise the loop
-            # state at ``end`` is already final and the next grant is
+            # the wake-up under the claimed sequence, which supersedes any
+            # sequence an earlier idle dispatch left unused.  Otherwise the
+            # loop state at ``end`` is already final and the next grant is
             # dispatched inline — the same pop order either way.
             heap = loop._heap
             if not running or heap and heap[0][0] <= end:
+                self._unused_wake = -1
                 heapq.heappush(heap, (end, wake_sequence, self._dispatch))
                 return
             stream = loop._stream
             position = loop._stream_pos
             if position < len(stream) and stream[position][0] <= end:
+                self._unused_wake = -1
                 heapq.heappush(heap, (end, wake_sequence, self._dispatch))
                 return
             self._dispatch_pending = False
@@ -889,9 +893,10 @@ class ArbitratedResource:
         the event that called may go on to request again before that
         grant's service ends.  The wake-up then goes where it would have
         gone had it been pushed: at the service end, under the sequence
-        claimed before the grant callback ran.  Without such a sequence
-        the caller asked in the resource's past, from outside the loop,
-        and the wake-up is simply scheduled at the service end.
+        claimed before the grant callback ran.  A later grant that pushed
+        its own wake-up drops that sequence.  Without one the caller asked
+        in the resource's past, from outside the loop, and the wake-up is
+        simply scheduled at the service end.
         """
         self._dispatch_pending = True
         sequence = self._unused_wake

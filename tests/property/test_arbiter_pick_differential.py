@@ -12,19 +12,24 @@ grant callback runs, and the wake-up is pushed under it after the
 callback unless the loop is running and ``peek_time`` shows no event at
 or before the service end.  Then the next grant follows inline, and a
 request that later finds the resource busy with no wake-up pending
-pushes the claimed one.  Hypothesis drives both with the same request
-schedules and requires the same grant order, the same grant start
-times, the same number of dispatched events, the same per-client
-counters, the same ``busy_until`` and the same ``pending`` count.
+pushes the claimed one, unless a later grant pushed its own wake-up:
+that drops the claimed sequence, and the wake-up is simply scheduled.
+Hypothesis drives both with the same request schedules and requires the
+same grant order, the same grant start times, the same number of
+dispatched events, the same per-client counters, the same
+``busy_until`` and the same ``pending`` count.
 
 The schedules cover 2-4 clients, many equal-time ties, weights (and a
 ``set_weights`` retune mid-run), sliced remnants, all five schemes,
 follow-up requests submitted on completion, several requests from one
 event, requests fed through the loop's arrival stream (which an inline
-grant must look at too) and requests submitted outside the event loop
-ahead of time.  The explicit examples reach each short cut of the
-dispatch loop — an idle wake-up, a lone queued request, a lone sliced
-remnant and a lone request still in the future — and a resumed wake-up
+grant must look at too), requests submitted outside the event loop
+ahead of time, and late requests submitted after a first ``loop.run()``,
+each behind an event scheduled at the resource's ``busy_until``.  The
+explicit examples reach each short cut of the dispatch loop — an idle
+wake-up, a lone queued request, a lone sliced remnant and a lone request
+still in the future — a resumed wake-up and a wake-up scheduled for a
+late request in the resource's past
 (``test_examples_reach_every_dispatch_path``).
 """
 
@@ -58,8 +63,10 @@ class ReferenceArbiter:
     ``situations`` tallies what each dispatch found, so a test can show
     which paths of the class under test a schedule exercises: the short
     cuts ``idle wake-up``, ``lone request``, ``lone remnant`` and ``lone
-    future request``, and ``resumed wake-up``, a wake-up pushed late
-    because the event that started an idle dispatch requested again.
+    future request``; ``resumed wake-up``, a wake-up pushed late because
+    the event that started an idle dispatch requested again; and ``past
+    request``, a request from outside the loop in the resource's past
+    after the wake-up that would have served it fired.
     """
 
     def __init__(
@@ -103,6 +110,13 @@ class ReferenceArbiter:
             return
         if self._busy_until <= now:
             self._wake(now)
+        elif self._unpushed is None:
+            # Busy with no wake-up and no claimed sequence: the last
+            # grant's wake-up fired, and this request comes from outside
+            # the loop in the resource's past.
+            self.situations["past request"] += 1
+            self._waking = True
+            self._loop.at(self._busy_until, self._wake)
         else:
             # Busy with no wake-up: the dispatch that made the last grant
             # followed it inline, found nothing queued and returned into
@@ -195,7 +209,8 @@ class ReferenceArbiter:
                 now = end
                 continue
             # ...and push under it outside the loop or when an event
-            # precedes the service end.
+            # precedes the service end.  An earlier unpushed claim is void.
+            self._unpushed = None
             heapq.heappush(loop._heap, (end, wake_sequence, self._wake))
             return
 
@@ -226,18 +241,13 @@ def scenarios(draw):
     # instant with another; on the 40 ns grid the resource often idles
     # between them.
     spacing, slots = draw(st.sampled_from(((4.0, 4), (4.0, 40), (40.0, 40))))
-    requests = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, slots).map(lambda t: spacing * t),
-                st.integers(0, clients - 1),
-                DURATIONS,
-                st.booleans(),
-            ),
-            min_size=1,
-            max_size=40,
-        )
+    request = st.tuples(
+        st.integers(0, slots).map(lambda t: spacing * t),
+        st.integers(0, clients - 1),
+        DURATIONS,
+        st.booleans(),
     )
+    requests = draw(st.lists(request, min_size=1, max_size=40))
     return {
         "clients": clients,
         "scheme": scheme,
@@ -248,18 +258,22 @@ def scenarios(draw):
         "retune": retune,
         "requests": requests,
         "submission": draw(st.sampled_from(SUBMISSIONS)),
+        "late": draw(st.lists(request, max_size=3)),
     }
 
 
-def _scenario(scheme="fcfs", *, requests, submission, quantum_ns=None):
+def _scenario(
+    scheme="fcfs", *, requests, submission, quantum_ns=None, retune=None, late=()
+):
     return {
         "clients": 2,
         "scheme": scheme,
         "weights": None,
         "quantum_ns": quantum_ns,
-        "retune": None,
+        "retune": retune,
         "requests": requests,
         "submission": submission,
+        "late": list(late),
     }
 
 
@@ -296,6 +310,17 @@ SHORT_CUT_EXAMPLES = (
         "age",
         requests=[(0.0, 0, 8.0, False), (0.0, 1, 8.0, False)],
         submission="grouped",
+    ),
+    # The t=0 grant ends idle inline and leaves its wake-up sequence
+    # unused; the t=20 grant pushes its own (the retune event at 24
+    # precedes its end at 36), which voids the first.  After the run, a
+    # late request in the resource's past gets a wake-up scheduled behind
+    # the event already waiting at t=36.
+    _scenario(
+        requests=[(0.0, 0, 8.0, False), (20.0, 0, 16.0, False)],
+        submission="at",
+        retune=(24.0, (1.0, 1.0)),
+        late=[(24.0, 1, 8.0, False)],
     ),
 )
 
@@ -364,6 +389,11 @@ def _simulate(cls, scenario) -> tuple:
                 chain=chain: submit(label, client, now, duration, chain),
             )
     loop.run()
+    for index, (time, client, duration, chain) in enumerate(scenario["late"]):
+        # An event waits at the service end before the late request asks.
+        loop.at(arbiter.busy_until, lambda now: grants.append(("mark", now)))
+        submit(f"late{index}", client, time, duration, chain)
+    loop.run()
     return (
         grants,
         [
@@ -396,9 +426,11 @@ def test_one_pass_pick_matches_reference_picker(scenario):
     actual, _ = _simulate(ArbitratedResource, scenario)
     assert actual == expected
     grants = actual[0]
-    # Every request (and every follow-up) was eventually granted once.
-    chained = sum(1 for request in scenario["requests"] if request[3])
-    assert len(grants) == len(scenario["requests"]) + chained
+    # Every request (and every follow-up) was eventually granted once, and
+    # every late request's mark event ran.
+    requests = scenario["requests"] + scenario["late"]
+    chained = sum(1 for request in requests if request[3])
+    assert len(grants) == len(requests) + chained + len(scenario["late"])
     assert actual[4] == 0
 
 
@@ -412,4 +444,5 @@ def test_examples_reach_every_dispatch_path():
         "lone remnant",
         "lone future request",
         "resumed wake-up",
+        "past request",
     }

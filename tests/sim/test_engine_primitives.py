@@ -560,6 +560,24 @@ class TestArbitratedResource:
         assert resource.stats[1].wait_ns_total == 5.0
         assert resource.pending == 0
 
+    def test_a_pushed_wake_up_drops_an_earlier_unused_sequence(self):
+        # The t=0 grant ends idle and inline, leaving its wake-up sequence
+        # unused; the t=20 grant pushes its own wake-up (the event at 25
+        # precedes its end at 30).  A request from outside the loop in the
+        # resource's past after the run then gets a freshly scheduled
+        # wake-up, which sorts after an event scheduled before it.
+        loop, resource = self._arbiter("fcfs")
+        order = []
+        loop.at(0.0, lambda now: resource.request(0, now, 5.0, order.append))
+        loop.at(20.0, lambda now: resource.request(0, now, 10.0, order.append))
+        loop.at(25.0, lambda now: None)
+        loop.run()
+        loop.at(30.0, lambda now: order.append("X"))
+        resource.request(1, 25.0, 5.0, lambda start: order.append(("C", start)))
+        loop.run()
+        assert order == [0.0, 20.0, "X", ("C", 30.0)]
+        assert resource.pending == 0
+
     def test_stats_snapshot_into_fabric_port_stats(self):
         from repro.sim.fabric import FabricPortStats
 
