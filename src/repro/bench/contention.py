@@ -32,6 +32,7 @@ from ..sim.fabric import (
     FabricSimulator,
 )
 from ..sim.iommu import SUPPORTED_PAGE_SIZES
+from ..sim.rng import check_seed
 from ..sim.topology import FabricTopology
 from ..units import KIB, MIB, format_size
 from .nicsim import NicSimParams
@@ -185,6 +186,8 @@ class ContentionParams:
             raise ValidationError(
                 f"mode must be one of {', '.join(MODES)}; got {self.mode!r}"
             )
+        if self.seed is not None:
+            check_seed(self.seed)
         for index, device in enumerate(self.devices):
             if not isinstance(device, NicSimParams):
                 raise ValidationError(

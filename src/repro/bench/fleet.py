@@ -38,7 +38,7 @@ from ..sim.engine import ARBITER_SCHEMES
 from ..sim.fabric import ContentionResult
 from ..sim.nicsim import LatencySummary
 from ..sim.profiles import profile_names
-from ..sim.rng import DEFAULT_SEED
+from ..sim.rng import DEFAULT_SEED, check_seed
 from ..stats import QuantileSketch
 from ..units import KIB, MIB
 from ..workloads import SATURATING_LOAD_GBPS
@@ -133,6 +133,8 @@ class FleetParams:
                 f"rack_load_gbps must be finite and positive, "
                 f"got {self.rack_load_gbps}"
             )
+        if self.seed is not None:
+            check_seed(self.seed)
 
     @property
     def kind(self) -> str:

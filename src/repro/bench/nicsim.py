@@ -29,6 +29,7 @@ from ..errors import ValidationError, record_reader
 from ..sim.engine import MODES
 from ..sim.nichost import NicHostConfig
 from ..sim.nicsim import NicDatapathSimulator, NicSimConfig, NicSimResult
+from ..sim.rng import check_seed
 from ..units import KIB, MIB, format_size
 from ..workloads import (
     Workload,
@@ -134,6 +135,8 @@ class NicSimParams:
             )
         if self.packets <= 0:
             raise ValidationError(f"packets must be positive, got {self.packets}")
+        if self.seed is not None:
+            check_seed(self.seed)
         # Canonicalise the RSS scenario name ("skewed" -> "zipf") so labels
         # and serialised params are stable whichever alias was written.
         object.__setattr__(self, "rss", canonical_flow_name(self.rss))

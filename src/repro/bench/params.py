@@ -27,6 +27,7 @@ from ..errors import ValidationError, record_reader
 from ..units import CACHELINE_BYTES, KIB, MIB, format_size, parse_size
 from ..sim.cache import CacheState
 from ..sim.hostbuffer import AccessPattern, unit_bytes
+from ..sim.rng import check_seed
 
 
 class BenchmarkKind(enum.Enum):
@@ -145,6 +146,8 @@ class BenchmarkParams:
             raise ValidationError(
                 f"transactions must be positive, got {self.transactions}"
             )
+        if self.seed is not None:
+            check_seed(self.seed)
 
     # -- derived values ---------------------------------------------------------
 

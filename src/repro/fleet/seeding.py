@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ValidationError
+from ..sim.rng import check_seed
 
 
 def fleet_host_seed(seed: int, host_index: int) -> int:
@@ -24,13 +25,12 @@ def fleet_host_seed(seed: int, host_index: int) -> int:
     gives every host the same substream seed, whatever order (or worker
     process) the hosts run in.
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    seed = check_seed(seed)
     if not isinstance(host_index, (int, np.integer)) or host_index < 0:
         raise ValidationError(
             f"host_index must be a non-negative integer, got {host_index!r}"
         )
     sequence = np.random.SeedSequence(
-        entropy=int(seed), spawn_key=(int(host_index),)
+        entropy=seed, spawn_key=(int(host_index),)
     )
     return int(sequence.generate_state(1, dtype=np.uint64)[0])

@@ -25,6 +25,18 @@ DEFAULT_SEED = 0x9C1E_BE9C
 DRAW_BLOCK = 256
 
 
+def check_seed(seed: object) -> int:
+    """``seed`` as an ``int``, if it is a non-negative integer.
+
+    numpy's seed sequences take nothing else, so every seed a run uses —
+    :class:`SimRng`'s and each parameter record's — is checked here, where
+    a bad one raises :class:`~repro.errors.ValidationError`.
+    """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def block_draws(draw: Callable[[int], np.ndarray]) -> Iterator:
     """The values of successive ``draw(DRAW_BLOCK)`` calls, one at a time.
 
@@ -49,9 +61,7 @@ class SimRng:
     """
 
     def __init__(self, seed: int = DEFAULT_SEED) -> None:
-        if not isinstance(seed, (int, np.integer)):
-            raise ValidationError(f"seed must be an integer, got {seed!r}")
-        self._seed = int(seed)
+        self._seed = check_seed(seed)
         self._root = np.random.SeedSequence(self._seed)
         self._generator = np.random.Generator(np.random.PCG64(self._root))
         self._children: dict[str, np.random.Generator] = {}

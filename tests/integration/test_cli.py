@@ -199,6 +199,23 @@ class TestCommands:
         assert code == 1
         assert f"error: {knob} must be finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["nicsim", "--seed", "-1"],
+            ["contend", "--seed", "-1"],
+            ["contend", "--device", "name=a,seed=-1"],
+            ["fleet", "--seed", "-1"],
+        ),
+        ids=" ".join,
+    )
+    def test_negative_seeds_are_rejected(self, capsys, argv):
+        # These died with numpy's traceback from inside the run.
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: seed must be a non-negative integer, got -1" in captured.err
+
 
 class TestContendCommand:
     def test_contend_with_explicit_devices(self, capsys):

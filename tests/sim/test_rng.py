@@ -66,6 +66,36 @@ class TestDraws:
         with pytest.raises(ValidationError):
             SimRng("not-a-seed")  # type: ignore[arg-type]
 
+    def test_negative_seeds_are_rejected_at_every_boundary(self):
+        # numpy's seed sequences raise a bare ValueError for a negative
+        # seed; SimRng, the fleet's host seeds and every parameter record
+        # (and so its from_dict) reject one with a ValidationError.
+        from repro.bench import (
+            BenchmarkParams,
+            ContentionParams,
+            FleetParams,
+            NicSimParams,
+        )
+        from repro.fleet import fleet_host_seed
+
+        assert SimRng(np.int64(3)).seed == 3
+        message = "seed must be a non-negative integer, got -1"
+        with pytest.raises(ValidationError, match=message):
+            SimRng(-1)
+        with pytest.raises(ValidationError, match=message):
+            fleet_host_seed(-1, 0)
+        records = (
+            BenchmarkParams(kind="LAT_RD", transfer_size=64),
+            NicSimParams(),
+            ContentionParams(devices=(NicSimParams(),)),
+            FleetParams(),
+        )
+        for params in records:
+            with pytest.raises(ValidationError, match=message):
+                params.with_(seed=-1)
+            with pytest.raises(ValidationError, match=message):
+                type(params).from_dict({**params.as_dict(), "seed": -1})
+
 
 class TestCrossProcessDeterminism:
     def test_named_streams_identical_in_a_fresh_interpreter(self):
