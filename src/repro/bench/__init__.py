@@ -7,7 +7,6 @@ from .contention import (
     four_device_mix,
     noisy_neighbour_pair,
     run_contention_benchmark,
-    solo_device_params,
 )
 from .fleet import (
     FLEET_KIND,
@@ -66,7 +65,6 @@ __all__ = [
     "four_device_mix",
     "noisy_neighbour_pair",
     "run_contention_benchmark",
-    "solo_device_params",
     "COMMON_TRANSFER_SIZES",
     "DEFAULT_BANDWIDTH_TRANSACTIONS",
     "DEFAULT_LATENCY_SAMPLES",

@@ -3,7 +3,7 @@
 The NFP control program of §5.4 runs individual tests or a full suite of
 roughly 2500 tests (about four hours on hardware).  :class:`BenchmarkRunner`
 plays that role here: it executes lists of :class:`BenchmarkParams` (and
-:class:`~repro.bench.nicsim.NicSimParams` datapath simulations), reuses host
+:class:`~repro.sim.nicsim.NicSimParams` datapath simulations), reuses host
 systems across runs on the same configuration, supports parameter sweeps,
 can fan independent parameter sets out over a process pool, and can persist
 results for later analysis.

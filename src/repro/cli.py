@@ -49,7 +49,6 @@ from .bench.contention import (
     ContentionParams,
     noisy_neighbour_pair,
     run_contention_benchmark,
-    solo_device_params,
 )
 from .bench.fleet import FleetParams, run_fleet_benchmark
 from .bench.nicsim import NicSimParams, cross_validate, run_nicsim_benchmark
@@ -712,7 +711,7 @@ def _cmd_contend(args: argparse.Namespace) -> int:
         for index, name in enumerate(params.device_names()):
             print(f"solo baseline: {name}", file=sys.stderr)
             solo[name] = run_nicsim_benchmark(
-                solo_device_params(params, index)
+                params.solo_params(index)
             ).as_dict()
     print(format_contention_summary(result.as_dict(), solo=solo))
     if result.controller != "static":

@@ -33,7 +33,6 @@ from ..bench.contention import (
     ContentionParams,
     noisy_neighbour_pair,
     run_contention_benchmark,
-    solo_device_params,
 )
 from ..bench.nicsim import NicSimParams, run_nicsim_benchmark
 from ..sim.fabric import ContentionResult
@@ -95,7 +94,7 @@ def run(quick: bool = True) -> ExperimentResult:
     # plain host-coupled NICSIM runs, which by the fabric's degenerate-case
     # contract equal one-device fabric runs bit for bit.
     solo_results = {
-        name: run_nicsim_benchmark(solo_device_params(base, index))
+        name: run_nicsim_benchmark(base.solo_params(index))
         for index, name in enumerate(base.device_names())
     }
     solo_victim = solo_results["victim"]

@@ -34,7 +34,6 @@ from ..bench.contention import (
     ContentionParams,
     noisy_neighbour_pair,
     run_contention_benchmark,
-    solo_device_params,
 )
 from ..bench.nicsim import NicSimParams, run_nicsim_benchmark
 from ..sim.engine import ArbitratedResource, EventLoop
@@ -134,7 +133,7 @@ def run(quick: bool = True) -> ExperimentResult:
     base = _params(quick)
 
     solo_results = {
-        name: run_nicsim_benchmark(solo_device_params(base, index))
+        name: run_nicsim_benchmark(base.solo_params(index))
         for index, name in enumerate(base.device_names())
     }
     solo_victim = solo_results["victim"]

@@ -38,15 +38,11 @@ from ..bench.contention import (
     noisy_neighbour_pair,
     run_contention_benchmark,
 )
+from ..bench.nicsim import NicSimParams
 from ..control import steering_table_length
-from ..sim.fabric import (
-    ContentionResult,
-    FabricConfig,
-    FabricDevice,
-    FabricSimulator,
-)
+from ..sim.fabric import ContentionResult, FabricSimulator
 from ..sim.rng import DEFAULT_SEED
-from ..workloads import SingleHotFlow, build_workload, rss_buckets
+from ..workloads import SingleHotFlow, rss_buckets
 from .base import Check, ExperimentResult
 
 EXPERIMENT_ID = "figure-13-control"
@@ -129,37 +125,34 @@ def handtuned_hot_table(num_queues: int, *, seed: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _device_b(
-    quick: bool, *, rss_table: tuple[int, ...] | None = None
-) -> FabricDevice:
-    workload = build_workload(
-        "fixed", size=HOT_SIZE, load_gbps=HOT_LOAD_GBPS
-    ).with_(flows=SingleHotFlow(flows=HOT_FLOWS, hot_fraction=HOT_FRACTION))
-    return FabricDevice(
-        workload=workload,
-        model="dpdk",
-        packets=3000 if quick else 6000,
-        ring_depth=HOT_RING_DEPTH,
-        num_queues=HOT_QUEUES,
-        rss_table=rss_table,
-    )
-
-
 def _run_b(
     quick: bool,
     *,
     rss_table: tuple[int, ...] | None = None,
     controller: str = "static",
 ) -> ContentionResult:
-    fabric = FabricConfig(
+    device = NicSimParams(
+        model="dpdk",
+        workload="fixed",
+        packet_size=HOT_SIZE,
+        offered_load_gbps=HOT_LOAD_GBPS,
+        packets=3000 if quick else 6000,
+        ring_depth=HOT_RING_DEPTH,
+        num_queues=HOT_QUEUES,
+        rss_table=rss_table,
+    )
+    params = ContentionParams(
+        devices=(device,),
         system=SYSTEM,
         controller=controller,
         control_window_ns=WINDOW_B_NS if controller != "static" else None,
     )
-    simulator = FabricSimulator(
-        [_device_b(quick, rss_table=rss_table)], fabric
+    # No record names a single elephant among mice: the device's own
+    # fixed-size traffic gets the hot-flow population.
+    workload = device.build_workload().with_(
+        flows=SingleHotFlow(flows=HOT_FLOWS, hot_fraction=HOT_FRACTION)
     )
-    return simulator.run()
+    return FabricSimulator(params, workloads=(workload,)).run()
 
 
 def _victim_p99(result: ContentionResult, name: str) -> float:

@@ -3,7 +3,7 @@
 This package holds the *model* half of the fleet simulation — who demands
 how much traffic, where the scheduler placed them, and what point of the
 demand cycle the rack is at.  The *execution* half (building one
-:class:`~repro.bench.contention.ContentionParams` shared-host run per rack
+:class:`~repro.sim.fabric.ContentionParams` shared-host run per rack
 host, sharding them across workers and merging the streamed statistics)
 lives in :mod:`repro.bench.fleet`.
 """

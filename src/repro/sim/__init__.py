@@ -31,10 +31,9 @@ from .engine import (
     WorkerPool,
 )
 from .fabric import (
+    ContentionParams,
     ContentionResult,
     DeviceContentionResult,
-    FabricConfig,
-    FabricDevice,
     FabricPortStats,
     FabricSimulator,
 )
@@ -43,6 +42,7 @@ from .nicsim import (
     LatencySummary,
     NicDatapathSimulator,
     NicSimConfig,
+    NicSimParams,
     NicSimResult,
     PathResult,
     PathTrace,
@@ -91,10 +91,9 @@ __all__ = [
     "SerialResource",
     "TagPool",
     "WorkerPool",
+    "ContentionParams",
     "ContentionResult",
     "DeviceContentionResult",
-    "FabricConfig",
-    "FabricDevice",
     "FabricPortStats",
     "FabricSimulator",
     "SharedHost",
@@ -104,6 +103,7 @@ __all__ = [
     "NicDatapathSimulator",
     "NicHostConfig",
     "NicSimConfig",
+    "NicSimParams",
     "NicSimResult",
     "PathResult",
     "PathTrace",

@@ -25,7 +25,7 @@ its own host; this module supplies the missing multi-device substrate:
   the root port), which compiles to the single arbitration level PR 4
   hard-wired and reproduces it bit for bit.
 
-* **Per-device DDIO way partitioning** (``FabricConfig.ddio_partition``):
+* **Per-device DDIO way partitioning** (``ContentionParams.ddio_partition``):
   instead of one aggregate cache residency that lets a bulk neighbour
   dilute everyone's hit probability, each device can own a slice of the
   LLC/DDIO capacity (routed by its address region), so its payload window
@@ -34,11 +34,12 @@ its own host; this module supplies the missing multi-device substrate:
   model the aggregate payload pressure squeezing the descriptor rings out
   of the LLC — the eviction effect partitioning removes.
 
-* :class:`FabricSimulator` runs N independent
-  :class:`~repro.sim.nicsim.NicDatapathSimulator`-style devices — each
-  with its own links, rings, queues, tag pool, workload and RNG streams —
-  inside **one** discrete-event loop, so their DMAs interleave on the
-  shared host in true time order.
+* :class:`FabricSimulator` runs the devices of one
+  :class:`ContentionParams` record — each with its own links, rings,
+  queues, tag pool, workload and RNG streams — inside **one**
+  discrete-event loop, so their DMAs interleave on the shared host in
+  true time order.  Device *i* is built from
+  :meth:`ContentionParams.solo_params`, the record of its solo run.
 
 Degenerate-case contract: both simulators build every device with one
 builder (:class:`~repro.sim.nicsim._Device`: links, tag pool, queues,
@@ -46,16 +47,17 @@ arrival feed, result), and only what surrounds the devices differs.  A
 fabric with a *single* device gives it no arbitration port, so the device
 serialises on plain ``SerialResource`` ingress/walker resources with the
 historical RNG stream names — the code path of a
-:class:`~repro.sim.nicsim.NicDatapathSimulator` run — and reproduces the
-single-device golden records, and a traced run's spans, bit for bit.  The
-arbitration layer only engages with two or more devices, where there is
-something to arbitrate.
+:class:`~repro.sim.nicsim.NicDatapathSimulator` run — and reproduces its
+solo record's run (``params.solo_params(0)``), and a traced run's spans,
+bit for bit.  The arbitration layer only engages with two or more
+devices, where there is something to arbitrate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
 from typing import Sequence
 
@@ -66,13 +68,12 @@ from ..control import (
     ControlRuntime,
     build_controller,
 )
-from ..core.nic import NicModel, model_by_name
-from ..errors import ValidationError, record_reader
+from ..core.nic import model_by_name
+from ..errors import ValidationError, check_field_types, record_reader
 from ..obs.metrics import MetricsRegistry, metric_segment
 from ..obs.trace import ARB_PREFIX, STAGE_WALKER, Tracer
-from ..units import KIB, MIB
+from ..units import KIB, format_size
 from ..workloads import Workload
-from ..workloads.rss import check_rss_table
 from .engine import (
     ARBITER_SCHEMES,
     WEIGHTED_SCHEMES,
@@ -81,85 +82,185 @@ from .engine import (
     EngineProfile,
     EventLoop,
 )
-from .nichost import NicHostConfig, SharedHost
+from .iommu import SUPPORTED_PAGE_SIZES
+from .nichost import SharedHost
 from .nicsim import (
-    NicSimConfig,
+    NicSimParams,
     NicSimResult,
     _Device,
     _install_metrics_sampler,
 )
 from .profiles import get_profile
-from .rng import DEFAULT_SEED
+from .rng import DEFAULT_SEED, check_seed
 from .topology import CompiledTopology, FabricTopology, compile_topology
+
+#: The ``kind`` tag used in labels and serialised records.
+CONTENTION_KIND = "CONTENTION"
+
+#: Device fields the fabric owns — the shared host's profile and IOMMU
+#: page size, and the engine — with the default a device must leave them at.
+_FABRIC_OWNED = {
+    f.name: f.default
+    for f in fields(NicSimParams)
+    if f.name in ("system", "iommu_page_size", "mode")
+}
+
+
+def _positive(name: str, value: float) -> float:
+    """``value`` as a float, if it is finite and positive."""
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{name} must be finite and positive, got {value}")
+    return float(value)
+
+
+def _per_device(name: str, values: object, count: int) -> tuple[float, ...]:
+    """``values`` as one finite positive float per device."""
+    if not isinstance(values, (list, tuple)) or len(values) != count:
+        raise ValidationError(
+            f"{name} needs one value per device ({count}), got {values!r}"
+        )
+    if not all(
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and 0 < value < math.inf
+        for value in values
+    ):
+        raise ValidationError(
+            f"{name} must be finite and positive, got {values!r}"
+        )
+    return tuple(float(value) for value in values)
 
 
 @dataclass(frozen=True)
-class FabricConfig:
-    """The host and arbitration settings every device shares.
+class ContentionParams:
+    """Complete description of one shared-host contention run.
 
-    The weights, the quantum, the partition shares and the control window
-    must be finite and positive; anything else raises
+    The one input of :class:`FabricSimulator`: N per-device workload
+    specifications plus the fabric they contend on (host profile, shared
+    IOMMU settings, arbitration scheme and weights).  Every field must
+    hold its annotated type, and every rule below is checked at
+    construction; a violation raises
     :class:`~repro.errors.ValidationError`.
 
     Attributes:
-        system: Table 1 profile supplying the shared root complex, cache,
-            IOMMU, NUMA and noise calibrations.
+        devices: one :class:`~repro.sim.nicsim.NicSimParams` per device.
+            The fabric owns the host and the engine, so a device leaves
+            ``system``, ``iommu_page_size`` and ``mode`` at their defaults.
+            Each device's ``payload_window`` / ``payload_cache_state``
+            sizes its working set on the shared host, and its ``seed``
+            (when set) overrides the run seed for that device's workload
+            draws.
+        names: optional per-device labels (``("victim", "aggressor")``);
+            defaults to ``dev0..devN-1``.
+        system: Table 1 profile of the shared host (root complex, cache,
+            IOMMU, NUMA and noise calibrations).
         iommu_enabled / iommu_page_size: shared IOMMU settings (all DMAs
             of all devices translate through one IOTLB and one walker).
-        arbiter: arbitration scheme applied at every fabric node:
-            ``"fcfs"``, ``"rr"``, ``"wrr"``, ``"age"`` or ``"sliced"``
-            (see :class:`~repro.sim.engine.ArbitratedResource`).
-        weights: per-device service weights for the weighted schemes
-            (``wrr``/``age``/``sliced``; defaults to equal weights);
-            rejected by the unweighted ones.  Switch ports compete at
-            their parent with their subtree's summed weight.
-        topology: the fabric tree (see
-            :class:`~repro.sim.topology.FabricTopology`; a spec string is
-            parsed).  ``None`` is the flat PR 4 topology: every device
-            directly on the root port.
-        quantum_ns: preemptible service quantum of the ``"sliced"``
-            scheme (defaults to
-            :data:`~repro.sim.engine.DEFAULT_QUANTUM_NS`); rejected by
-            the other schemes.
-        ddio_partition: per-device DDIO/LLC capacity shares.  ``None``
-            keeps the PR 4 behaviour (one shared residency over the
-            aggregate working set); a tuple gives every device a private
-            slice of the cache model, so a bulk neighbour can no longer
-            evict a victim's payload window or descriptor rings.
-        cache_model: ``"statistical"`` (the default, the fast
-            occupancy-probability model every earlier revision used) or
-            ``"faithful"`` — the line-accurate
+        arbiter: arbitration scheme applied at every fabric node
+            (``fcfs``, ``rr``, ``wrr``, ``age``, ``sliced``; see
+            :class:`~repro.sim.engine.ArbitratedResource`).
+        weights: per-device service weights, finite and positive, for the
+            weighted schemes (``wrr``/``age``/``sliced``; equal weights
+            when unset); rejected by the unweighted ones.  Switch ports
+            compete at their parent with their subtree's summed weight.
+        topology: fabric tree as a compact spec string, e.g.
+            ``"victim=root,aggressor=sw0,sw0=root"`` (devices → N-port
+            switches → root port; see
+            :class:`~repro.sim.topology.FabricTopology`).  Its leaves are
+            the devices' names.  ``None`` is the flat topology with every
+            device directly on the root port.
+        quantum_ns: preemptible service quantum of the ``sliced`` arbiter
+            (``None`` uses :data:`~repro.sim.engine.DEFAULT_QUANTUM_NS`);
+            rejected by the other schemes.
+        ddio_partition: per-device DDIO/LLC capacity shares, finite and
+            positive; ``None`` keeps one shared residency over the
+            aggregate working set.  With shares, a bulk neighbour can no
+            longer evict a victim's payload window or descriptor rings.
+        cache_model: ``"statistical"`` (default, the occupancy-probability
+            model) or ``"faithful"`` — the line-accurate
             :class:`~repro.sim.cache.SetAssociativeCache`, warmed over
-            each device's real address regions; with ``ddio_partition``
-            this is true per-owner DDIO *way* budgets whose evictions
-            never touch a neighbour's lines.  O(window lines) to warm, so
-            best with windows of a few MiB or less.
-        controller: closed-loop control policy retuning the QoS knobs
-            mid-run — ``"static"`` (the default: no control plane at all,
-            bit-identical to every earlier revision), ``"threshold"``
-            (reactive with hysteresis) or ``"aimd"`` (see
-            :mod:`repro.control.policies`).
-        control_window_ns: the controller's observation/actuation window
-            in simulated nanoseconds (defaults to
-            :data:`~repro.control.runtime.DEFAULT_CONTROL_WINDOW_NS`);
-            rejected with the ``"static"`` controller, which never ticks.
+            each device's real address regions (per-owner DDIO *way*
+            budgets when combined with ``ddio_partition``; O(window
+            lines) to warm, so best with windows of a few MiB or less).
+        controller: closed-loop control policy retuning the run's QoS
+            knobs mid-run (``static`` — no control plane, the default —
+            ``threshold`` or ``aimd``; see :mod:`repro.control`).
+        control_window_ns: the controller's observation window in
+            simulated nanoseconds (``None`` uses
+            :data:`~repro.control.runtime.DEFAULT_CONTROL_WINDOW_NS`;
+            rejected with the ``static`` controller, which never ticks).
+        mode: engine selection (``"exact"`` or ``"batch"``).  Fabric runs
+            couple every datapath to the shared host, the interaction the
+            vectorised batch solver falls back on, so ``"batch"`` runs the
+            exact scalar engine and the profile records that fallback and
+            its reason.
+        engine_profile: attach the run's
+            :class:`~repro.sim.engine.EngineProfile` to the result
+            (``result.profile``).  A parameter rather than only a runner
+            kwarg so profiling survives the process-pool dispatch, which
+            pickles parameters and results but no sinks.
+        seed: run seed (``None`` uses the library default).
     """
 
+    devices: tuple[NicSimParams, ...]
+    names: tuple[str, ...] | None = None
     system: str = "NFP6000-HSW"
     iommu_enabled: bool = False
     iommu_page_size: int = 4 * KIB
     arbiter: str = "fcfs"
     weights: tuple[float, ...] | None = None
-    topology: FabricTopology | str | None = None
+    topology: str | None = None
     quantum_ns: float | None = None
     ddio_partition: tuple[float, ...] | None = None
     cache_model: str = "statistical"
     controller: str = "static"
     control_window_ns: float | None = None
+    mode: str = "exact"
+    engine_profile: bool = False
+    seed: int | None = None
 
     def __post_init__(self) -> None:
-        profile = get_profile(self.system)  # raises on unknown profiles
-        object.__setattr__(self, "system", profile.name)
+        check_field_types(self)
+        if not isinstance(self.devices, (list, tuple)) or not self.devices:
+            raise ValidationError(
+                f"a contention run needs at least one device, got {self.devices!r}"
+            )
+        object.__setattr__(self, "devices", tuple(self.devices))
+        count = len(self.devices)
+        for index, device in enumerate(self.devices):
+            if not isinstance(device, NicSimParams):
+                raise ValidationError(
+                    f"device {index} must be NicSimParams, got {type(device)}"
+                )
+            for name, default in _FABRIC_OWNED.items():
+                if getattr(device, name) != default:
+                    raise ValidationError(
+                        f"device {index} sets {name}={getattr(device, name)!r}, "
+                        f"which the fabric owns: set ContentionParams.{name} "
+                        f"and leave the device's at {default!r}"
+                    )
+        if self.names is not None:
+            names = self.names
+            if not isinstance(names, (list, tuple)) or not all(
+                isinstance(name, str) for name in names
+            ):
+                raise ValidationError(
+                    f"names must be a sequence of strings, got {names!r}"
+                )
+            if len(names) != count:
+                raise ValidationError(
+                    f"need one name per device ({count}), got {len(names)}"
+                )
+            if len(set(names)) != len(names):
+                raise ValidationError(f"device names must be unique: {names}")
+            object.__setattr__(self, "names", tuple(names))
+        # Keep the canonical profile spelling for labels and records.
+        object.__setattr__(self, "system", get_profile(self.system).name)
+        if self.iommu_page_size not in SUPPORTED_PAGE_SIZES:
+            raise ValidationError(
+                f"iommu_page_size must be one of {SUPPORTED_PAGE_SIZES}, "
+                f"got {self.iommu_page_size}"
+            )
         if self.arbiter not in ARBITER_SCHEMES:
             raise ValidationError(
                 f"unknown arbitration scheme {self.arbiter!r}; "
@@ -172,38 +273,30 @@ class FabricConfig:
                     f"({', '.join(WEIGHTED_SCHEMES)}); the "
                     f"{self.arbiter!r} scheme ignores them"
                 )
-            weights = tuple(float(weight) for weight in self.weights)
-            if any(not 0 < weight < math.inf for weight in weights):
-                raise ValidationError(
-                    f"arbitration weights must be finite and positive, got {weights}"
-                )
-            object.__setattr__(self, "weights", weights)
-        if isinstance(self.topology, str):
             object.__setattr__(
-                self, "topology", FabricTopology.parse(self.topology)
+                self, "weights", _per_device("weights", self.weights, count)
             )
-        if self.arbiter == "sliced":
-            quantum = (
-                DEFAULT_QUANTUM_NS if self.quantum_ns is None else float(self.quantum_ns)
-            )
-            if not 0 < quantum < math.inf:
+        if self.topology is not None:
+            # The leaves must be exactly this run's devices; pin the
+            # canonical spec spelling.
+            topology = FabricTopology.parse(self.topology)
+            topology.validate_devices(self.device_names())
+            object.__setattr__(self, "topology", topology.spec())
+        if self.quantum_ns is not None:
+            if self.arbiter != "sliced":
                 raise ValidationError(
-                    f"quantum_ns must be finite and positive, got {quantum}"
+                    "quantum_ns only applies to the sliced arbiter, not "
+                    f"{self.arbiter!r}"
                 )
-            object.__setattr__(self, "quantum_ns", quantum)
-        elif self.quantum_ns is not None:
-            raise ValidationError(
-                "quantum_ns only applies to the sliced arbiter, not "
-                f"{self.arbiter!r}"
+            object.__setattr__(
+                self, "quantum_ns", _positive("quantum_ns", self.quantum_ns)
             )
         if self.ddio_partition is not None:
-            shares = tuple(float(share) for share in self.ddio_partition)
-            if any(not 0 < share < math.inf for share in shares):
-                raise ValidationError(
-                    f"ddio_partition shares must be finite and positive, "
-                    f"got {shares}"
-                )
-            object.__setattr__(self, "ddio_partition", shares)
+            object.__setattr__(
+                self,
+                "ddio_partition",
+                _per_device("ddio_partition", self.ddio_partition, count),
+            )
         if self.cache_model not in ("statistical", "faithful"):
             raise ValidationError(
                 "cache_model must be 'statistical' or 'faithful', got "
@@ -220,94 +313,155 @@ class FabricConfig:
                     "control_window_ns only applies to an active "
                     "controller; the 'static' policy never ticks"
                 )
-            window = float(self.control_window_ns)
-            if not 0 < window < math.inf:
-                raise ValidationError(
-                    f"control_window_ns must be finite and positive, got {window}"
-                )
-            object.__setattr__(self, "control_window_ns", window)
+            object.__setattr__(
+                self,
+                "control_window_ns",
+                _positive("control_window_ns", self.control_window_ns),
+            )
+        if self.mode not in MODES:
+            raise ValidationError(
+                f"mode must be one of {', '.join(MODES)}; got {self.mode!r}"
+            )
+        if self.seed is not None:
+            check_seed(self.seed)
 
+    @property
+    def kind(self) -> str:
+        """Benchmark kind tag (always ``"CONTENTION"``)."""
+        return CONTENTION_KIND
 
-@dataclass(frozen=True)
-class FabricDevice:
-    """One NIC device attached to the shared host.
+    def device_names(self) -> tuple[str, ...]:
+        """Resolved per-device labels."""
+        if self.names is not None:
+            return self.names
+        return tuple(f"dev{index}" for index in range(len(self.devices)))
 
-    Mirrors the per-device half of a
-    :class:`~repro.sim.nicsim.NicSimConfig` plus the buffer-placement half
-    of a :class:`~repro.sim.nichost.NicHostConfig`; the host half lives in
-    :class:`FabricConfig`, shared by construction.
+    def solo_params(self, index: int) -> NicSimParams:
+        """Device ``index``'s own record: its datapath on a host of its own.
 
-    Attributes:
-        workload: the prepared traffic description this device replays.
-        model: NIC/driver model (name or instance).
-        packets: packets simulated per direction for this device.
-        name: label used in results (defaults to ``dev{i}``).
-        ring_depth / rx_backpressure / num_queues / dma_tags: the datapath
-            knobs of :class:`~repro.sim.nicsim.NicSimConfig`.
-        payload_window / payload_cache_state / payload_placement: this
-            device's buffer working set on the shared host.
-        seed: workload/RSS seed for this device; ``None`` inherits the
-            fabric run seed.
-        retain_samples: per-packet sample retention
-            (:attr:`~repro.sim.nicsim.NicSimConfig.retain_samples`);
-            fleet runs set this false so per-device latency streams
-            through an O(1)-memory sketch.
-        rss_table: explicit RSS indirection table for multi-queue
-            devices (``table[hash % len]`` picks the queue).  ``None``
-            uses the identity table, which sends every flow to queue
-            ``hash % num_queues``.  An active controller starts from the
-            table and may rewrite it mid-run.
-    """
+        The returned ``NICSIM`` parameters couple the device to a
+        one-device shared host with the fabric's profile and IOMMU
+        settings — what the device would measure if it did not share.
+        :class:`FabricSimulator` builds the device from this record, and
+        dividing a contended device's metrics by this record's solo run
+        yields its *slowdown*.
 
-    workload: Workload
-    model: NicModel | str = "dpdk"
-    packets: int = 4000
-    name: str = ""
-    ring_depth: int = 512
-    rx_backpressure: bool = False
-    num_queues: int = 1
-    dma_tags: int | None = None
-    payload_window: int = 4 * MIB
-    payload_cache_state: str = "host_warm"
-    payload_placement: str = "local"
-    seed: int | None = None
-    retain_samples: bool = True
-    rss_table: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "model",
-            model_by_name(self.model) if isinstance(self.model, str) else self.model,
-        )
-        if self.packets <= 0:
-            raise ValidationError(f"packets must be positive, got {self.packets}")
-        object.__setattr__(
-            self, "rss_table", check_rss_table(self.rss_table, self.num_queues)
-        )
-
-    def sim_config(self, fabric: FabricConfig) -> NicSimConfig:
-        """The datapath configuration this device runs with.
-
-        Its host half binds the device's buffer layout to the fabric's
-        shared host.
+        Seed semantics: a plain ``NICSIM`` run has one seed for both
+        workload and host, so the record takes the device's seed override
+        when one is set (else the run seed).  A *one-device* contention
+        run seeds its host the same way, so the bit-identical degenerate
+        contract holds with or without an override; in a *multi-device*
+        fabric a device's seed override decorrelates only that device's
+        workload/RSS draws — the shared host always uses the run seed,
+        and baselines for such devices compare workload-identical but
+        host-stream-shifted runs.
         """
-        return NicSimConfig(
-            ring_depth=self.ring_depth,
-            rx_backpressure=self.rx_backpressure,
-            host=NicHostConfig(
-                system=fabric.system,
-                iommu_enabled=fabric.iommu_enabled,
-                iommu_page_size=fabric.iommu_page_size,
-                payload_window=self.payload_window,
-                payload_cache_state=self.payload_cache_state,
-                payload_placement=self.payload_placement,
-            ),
-            num_queues=self.num_queues,
-            dma_tags=self.dma_tags,
-            retain_samples=self.retain_samples,
-            rss_table=self.rss_table,
+        if not 0 <= index < len(self.devices):
+            raise ValidationError(
+                f"device index must be within [0, {len(self.devices)}), "
+                f"got {index}"
+            )
+        device = self.devices[index]
+        return device.with_(
+            system=self.system,
+            iommu_enabled=self.iommu_enabled,
+            iommu_page_size=self.iommu_page_size,
+            seed=device.seed if device.seed is not None else self.seed,
         )
+
+    def with_(self, **changes: object) -> "ContentionParams":
+        """Return a copy with selected fields replaced."""
+        return replace(self, **changes)  # type: ignore[arg-type]
+
+    def label(self) -> str:
+        """Compact human-readable description used in logs and reports."""
+        parts = [
+            CONTENTION_KIND,
+            f"{len(self.devices)}x",
+            f"host={self.system}",
+            f"arbiter={self.arbiter}",
+        ]
+        if self.weights is not None:
+            parts.append(
+                "weights=" + ":".join(f"{weight:g}" for weight in self.weights)
+            )
+        if self.topology is not None:
+            depth = FabricTopology.parse(self.topology).depth()
+            parts.append(f"topology=depth{depth}")
+        if self.quantum_ns is not None:
+            parts.append(f"quantum={self.quantum_ns:g}ns")
+        if self.ddio_partition is not None:
+            parts.append(
+                "ddio="
+                + ":".join(f"{share:g}" for share in self.ddio_partition)
+            )
+        if self.cache_model != "statistical":
+            parts.append(f"cache={self.cache_model}")
+        if self.controller != "static":
+            parts.append(f"controller={self.controller}")
+            if self.control_window_ns is not None:
+                parts.append(f"window={self.control_window_ns:g}ns")
+        if self.mode != "exact":
+            parts.append(f"mode={self.mode}")
+        if self.iommu_enabled:
+            parts.append(f"iommu({format_size(self.iommu_page_size)} pages)")
+        for name, device in zip(self.device_names(), self.devices):
+            load = (
+                "saturating"
+                if device.offered_load_gbps is None
+                else f"{device.offered_load_gbps:g}Gb/s"
+            )
+            parts.append(f"[{name}: {device.workload} {load}]")
+        return " ".join(parts)
+
+    def as_dict(self) -> dict[str, object]:
+        """Serialisable representation of the parameters.
+
+        The topology/quantum/partition keys are emitted only when they
+        differ from the flat-fabric defaults, so records written before
+        those knobs existed round-trip unchanged.
+        """
+        record: dict[str, object] = {
+            "kind": CONTENTION_KIND,
+            "system": self.system,
+            "iommu_enabled": self.iommu_enabled,
+            "iommu_page_size": self.iommu_page_size,
+            "arbiter": self.arbiter,
+            "weights": None if self.weights is None else list(self.weights),
+            "seed": self.seed,
+            "devices": [device.as_dict() for device in self.devices],
+        }
+        if self.names is not None:
+            record["names"] = list(self.names)
+        if self.topology is not None:
+            record["topology"] = self.topology
+        if self.quantum_ns is not None:
+            record["quantum_ns"] = self.quantum_ns
+        if self.ddio_partition is not None:
+            record["ddio_partition"] = list(self.ddio_partition)
+        if self.cache_model != "statistical":
+            record["cache_model"] = self.cache_model
+        if self.controller != "static":
+            record["controller"] = self.controller
+            if self.control_window_ns is not None:
+                record["control_window_ns"] = self.control_window_ns
+        if self.mode != "exact":
+            record["mode"] = self.mode
+        if self.engine_profile:
+            record["engine_profile"] = True
+        return record
+
+    @classmethod
+    @record_reader
+    def from_dict(cls, data: dict[str, object]) -> "ContentionParams":
+        """Rebuild parameters from :meth:`as_dict` output."""
+        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+        kwargs = {key: value for key, value in data.items() if key in known}
+        kwargs["devices"] = tuple(
+            NicSimParams.from_dict(device)  # type: ignore[arg-type]
+            for device in data["devices"]  # type: ignore[union-attr]
+        )
+        return cls(**kwargs)  # type: ignore[arg-type]
 
 
 class _UpstreamPort:
@@ -642,46 +796,38 @@ class ContentionResult:
 
 
 class FabricSimulator:
-    """Runs N NIC datapaths against one shared host in one event loop."""
+    """Runs the devices of one :class:`ContentionParams` on one shared host.
+
+    Device *i* is built from ``params.solo_params(i)``: its datapath and
+    host configuration, its workload, packets and seed.  ``workloads``,
+    one prepared :class:`~repro.workloads.Workload` per device, replaces
+    the traffic the records name, for mixes no record can (a single hot
+    flow among mice); the run is otherwise the record's.
+    """
 
     def __init__(
         self,
-        devices: Sequence[FabricDevice],
-        fabric: FabricConfig | None = None,
+        params: ContentionParams,
+        workloads: Sequence[Workload] | None = None,
     ) -> None:
-        if not devices:
-            raise ValidationError("a fabric needs at least one device")
-        self.fabric = fabric or FabricConfig()
-        if (
-            self.fabric.weights is not None
-            and len(self.fabric.weights) != len(devices)
-        ):
+        self.params = params
+        self.names = params.device_names()
+        self.devices = tuple(
+            params.solo_params(index) for index in range(len(params.devices))
+        )
+        if workloads is None:
+            workloads = [device.build_workload() for device in self.devices]
+        elif len(workloads) != len(self.devices):
             raise ValidationError(
-                f"need one arbitration weight per device ({len(devices)}), "
-                f"got {len(self.fabric.weights)}"
+                f"need one workload per device ({len(self.devices)}), "
+                f"got {len(workloads)}"
             )
-        names = [
-            device.name or f"dev{index}"
-            for index, device in enumerate(devices)
-        ]
-        if len(set(names)) != len(names):
-            raise ValidationError(f"device names must be unique, got {names}")
-        if (
-            self.fabric.ddio_partition is not None
-            and len(self.fabric.ddio_partition) != len(devices)
-        ):
-            raise ValidationError(
-                f"need one ddio_partition share per device ({len(devices)}), "
-                f"got {len(self.fabric.ddio_partition)}"
-            )
-        if self.fabric.topology is not None:
-            self.fabric.topology.validate_devices(names)
-        self.devices = tuple(devices)
-        self.names = tuple(names)
-        # Built once here, so a malformed device knob fails at
-        # construction rather than inside run().
-        self._sim_configs = tuple(
-            device.sim_config(self.fabric) for device in self.devices
+        self.workloads = tuple(workloads)
+        self._sim_configs = tuple(device.sim_config() for device in self.devices)
+        self._topology = (
+            None
+            if params.topology is None
+            else FabricTopology.parse(params.topology)
         )
         #: Wall-clock phase timing of the most recent :meth:`run`.
         self.last_profile: EngineProfile | None = None
@@ -689,10 +835,8 @@ class FabricSimulator:
     def run(
         self,
         *,
-        seed: int | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        mode: str = "exact",
     ) -> ContentionResult:
         """Simulate every device's workload against the shared host.
 
@@ -700,53 +844,45 @@ class FabricSimulator:
         stages per device, walker service, per-hop arbitration waits);
         ``metrics`` attaches a window-sampled registry snapshot to the
         result.  Both default to off; neither changes what is simulated.
-
-        ``mode`` selects the engine, mirroring
-        :meth:`NicDatapathSimulator.run <repro.sim.nicsim.NicDatapathSimulator.run>`.
-        Fabric runs couple every datapath to the shared host — the very
-        interaction the vectorised batch solver declares a fallback on —
-        so ``"batch"`` here *is* the scalar engine (same fallback the
-        single-device path takes, decided up front instead of after a
-        failed solve), and the profile records that fallback and its
-        reason.
         """
-        if mode not in MODES:
-            raise ValidationError(
-                f"mode must be one of {', '.join(MODES)}; got {mode!r}"
-            )
+        params = self.params
+        count = len(self.devices)
+        multi = count > 1
+        # One device seeds its host as its own record's solo run would.
+        seed = params.seed if multi else self.devices[0].seed
         resolved_seed = DEFAULT_SEED if seed is None else seed
+        quantum = params.quantum_ns
+        if quantum is None and params.arbiter == "sliced":
+            quantum = DEFAULT_QUANTUM_NS
         wall_start = perf_counter()
-        fabric = self.fabric
         loop = EventLoop()
         shared = SharedHost(
             [config.host for config in self._sim_configs],
             [config.ring_depth for config in self._sim_configs],
             seed=resolved_seed,
-            cache_model=fabric.cache_model,
-            ddio_partition=fabric.ddio_partition,
+            cache_model=params.cache_model,
+            ddio_partition=params.ddio_partition,
         )
-        count = len(self.devices)
-        multi = count > 1
-        weights = fabric.weights or (1.0,) * count
+        weights = params.weights or (1.0,) * count
         if multi:
             ingress_arb = compile_topology(
                 "fabric.root_complex.ingress",
-                fabric.topology,
+                self._topology,
                 self.names,
                 loop,
-                scheme=fabric.arbiter,
+                scheme=params.arbiter,
                 weights=weights,
-                quantum_ns=fabric.quantum_ns,
+                quantum_ns=quantum,
                 trace=self._arb_trace(tracer, "ingress"),
             )
             walker_arb = compile_topology(
                 "fabric.iommu.walker",
-                fabric.topology,
+                self._topology,
                 self.names,
                 loop,
-                scheme=fabric.arbiter,
+                scheme=params.arbiter,
                 weights=weights,
-                quantum_ns=fabric.quantum_ns,
+                quantum_ns=quantum,
                 trace=self._arb_trace(tracer, "walker"),
             )
         else:
@@ -760,12 +896,12 @@ class FabricSimulator:
         # default builds no runtime, installs no observers and feeds
         # packets straight to their queues.
         runtime: ControlRuntime | None = None
-        if fabric.controller != "static":
+        if params.controller != "static":
             runtime = ControlRuntime(
-                build_controller(fabric.controller),
+                build_controller(params.controller),
                 (
-                    fabric.control_window_ns
-                    if fabric.control_window_ns is not None
+                    params.control_window_ns
+                    if params.control_window_ns is not None
                     else DEFAULT_CONTROL_WINDOW_NS
                 ),
                 loop,
@@ -775,10 +911,10 @@ class FabricSimulator:
             _Device(
                 name,
                 "fabric",
-                device.model,
+                model_by_name(device.model),
                 self._sim_configs[index],
                 loop,
-                device.workload,
+                self.workloads[index],
                 device.packets,
                 seed=resolved_seed if device.seed is None else device.seed,
                 coupling=shared.couplings[index],
@@ -810,7 +946,7 @@ class FabricSimulator:
                     nic.coupling,
                 )
             if multi:
-                if fabric.arbiter in WEIGHTED_SCHEMES:
+                if params.arbiter in WEIGHTED_SCHEMES:
                     runtime.bind_weights(
                         weights,
                         [
@@ -829,8 +965,8 @@ class FabricSimulator:
                     )
 
                 runtime.bind_port_stats(port_totals)
-            if shared.partitioned and fabric.cache_model == "statistical":
-                runtime.bind_ddio(fabric.ddio_partition, shared.repartition)
+            if shared.partitioned and params.cache_model == "statistical":
+                runtime.bind_ddio(params.ddio_partition, shared.repartition)
             runtime.start()
 
         if metrics is not None:
@@ -861,7 +997,7 @@ class FabricSimulator:
         self.last_profile = EngineProfile(
             label=(
                 f"contend {'+'.join(self.names)} "
-                f"({fabric.arbiter}, {fabric.system})"
+                f"({params.arbiter}, {params.system})"
             ),
             build_s=events_start - wall_start,
             events_s=stats_start - events_start,
@@ -871,7 +1007,7 @@ class FabricSimulator:
             # The batch solver's own reason for a host-coupled device.
             fallback_reason=(
                 "host coupling is an interaction point"
-                if mode == "batch"
+                if params.mode == "batch"
                 else None
             ),
         )
@@ -887,13 +1023,13 @@ class FabricSimulator:
                         metrics.gauge(
                             f"fabric.{dev}.{resource}.wait_ns_mean"
                         ).set(stats.wait_ns_mean)
-        topology = fabric.topology
+        topology = self._topology
         # A single device bypasses arbitration entirely (the degenerate
         # path), so none of the topology/quantum/partition knobs applied:
         # suppress them rather than label a solo run a fabric scenario.
         return ContentionResult(
-            system=fabric.system,
-            arbiter=fabric.arbiter,
+            system=params.system,
+            arbiter=params.arbiter,
             weights=tuple(weights),
             seed=resolved_seed,
             duration_ns=max(
@@ -908,9 +1044,9 @@ class FabricSimulator:
             topology_depth=(
                 1 if not multi or topology is None else topology.depth()
             ),
-            quantum_ns=fabric.quantum_ns if multi else None,
-            ddio_partition=fabric.ddio_partition if multi else None,
-            controller=fabric.controller,
+            quantum_ns=quantum if multi else None,
+            ddio_partition=params.ddio_partition if multi else None,
+            controller=params.controller,
             control_window_ns=(
                 runtime.window_ns if runtime is not None else None
             ),

@@ -65,6 +65,10 @@ Two device-side resource limits complete the picture:
   label (:mod:`repro.workloads.rss`), so skewed flow mixes reproduce the
   queue imbalance real RSS suffers.  ``num_queues=1`` is the degenerate
   case and remains bit-identical to the single-queue datapath.
+
+A run is described by one :class:`NicSimParams` record, defined here
+beside the :class:`NicSimConfig` and :class:`~repro.sim.nichost.NicHostConfig`
+it builds; each device of a contention run is one too.
 """
 
 from __future__ import annotations
@@ -83,7 +87,12 @@ from ..control import ControlRuntime, RssSteering, identity_table
 from ..core.config import PAPER_DEFAULT_CONFIG
 from ..core.nic import NicModel, model_by_name
 from ..core.transactions import OpKind
-from ..errors import SimulationError, ValidationError, record_reader
+from ..errors import (
+    SimulationError,
+    ValidationError,
+    check_field_types,
+    record_reader,
+)
 from ..obs.metrics import (
     DEFAULT_METRICS_WINDOW_NS,
     MetricsRegistry,
@@ -101,12 +110,20 @@ from ..obs.trace import (
     Tracer,
 )
 from ..stats import QuantileSketch
-from ..units import bytes_over_time_to_gbps, ns_to_s
-from ..workloads import PacketSchedule, Workload, rss_buckets
+from ..units import KIB, MIB, bytes_over_time_to_gbps, format_size, ns_to_s
+from ..workloads import (
+    PacketSchedule,
+    Workload,
+    build_flow_model,
+    build_workload,
+    canonical_flow_name,
+    rss_buckets,
+    workload_names,
+)
 from ..workloads.rss import check_rss_table
 from .engine import MODES, EngineProfile, EventLoop, SerialResource, TagPool
 from .nichost import HostCoupling, HostSideStats, NicHostConfig, SharedHost
-from .rng import DEFAULT_SEED, SimRng
+from .rng import DEFAULT_SEED, SimRng, check_seed
 from .root_complex import HostAccess
 
 #: Packet size used to classify a model's transaction sequence (any valid
@@ -189,6 +206,270 @@ class NicSimConfig:
         object.__setattr__(
             self, "rss_table", check_rss_table(self.rss_table, self.num_queues)
         )
+
+
+#: The ``kind`` tag used in labels and serialised records, mirroring the
+#: ``BenchmarkKind`` values of the classic micro-benchmarks.
+NICSIM_KIND = "NICSIM"
+
+
+@dataclass(frozen=True)
+class NicSimParams:
+    """Complete description of one NIC datapath simulation run.
+
+    The record of a solo run (:func:`~repro.bench.nicsim.run_nicsim_benchmark`)
+    and of each device of a contention run
+    (:class:`~repro.sim.fabric.ContentionParams`).  Every field must hold
+    its annotated type; a wrong type or value raises
+    :class:`~repro.errors.ValidationError`.
+
+    Attributes:
+        model: NIC/driver model name (``"simple"``, ``"kernel"``,
+            ``"dpdk"`` or a full Figure 1 model name).
+        workload: named traffic workload (see :mod:`repro.workloads`).
+        packet_size: frame size for the fixed-size workload families.
+        offered_load_gbps: offered load per direction; ``None`` saturates.
+        packets: packets simulated per direction.
+        ring_depth: descriptor ring depth per direction.
+        duplex: full-duplex (TX and RX) or TX-only traffic.
+        rx_backpressure: stall instead of dropping when the RX ring fills.
+        system: Table 1 host profile to couple the datapath to; ``None``
+            runs the link-only datapath (flat host latency).
+        iommu_enabled: translate DMA addresses (needs ``system``).
+        iommu_page_size: IOVA page size (4 KiB, 2 MiB or 1 GiB).
+        payload_window: payload-buffer working set the workload cycles
+            through (drives cache and IOTLB pressure).
+        payload_cache_state: cache preparation of the payload window.
+        payload_placement: ``"local"`` or ``"remote"`` NUMA placement of
+            the payload buffers (``"remote"`` needs ``system``).
+        num_queues: TX/RX ring pairs per device (RSS steering when > 1).
+        dma_tags: bounded in-flight DMA tag pool size; ``None`` keeps the
+            historical unbounded issue.
+        rss: flow scenario steering a multi-queue run (``"uniform"``,
+            ``"zipf"``/``"skewed"``, ``"hot"``); ignored when
+            ``num_queues == 1``.
+        rss_table: optional RSS indirection table; entry ``b`` names the
+            queue for hash bucket ``b`` (``queue = table[hash % len]``).
+            ``None`` (the default) uses the identity table, which sends
+            every flow to queue ``hash % num_queues``.  Requires
+            ``num_queues > 1``.
+        seed: workload RNG seed (``None`` uses the library default).
+        retain_samples: keep per-packet latency arrays (the default).
+            ``False`` streams latencies through an O(1)-memory quantile
+            sketch instead — the mode fleet-scale runs use.
+        mode: engine selection — ``"exact"`` (default, the scalar event
+            loop every golden rests on) or ``"batch"`` (vectorised solver
+            with automatic scalar fallback).
+    """
+
+    model: str = "Simple NIC"
+    workload: str = "fixed"
+    packet_size: int = 1024
+    offered_load_gbps: float | None = None
+    packets: int = 4000
+    ring_depth: int = 512
+    duplex: bool = True
+    rx_backpressure: bool = False
+    system: str | None = None
+    iommu_enabled: bool = False
+    iommu_page_size: int = 4 * KIB
+    payload_window: int = 4 * MIB
+    payload_cache_state: str = "host_warm"
+    payload_placement: str = "local"
+    num_queues: int = 1
+    dma_tags: int | None = None
+    rss: str = "uniform"
+    rss_table: tuple[int, ...] | None = None
+    seed: int | None = None
+    retain_samples: bool = True
+    mode: str = "exact"
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
+        # Normalise aliases ("dpdk") to the canonical model name and fail
+        # fast on unknown models/workloads, as BenchmarkParams does.
+        object.__setattr__(self, "model", model_by_name(self.model).name)
+        key = self.workload.strip().lower()
+        if key not in workload_names():
+            raise ValidationError(
+                f"unknown workload {self.workload!r}; known workloads: "
+                + ", ".join(workload_names())
+            )
+        object.__setattr__(self, "workload", key)
+        if self.mode not in MODES:
+            raise ValidationError(
+                f"mode must be one of {', '.join(MODES)}; got {self.mode!r}"
+            )
+        if self.packet_size <= 0:
+            raise ValidationError(
+                f"packet_size must be positive, got {self.packet_size}"
+            )
+        load = self.offered_load_gbps
+        if load is not None and not 0 < load < math.inf:
+            raise ValidationError(
+                f"offered_load_gbps must be finite and positive, got {load}"
+            )
+        if self.packets <= 0:
+            raise ValidationError(f"packets must be positive, got {self.packets}")
+        if self.seed is not None:
+            check_seed(self.seed)
+        # Canonicalise the RSS scenario name ("skewed" -> "zipf") so labels
+        # and serialised params are stable whichever alias was written.
+        object.__setattr__(self, "rss", canonical_flow_name(self.rss))
+        # The datapath and host knobs are validated by building the configs
+        # the simulator runs with, one source of truth.  Params without a
+        # host check their host knobs against the default profile, so a bad
+        # value fails where it is written, not at a later with_(system=...).
+        object.__setattr__(self, "rss_table", self.sim_config().rss_table)
+        if self.system is None and self.iommu_enabled:
+            raise ValidationError(
+                "iommu_enabled requires a host system (set system=...)"
+            )
+        if self.system is None and self.payload_placement != "local":
+            raise ValidationError(
+                "remote payload placement requires a host system (set system=...)"
+            )
+        host = self._host_config(self.system or NicHostConfig.system)
+        object.__setattr__(self, "payload_cache_state", host.payload_cache_state)
+        if self.system is not None:
+            # Keep the canonical profile spelling for labels and records.
+            object.__setattr__(self, "system", host.system)
+
+    @property
+    def kind(self) -> str:
+        """Benchmark kind tag (always ``"NICSIM"``)."""
+        return NICSIM_KIND
+
+    def host_config(self) -> NicHostConfig | None:
+        """The host coupling these parameters describe (``None`` when decoupled)."""
+        if self.system is None:
+            return None
+        return self._host_config(self.system)
+
+    def _host_config(self, system: str) -> NicHostConfig:
+        return NicHostConfig(
+            system=system,
+            iommu_enabled=self.iommu_enabled,
+            iommu_page_size=self.iommu_page_size,
+            payload_window=self.payload_window,
+            payload_cache_state=self.payload_cache_state,
+            payload_placement=self.payload_placement,
+        )
+
+    def sim_config(self) -> NicSimConfig:
+        """The datapath configuration the run's simulator is built with."""
+        return NicSimConfig(
+            ring_depth=self.ring_depth,
+            rx_backpressure=self.rx_backpressure,
+            host=self.host_config(),
+            num_queues=self.num_queues,
+            dma_tags=self.dma_tags,
+            retain_samples=self.retain_samples,
+            rss_table=self.rss_table,
+        )
+
+    def build_workload(self) -> Workload:
+        """The traffic the run replays.
+
+        A multi-queue run steers packets by flow, so a workload without a
+        flow model gets the ``rss`` scenario's.
+        """
+        workload = build_workload(
+            self.workload,
+            size=self.packet_size,
+            load_gbps=self.offered_load_gbps,
+            duplex=self.duplex,
+        )
+        if self.num_queues > 1 and workload.flows is None:
+            workload = workload.with_(flows=build_flow_model(self.rss))
+        return workload
+
+    def with_(self, **changes: object) -> "NicSimParams":
+        """Return a copy with selected fields replaced."""
+        return replace(self, **changes)  # type: ignore[arg-type]
+
+    def label(self) -> str:
+        """Compact human-readable description used in logs and reports."""
+        parts = [NICSIM_KIND, self.model, self.workload]
+        if self.workload in ("fixed", "poisson", "bursty"):
+            parts.append(f"{self.packet_size}B")
+        parts.append(
+            "saturating"
+            if self.offered_load_gbps is None
+            else f"{self.offered_load_gbps:g}Gb/s"
+        )
+        parts.append(f"ring={self.ring_depth}")
+        if self.num_queues > 1:
+            parts.append(f"queues={self.num_queues}")
+            parts.append(f"rss={self.rss}")
+            if self.rss_table is not None:
+                parts.append(f"rss-table[{len(self.rss_table)}]")
+        if self.dma_tags is not None:
+            parts.append(f"tags={self.dma_tags}")
+        if not self.retain_samples:
+            parts.append("streaming")
+        if self.mode != "exact":
+            parts.append(f"mode={self.mode}")
+        if not self.duplex:
+            parts.append("tx-only")
+        if self.system is not None:
+            parts.append(f"host={self.system}")
+            parts.append(f"window={format_size(self.payload_window)}")
+            parts.append(self.payload_cache_state)
+            if self.iommu_enabled:
+                parts.append(
+                    f"iommu({format_size(self.iommu_page_size)} pages)"
+                )
+            if self.payload_placement != "local":
+                parts.append(self.payload_placement)
+        return " ".join(parts)
+
+    def as_dict(self) -> dict[str, object]:
+        """Serialisable representation of the parameters.
+
+        The multi-queue/tag keys are emitted only when they differ from the
+        single-queue, unbounded defaults, so records written before those
+        knobs existed (the PR 2 golden file) round-trip unchanged.
+        """
+        record: dict[str, object] = {
+            "kind": NICSIM_KIND,
+            "model": self.model,
+            "workload": self.workload,
+            "packet_size": self.packet_size,
+            "offered_load_gbps": self.offered_load_gbps,
+            "packets": self.packets,
+            "ring_depth": self.ring_depth,
+            "duplex": self.duplex,
+            "rx_backpressure": self.rx_backpressure,
+            "system": self.system,
+            "iommu_enabled": self.iommu_enabled,
+            "iommu_page_size": self.iommu_page_size,
+            "payload_window": self.payload_window,
+            "payload_cache_state": self.payload_cache_state,
+            "payload_placement": self.payload_placement,
+            "seed": self.seed,
+        }
+        if self.num_queues != 1:
+            record["num_queues"] = self.num_queues
+        if self.rss != "uniform":
+            record["rss"] = self.rss
+        if self.rss_table is not None:
+            record["rss_table"] = list(self.rss_table)
+        if self.dma_tags is not None:
+            record["dma_tags"] = self.dma_tags
+        if not self.retain_samples:
+            record["retain_samples"] = False
+        if self.mode != "exact":
+            record["mode"] = self.mode
+        return record
+
+    @classmethod
+    @record_reader
+    def from_dict(cls, data: dict[str, object]) -> "NicSimParams":
+        """Rebuild parameters from :meth:`as_dict` output."""
+        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+        kwargs = {key: value for key, value in data.items() if key in known}
+        return cls(**kwargs)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -1465,10 +1746,12 @@ class _Device:
 
     Both simulators build their devices here — a
     :class:`NicDatapathSimulator` run builds one, a
-    :class:`~repro.sim.fabric.FabricSimulator` run one per contending
-    device — so a device is assembled, fed and summarised one way.  The
-    caller supplies what devices share: the event loop, the host coupling
-    and, when several devices contend, the arbitrated upstream port.  A
+    :class:`~repro.sim.fabric.FabricSimulator` run one per device of its
+    :class:`~repro.sim.fabric.ContentionParams`, from that device's solo
+    record (:meth:`~repro.sim.fabric.ContentionParams.solo_params`) — so a
+    device is assembled, fed and summarised one way.  The caller supplies
+    what devices share: the event loop, the host coupling and, when
+    several devices contend, the arbitrated upstream port.  A
     host-coupled device without a port serialises its host accesses on
     private ingress and walker resources.
 

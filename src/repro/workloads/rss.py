@@ -18,6 +18,7 @@ XOR a seed-derived constant; everything is vectorised over numpy uint64
 
 from __future__ import annotations
 
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -104,11 +105,19 @@ def check_rss_table(
 
     Returns the table as a tuple of ints (``None`` stays ``None``, which
     means the identity table).  Raises :class:`ValidationError` when the
-    device has a single queue, the table is empty, or an entry names no
-    queue.
+    table is not a list or tuple of whole numbers, the device has a single
+    queue, the table is empty, or an entry names no queue.
     """
     if table is None:
         return None
+    if not isinstance(table, (list, tuple)) or not all(
+        isinstance(entry, numbers.Integral)
+        or isinstance(entry, float) and entry.is_integer()
+        for entry in table
+    ):
+        raise ValidationError(
+            f"rss_table must be a list of queue indices, got {table!r}"
+        )
     if num_queues <= 1:
         raise ValidationError(
             "rss_table requires num_queues > 1 (single-queue runs have "

@@ -8,8 +8,8 @@ import pytest
 
 from repro.bench.contention import (
     ContentionParams,
+    noisy_neighbour_pair,
     run_contention_benchmark,
-    solo_device_params,
 )
 from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
 from repro.bench.runner import (
@@ -71,6 +71,22 @@ class TestContentionParams:
         coupled = NicSimParams(system="NFP6000-HSW", packets=100)
         with pytest.raises(ValidationError):
             ContentionParams(devices=(coupled,))
+
+    @pytest.mark.parametrize(
+        "field, value", (("iommu_page_size", 2 * MIB), ("mode", "batch"))
+    )
+    def test_rejects_device_fields_the_fabric_owns(self, field, value):
+        # The fabric's IOMMU pages and engine apply to every device: a
+        # device's own setting would be recorded and ignored.
+        victim, aggressor = noisy_neighbour_pair()
+        with pytest.raises(ValidationError, match=f"ContentionParams.{field}"):
+            ContentionParams(
+                devices=(victim.with_(**{field: value}), aggressor),
+                names=("victim", "aggressor"),
+                system="NFP6000-HSW",
+                iommu_enabled=True,
+                seed=7,
+            )
 
     def test_rejects_mismatched_names_and_weights(self):
         with pytest.raises(ValidationError):
@@ -157,19 +173,19 @@ class TestContentionParams:
         with pytest.raises(ValidationError, match="finite and positive"):
             _pair(**overrides)
 
-    def test_solo_device_params_couples_to_the_fabric_host(self):
+    def test_solo_params_couple_to_the_fabric_host(self):
         params = _pair(seed=17)
-        solo = solo_device_params(params, 0)
+        solo = params.solo_params(0)
         assert solo.system == params.system
         assert solo.iommu_enabled is params.iommu_enabled
         assert solo.seed == 17  # inherits the run seed
         assert solo.workload == params.devices[0].workload
         with pytest.raises(ValidationError):
-            solo_device_params(params, 9)
+            params.solo_params(9)
 
     def test_solo_params_equal_one_device_contention_run(self):
         params = _pair(seed=5)
-        solo = run_nicsim_benchmark(solo_device_params(params, 0))
+        solo = run_nicsim_benchmark(params.solo_params(0))
         one_device = run_contention_benchmark(
             params.with_(
                 devices=(params.devices[0],), names=("victim",), weights=None
@@ -184,7 +200,7 @@ class TestContentionParams:
         params = _pair(seed=5)
         seeded = params.devices[0].with_(seed=23)
         solo = run_nicsim_benchmark(
-            solo_device_params(params.with_(devices=(seeded, params.devices[1])), 0)
+            params.with_(devices=(seeded, params.devices[1])).solo_params(0)
         )
         one_device = run_contention_benchmark(
             params.with_(devices=(seeded,), names=("victim",), weights=None)

@@ -8,9 +8,7 @@ from repro.bench.nicsim import NICSIM_KIND, NicSimParams, run_nicsim_benchmark
 from repro.bench.params import BenchmarkParams
 from repro.bench.runner import BenchmarkRunner
 from repro.errors import ValidationError
-from repro.sim.fabric import FabricDevice
 from repro.sim.nicsim import NicSimConfig, NicSimResult
-from repro.workloads import build_workload
 
 #: Every record that carries an RSS indirection table, built for
 #: ``num_queues`` queues with table ``table``.
@@ -20,9 +18,6 @@ RSS_TABLE_OWNERS = {
     ),
     "NicSimConfig": lambda num_queues, table: NicSimConfig(
         num_queues=num_queues, rss_table=table
-    ),
-    "FabricDevice": lambda num_queues, table: FabricDevice(
-        workload=build_workload("fixed"), num_queues=num_queues, rss_table=table
     ),
 }
 

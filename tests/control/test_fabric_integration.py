@@ -14,12 +14,7 @@ import pytest
 from repro.bench.contention import ContentionParams, run_contention_benchmark
 from repro.bench.nicsim import NicSimParams
 from repro.errors import ValidationError
-from repro.sim.fabric import (
-    ContentionResult,
-    FabricConfig,
-    FabricDevice,
-    FabricSimulator,
-)
+from repro.sim.fabric import ContentionResult, FabricSimulator
 from repro.units import KIB, MIB
 from repro.workloads import SingleHotFlow, build_workload
 
@@ -52,19 +47,15 @@ def _pair(**overrides) -> ContentionParams:
 class TestControllerParams:
     def test_unknown_controller_rejected(self):
         with pytest.raises(ValidationError):
-            FabricConfig(controller="pid")
-        with pytest.raises(ValidationError):
             _pair(controller="pid")
 
     def test_window_requires_a_live_controller(self):
-        with pytest.raises(ValidationError):
-            FabricConfig(controller="static", control_window_ns=50_000.0)
         with pytest.raises(ValidationError):
             _pair(control_window_ns=50_000.0)
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValidationError):
-            FabricConfig(controller="threshold", control_window_ns=0.0)
+            _pair(controller="threshold", control_window_ns=0.0)
         with pytest.raises(ValidationError):
             _pair(controller="threshold", control_window_ns=-1.0)
 
@@ -144,17 +135,15 @@ class TestHotFlowSteering:
         workload = build_workload(
             "fixed", size=512, load_gbps=42.0
         ).with_(flows=SingleHotFlow(flows=64, hot_fraction=0.75))
-        device = FabricDevice(
-            workload=workload,
-            model="dpdk",
-            packets=1500,
-            ring_depth=32,
-            num_queues=2,
+        device = NicSimParams(
+            model="dpdk", packets=1500, ring_depth=32, num_queues=2
         )
-        fabric = FabricConfig(
-            controller="threshold", control_window_ns=20_000.0
+        params = ContentionParams(
+            devices=(device,),
+            controller="threshold",
+            control_window_ns=20_000.0,
         )
-        result = FabricSimulator([device], fabric).run()
+        result = FabricSimulator(params, workloads=(workload,)).run()
         rss_actions = [
             a for a in result.control_actions if a.actuator == "rss"
         ]
@@ -162,7 +151,9 @@ class TestHotFlowSteering:
         action = rss_actions[0]
         assert len(action.after) == len(action.before)
         assert action.after != action.before
-        static = FabricSimulator([device], FabricConfig()).run()
+        static = FabricSimulator(
+            ContentionParams(devices=(device,)), workloads=(workload,)
+        ).run()
         controlled_p99 = result.devices[0].result.tx.latency.p99
         static_p99 = static.devices[0].result.tx.latency.p99
         assert controlled_p99 < static_p99

@@ -35,15 +35,13 @@ from repro.errors import ValidationError
 from repro.sim import fabric as fabric_module
 from repro.sim.engine import WEIGHTED_SCHEMES
 from repro.sim.fabric import (
+    ContentionParams,
     ContentionResult,
-    FabricConfig,
-    FabricDevice,
     FabricSimulator,
 )
 from repro.sim.topology import CompiledTopology
 from repro.sim.rng import SimRng
 from repro.units import KIB, MIB
-from repro.workloads import build_workload
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "nicsim_seeded.json"
 
@@ -70,49 +68,49 @@ TREE_SPECS = {
 }
 
 
+#: Device labels, in order, of a two- and a four-device grid point.
+DEVICE_NAMES = ("victim", "aggressor", "bulk2", "streamer")
+
+
 def _build_devices(
     victim_workload: str,
     aggressor_workload: str,
     packets: int,
     device_count: int,
-) -> list[FabricDevice]:
-    victim = FabricDevice(
-        workload=build_workload(
-            victim_workload, size=512, load_gbps=6.0, duplex=True
-        ),
+) -> list[NicSimParams]:
+    victim = NicSimParams(
         model="dpdk",
+        workload=victim_workload,
+        packet_size=512,
+        offered_load_gbps=6.0,
         packets=packets,
-        name="victim",
         ring_depth=64,
         payload_window=256 * KIB,
         dma_tags=12,
     )
-    aggressor = FabricDevice(
-        workload=build_workload(aggressor_workload, load_gbps=None, duplex=True),
+    aggressor = NicSimParams(
         model="kernel",
+        workload=aggressor_workload,
         packets=3 * packets,
-        name="aggressor",
         payload_window=16 * MIB,
     )
     devices = [victim, aggressor]
     if device_count == 4:
         devices.append(
-            FabricDevice(
-                workload=build_workload("imix", load_gbps=None, duplex=True),
+            NicSimParams(
                 model="kernel",
+                workload="imix",
                 packets=2 * packets,
-                name="bulk2",
                 payload_window=8 * MIB,
             )
         )
         devices.append(
-            FabricDevice(
-                workload=build_workload(
-                    "fixed", size=1024, load_gbps=4.0, duplex=True
-                ),
+            NicSimParams(
                 model="dpdk",
+                workload="fixed",
+                packet_size=1024,
+                offered_load_gbps=4.0,
                 packets=packets,
-                name="streamer",
                 payload_window=1 * MIB,
             )
         )
@@ -127,7 +125,7 @@ def _run(
     packets: int,
     seed: int,
     device_count: int = 2,
-) -> tuple[list[FabricDevice], ContentionResult]:
+) -> tuple[list[NicSimParams], ContentionResult]:
     devices, result, _ = _run_capturing(
         victim_workload,
         aggressor_workload,
@@ -148,7 +146,7 @@ def _run_capturing(
     packets: int,
     seed: int,
     device_count: int = 2,
-) -> tuple[list[FabricDevice], ContentionResult, dict[str, CompiledTopology]]:
+) -> tuple[list[NicSimParams], ContentionResult, dict[str, CompiledTopology]]:
     """Run the grid point and also return the fabric's compiled resources.
 
     The compiled topologies (one per shared resource, keyed by name) are
@@ -161,12 +159,15 @@ def _run_capturing(
     weights = None
     if arbiter in WEIGHTED_SCHEMES:
         weights = (4.0, 1.0) + (1.0,) * (device_count - 2)
-    fabric = FabricConfig(
+    params = ContentionParams(
+        devices=devices,
+        names=DEVICE_NAMES[:device_count],
         system="NFP6000-HSW",
         iommu_enabled=True,
         arbiter=arbiter,
         weights=weights,
         topology=None if topology == "flat" else TREE_SPECS[device_count],
+        seed=seed,
     )
     compiled: dict[str, CompiledTopology] = {}
     original = fabric_module.compile_topology
@@ -176,7 +177,7 @@ def _run_capturing(
         return compiled[name]
 
     with mock.patch.object(fabric_module, "compile_topology", capture):
-        result = FabricSimulator(devices, fabric).run(seed=seed)
+        result = FabricSimulator(params).run()
     return devices, result, compiled
 
 
@@ -232,7 +233,7 @@ class TestContentionInvariants:
             nic = record.result
             paths = [nic.tx] + ([nic.rx] if nic.rx is not None else [])
             for path in paths:
-                schedule = device.workload.generate(
+                schedule = device.build_workload().generate(
                     device.packets, rng, stream=path.direction
                 )
                 offered_bytes = int(np.asarray(schedule.sizes).sum())
@@ -288,28 +289,16 @@ class TestContentionInvariants:
         # the scheme must not matter and the golden must reproduce.
         golden = json.loads(GOLDEN_PATH.read_text())
         params = NicSimParams.from_dict(golden["params"])
-        workload = build_workload(
-            params.workload,
-            size=params.packet_size,
-            load_gbps=params.offered_load_gbps,
-            duplex=params.duplex,
-        )
+        device = params.with_(system=None, iommu_enabled=False)
         for arbiter in ARBITER_CHOICES:
-            device = FabricDevice(
-                workload=workload,
-                model=params.model,
-                packets=params.packets,
-                ring_depth=params.ring_depth,
-                payload_window=params.payload_window,
-                payload_cache_state=params.payload_cache_state,
-                payload_placement=params.payload_placement,
-            )
-            fabric = FabricConfig(
+            contention = ContentionParams(
+                devices=(device,),
                 system=params.system,
                 iommu_enabled=params.iommu_enabled,
                 iommu_page_size=params.iommu_page_size,
                 arbiter=arbiter,
                 weights=None if arbiter not in WEIGHTED_SCHEMES else (1.0,),
+                seed=params.seed,
             )
-            result = FabricSimulator([device], fabric).run(seed=params.seed)
+            result = FabricSimulator(contention).run()
             assert result.devices[0].result.as_dict() == golden["result"]

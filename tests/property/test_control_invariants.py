@@ -28,16 +28,16 @@ import os
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.nicsim import NicSimParams
 from repro.control import ACTUATOR_KINDS, CONTROL_POLICIES
 from repro.sim.fabric import (
+    ContentionParams,
     ContentionResult,
-    FabricConfig,
-    FabricDevice,
     FabricSimulator,
 )
 from repro.sim.rng import SimRng
 from repro.units import KIB, MIB
-from repro.workloads import SingleHotFlow, build_workload
+from repro.workloads import SingleHotFlow, Workload, build_workload
 
 _POLICY_ENV = os.environ.get("CONTROL_POLICY")
 #: Policies the grid samples; a CI matrix pins one via CONTROL_POLICY.
@@ -48,27 +48,45 @@ WORKLOADS = ("fixed", "imix", "bursty")
 
 def _build_devices(
     victim_workload: str, aggressor_workload: str, packets: int
-) -> list[FabricDevice]:
-    victim = FabricDevice(
-        workload=build_workload(
-            victim_workload, size=512, load_gbps=6.0, duplex=True
-        ).with_(flows=SingleHotFlow(flows=16, hot_fraction=0.5)),
+) -> tuple[list[NicSimParams], list[Workload]]:
+    """The pair's records and their traffic: the victim hides a hot flow."""
+    victim = NicSimParams(
         model="dpdk",
+        workload=victim_workload,
+        packet_size=512,
+        offered_load_gbps=6.0,
         packets=packets,
-        name="victim",
         ring_depth=64,
         num_queues=2,
         payload_window=256 * KIB,
         dma_tags=12,
     )
-    aggressor = FabricDevice(
-        workload=build_workload(aggressor_workload, load_gbps=None, duplex=True),
+    aggressor = NicSimParams(
         model="kernel",
+        workload=aggressor_workload,
         packets=3 * packets,
-        name="aggressor",
         payload_window=16 * MIB,
     )
-    return [victim, aggressor]
+    workloads = [
+        victim.build_workload().with_(
+            flows=SingleHotFlow(flows=16, hot_fraction=0.5)
+        ),
+        aggressor.build_workload(),
+    ]
+    return [victim, aggressor], workloads
+
+
+def _params(devices: list[NicSimParams], seed: int, **fields) -> ContentionParams:
+    return ContentionParams(
+        devices=devices,
+        names=("victim", "aggressor"),
+        system="NFP6000-HSW",
+        iommu_enabled=True,
+        arbiter="wrr",
+        weights=(1.0, 8.0),
+        seed=seed,
+        **fields,
+    )
 
 
 def _run(
@@ -78,17 +96,18 @@ def _run(
     window_ns: float,
     packets: int,
     seed: int,
-) -> tuple[list[FabricDevice], ContentionResult]:
-    devices = _build_devices(victim_workload, aggressor_workload, packets)
-    fabric = FabricConfig(
-        system="NFP6000-HSW",
-        iommu_enabled=True,
-        arbiter="wrr",
-        weights=(1.0, 8.0),
+) -> tuple[list[Workload], list[NicSimParams], ContentionResult]:
+    devices, workloads = _build_devices(
+        victim_workload, aggressor_workload, packets
+    )
+    params = _params(
+        devices,
+        seed,
         controller=policy,
         control_window_ns=None if policy == "static" else window_ns,
     )
-    return devices, FabricSimulator(devices, fabric).run(seed=seed)
+    result = FabricSimulator(params, workloads=workloads).run()
+    return workloads, devices, result
 
 
 class TestControlInvariants:
@@ -110,17 +129,17 @@ class TestControlInvariants:
         packets,
         seed,
     ):
-        devices, result = _run(
+        workloads, devices, result = _run(
             victim_workload, aggressor_workload, policy, window_ns,
             packets, seed,
         )
         assert result.controller == policy
-        for device, record in zip(devices, result.devices):
+        for workload, device, record in zip(workloads, devices, result.devices):
             rng = SimRng(seed)
             nic = record.result
             paths = [nic.tx] + ([nic.rx] if nic.rx is not None else [])
             for path in paths:
-                schedule = device.workload.generate(
+                schedule = workload.generate(
                     device.packets, rng, stream=path.direction
                 )
                 offered_bytes = int(np.asarray(schedule.sizes).sum())
@@ -149,7 +168,7 @@ class TestControlInvariants:
     )
     @settings(max_examples=6, deadline=None)
     def test_action_log_is_faithful(self, policy, window_ns, seed):
-        _, result = _run("fixed", "imix", policy, window_ns, 150, seed)
+        _, _, result = _run("fixed", "imix", policy, window_ns, 150, seed)
         if policy == "static":
             assert result.control_actions == ()
             return
@@ -175,25 +194,21 @@ class TestControlInvariants:
     @settings(max_examples=4, deadline=None)
     def test_identical_seeds_reproduce_identical_controlled_runs(self, seed):
         policy = POLICY_CHOICES[-1]
-        _, first = _run("fixed", "imix", policy, 20_000.0, 120, seed)
-        _, second = _run("fixed", "imix", policy, 20_000.0, 120, seed)
+        _, _, first = _run("fixed", "imix", policy, 20_000.0, 120, seed)
+        _, _, second = _run("fixed", "imix", policy, 20_000.0, 120, seed)
         assert first == second
         assert first.control_actions == second.control_actions
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=3, deadline=None)
     def test_static_default_carries_no_controller_keys(self, seed):
-        devices = _build_devices("fixed", "imix", 100)
-        fabric_plain = FabricConfig(
-            system="NFP6000-HSW", iommu_enabled=True,
-            arbiter="wrr", weights=(1.0, 8.0),
-        )
-        fabric_static = FabricConfig(
-            system="NFP6000-HSW", iommu_enabled=True,
-            arbiter="wrr", weights=(1.0, 8.0), controller="static",
-        )
-        plain = FabricSimulator(devices, fabric_plain).run(seed=seed)
-        static = FabricSimulator(devices, fabric_static).run(seed=seed)
+        devices, workloads = _build_devices("fixed", "imix", 100)
+        plain = FabricSimulator(
+            _params(devices, seed), workloads=workloads
+        ).run()
+        static = FabricSimulator(
+            _params(devices, seed, controller="static"), workloads=workloads
+        ).run()
         assert static == plain
         record = static.as_dict()
         assert "controller" not in record
@@ -207,18 +222,16 @@ class TestControlInvariants:
             "fixed", size=512, load_gbps=42.0
         ).with_(flows=SingleHotFlow(flows=64, hot_fraction=0.75))
         for policy in POLICY_CHOICES:
-            device = FabricDevice(
-                workload=workload,
-                model="dpdk",
-                packets=1200,
-                ring_depth=32,
-                num_queues=2,
-            )
-            fabric = FabricConfig(
+            params = ContentionParams(
+                devices=(
+                    NicSimParams(
+                        model="dpdk", packets=1200, ring_depth=32, num_queues=2
+                    ),
+                ),
                 controller=policy,
                 control_window_ns=None if policy == "static" else 20_000.0,
             )
-            result = FabricSimulator([device], fabric).run()
+            result = FabricSimulator(params, workloads=(workload,)).run()
             tx = result.devices[0].result.tx
             assert (
                 tx.delivered_packets + tx.drops + tx.in_flight

@@ -21,9 +21,8 @@ from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
 from repro.errors import ValidationError
 from repro.obs import Tracer
 from repro.sim.fabric import (
+    ContentionParams,
     ContentionResult,
-    FabricConfig,
-    FabricDevice,
     FabricSimulator,
 )
 from repro.sim.nichost import DEVICE_ADDRESS_STRIDE, NicHostConfig, SharedHost
@@ -33,64 +32,61 @@ from repro.workloads import build_workload
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "nicsim_seeded.json"
 
 
-def _golden_device_and_fabric() -> tuple[FabricDevice, FabricConfig, dict]:
+def _golden_contention_params() -> tuple[ContentionParams, dict]:
+    """The golden solo run as a one-device contention record."""
     golden = json.loads(GOLDEN_PATH.read_text())
     params = NicSimParams.from_dict(golden["params"])
-    workload = build_workload(
-        params.workload,
-        size=params.packet_size,
-        load_gbps=params.offered_load_gbps,
-        duplex=params.duplex,
-    )
-    device = FabricDevice(
-        workload=workload,
-        model=params.model,
-        packets=params.packets,
-        ring_depth=params.ring_depth,
-        rx_backpressure=params.rx_backpressure,
-        payload_window=params.payload_window,
-        payload_cache_state=params.payload_cache_state,
-        payload_placement=params.payload_placement,
-    )
-    fabric = FabricConfig(
+    contention = ContentionParams(
+        devices=(
+            params.with_(
+                system=None, iommu_enabled=False, iommu_page_size=4 * KIB
+            ),
+        ),
         system=params.system,
         iommu_enabled=params.iommu_enabled,
         iommu_page_size=params.iommu_page_size,
+        seed=params.seed,
     )
-    return device, fabric, golden
+    return contention, golden
 
 
-def _two_device_run(arbiter: str, weights=None, *, seed: int = 11) -> ContentionResult:
-    victim = FabricDevice(
-        workload=build_workload("fixed", size=512, load_gbps=5.0, duplex=True),
+def _victim(packets: int, **fields) -> NicSimParams:
+    record = dict(
         model="dpdk",
-        packets=400,
-        name="victim",
+        workload="fixed",
+        packet_size=512,
+        offered_load_gbps=5.0,
+        packets=packets,
         ring_depth=64,
         payload_window=256 * KIB,
     )
-    aggressor = FabricDevice(
-        workload=build_workload("imix", load_gbps=None, duplex=True),
-        model="kernel",
-        packets=2500,
-        name="aggressor",
-        payload_window=64 * MIB,
+    return NicSimParams(**{**record, **fields})
+
+
+def _aggressor(packets: int, **fields) -> NicSimParams:
+    record = dict(
+        model="kernel", workload="imix", packets=packets, payload_window=64 * MIB
     )
-    fabric = FabricConfig(
+    return NicSimParams(**{**record, **fields})
+
+
+def _two_device_run(arbiter: str, weights=None, *, seed: int = 11) -> ContentionResult:
+    params = ContentionParams(
+        devices=(_victim(400), _aggressor(2500)),
+        names=("victim", "aggressor"),
         system="NFP6000-HSW",
         iommu_enabled=True,
         arbiter=arbiter,
         weights=weights,
+        seed=seed,
     )
-    return FabricSimulator([victim, aggressor], fabric).run(seed=seed)
+    return FabricSimulator(params).run()
 
 
 class TestSoloEquivalence:
     def test_single_device_fabric_matches_golden_bit_for_bit(self):
-        device, fabric, golden = _golden_device_and_fabric()
-        result = FabricSimulator([device], fabric).run(
-            seed=golden["params"]["seed"]
-        )
+        params, golden = _golden_contention_params()
+        result = FabricSimulator(params).run()
         assert len(result.devices) == 1
         solo = result.devices[0]
         assert solo.name == "dev0"
@@ -99,16 +95,17 @@ class TestSoloEquivalence:
         assert solo.result.as_dict() == golden["result"]
 
     def test_single_device_fabric_matches_live_nicsim_run(self):
-        device, fabric, golden = _golden_device_and_fabric()
-        params = NicSimParams.from_dict(golden["params"])
-        plain = run_nicsim_benchmark(params)
-        fabric_run = FabricSimulator([device], fabric).run(seed=params.seed)
+        params, golden = _golden_contention_params()
+        solo_params = NicSimParams.from_dict(golden["params"])
+        assert params.solo_params(0) == solo_params
+        plain = run_nicsim_benchmark(solo_params)
+        fabric_run = FabricSimulator(params).run()
         assert fabric_run.devices[0].result == plain
         # Traced, with the nicsim device named like the fabric's, both
         # runs export the same spans: every stage, lane, start and width.
         solo, shared = Tracer(), Tracer()
-        run_nicsim_benchmark(params, tracer=solo, device="dev0")
-        FabricSimulator([device], fabric).run(seed=params.seed, tracer=shared)
+        run_nicsim_benchmark(solo_params, tracer=solo, device="dev0")
+        FabricSimulator(params).run(tracer=shared)
         assert solo.recorded > 0 and solo.evicted == 0
         assert list(solo.jsonl_lines()) == list(shared.jsonl_lines())
 
@@ -179,33 +176,31 @@ class TestContention:
 
 class TestValidation:
     def test_device_names_must_be_unique(self):
-        workload = build_workload("fixed", size=512, load_gbps=5.0)
-        devices = [
-            FabricDevice(workload=workload, packets=10, name="twin"),
-            FabricDevice(workload=workload, packets=10, name="twin"),
-        ]
+        device = _victim(10)
         with pytest.raises(ValidationError):
-            FabricSimulator(devices)
+            ContentionParams(devices=(device, device), names=("twin", "twin"))
 
     def test_weights_must_match_device_count(self):
-        workload = build_workload("fixed", size=512, load_gbps=5.0)
-        devices = [FabricDevice(workload=workload, packets=10)]
         with pytest.raises(ValidationError):
-            FabricSimulator(
-                devices, FabricConfig(arbiter="wrr", weights=(1.0, 2.0))
+            ContentionParams(
+                devices=(_victim(10),), arbiter="wrr", weights=(1.0, 2.0)
             )
 
     def test_weights_require_the_wrr_arbiter(self):
         with pytest.raises(ValidationError):
-            FabricConfig(arbiter="rr", weights=(1.0, 2.0))
+            ContentionParams(
+                devices=(_victim(10), _victim(10)),
+                arbiter="rr",
+                weights=(1.0, 2.0),
+            )
 
     def test_unknown_arbiter_rejected(self):
         with pytest.raises(ValidationError):
-            FabricConfig(arbiter="lottery")
+            ContentionParams(devices=(_victim(10),), arbiter="lottery")
 
     def test_empty_fabric_rejected(self):
         with pytest.raises(ValidationError):
-            FabricSimulator([])
+            ContentionParams(devices=())
 
     @pytest.mark.parametrize(
         "knob, value",
@@ -215,15 +210,20 @@ class TestValidation:
             ("num_queues", 0),
             ("payload_window", 16),
             ("payload_cache_state", "lukewarm"),
-            # The default NFP6000-HSW profile has a single socket.
+            # A device leaves the host to the fabric, so it has no NUMA
+            # node of its own to be remote from.
             ("payload_placement", "remote"),
         ],
     )
     def test_malformed_device_rejected_at_construction(self, knob, value):
-        workload = build_workload("fixed", size=512, load_gbps=5.0)
-        device = FabricDevice(workload=workload, packets=10, **{knob: value})
         with pytest.raises(ValidationError):
-            FabricSimulator([device])
+            ContentionParams(devices=(_victim(10, **{knob: value}),))
+
+    def test_workloads_must_match_device_count(self):
+        params = ContentionParams(devices=(_victim(10), _victim(10)))
+        workload = build_workload("fixed", size=512, load_gbps=5.0)
+        with pytest.raises(ValidationError, match="one workload per device"):
+            FabricSimulator(params, workloads=(workload,))
 
     def test_shared_host_rejects_mixed_cache_states(self):
         configs = [
@@ -256,26 +256,15 @@ class TestTopologyFabric:
     """Switch-tree topologies, DDIO partitioning and sliced arbitration."""
 
     def _run(self, *, seed: int = 11, **config):
-        victim = FabricDevice(
-            workload=build_workload("fixed", size=512, load_gbps=5.0, duplex=True),
-            model="dpdk",
-            packets=300,
-            name="victim",
-            ring_depth=64,
-            payload_window=256 * KIB,
-            dma_tags=12,
+        params = ContentionParams(
+            devices=(_victim(300, dma_tags=12), _aggressor(2000)),
+            names=("victim", "aggressor"),
+            system="NFP6000-HSW",
+            iommu_enabled=True,
+            seed=seed,
+            **config,
         )
-        aggressor = FabricDevice(
-            workload=build_workload("imix", load_gbps=None, duplex=True),
-            model="kernel",
-            packets=2000,
-            name="aggressor",
-            payload_window=64 * MIB,
-        )
-        fabric = FabricConfig(
-            system="NFP6000-HSW", iommu_enabled=True, **config
-        )
-        return FabricSimulator([victim, aggressor], fabric).run(seed=seed)
+        return FabricSimulator(params).run()
 
     def test_explicit_flat_topology_is_bit_identical_to_implicit(self):
         implicit = self._run(arbiter="fcfs")
@@ -357,51 +346,40 @@ class TestTopologyFabric:
         )
         assert shared.partitioned is True
 
-    def test_simulator_validates_topology_and_partition(self):
-        workload = build_workload("fixed", size=512, load_gbps=5.0)
-        devices = [
-            FabricDevice(workload=workload, packets=10, name="a"),
-            FabricDevice(workload=workload, packets=10, name="b"),
-        ]
+    def test_record_validates_topology_and_partition(self):
+        devices = (_victim(10), _victim(10))
         with pytest.raises(ValidationError):
-            FabricSimulator(
-                devices, FabricConfig(topology="a=root")  # b unattached
-            )
+            ContentionParams(
+                devices=devices, names=("a", "b"), topology="a=root"
+            )  # b unattached
         with pytest.raises(ValidationError):
-            FabricSimulator(
-                devices, FabricConfig(ddio_partition=(1.0, 1.0, 1.0))
-            )
+            ContentionParams(devices=devices, ddio_partition=(1.0, 1.0, 1.0))
         with pytest.raises(ValidationError):
-            FabricConfig(quantum_ns=16.0)  # fcfs ignores quanta
+            # fcfs ignores quanta
+            ContentionParams(devices=devices, quantum_ns=16.0)
         with pytest.raises(ValidationError):
-            FabricConfig(arbiter="sliced", quantum_ns=-2.0)
+            ContentionParams(devices=devices, arbiter="sliced", quantum_ns=-2.0)
 
 
 class TestFaithfulCacheFabric:
     """The line-accurate cache substrate behind ``cache_model="faithful"``."""
 
     def _run(self, *, ddio_partition=None, seed: int = 11):
-        victim = FabricDevice(
-            workload=build_workload("fixed", size=512, load_gbps=5.0, duplex=True),
-            model="dpdk",
-            packets=150,
-            name="victim",
-            ring_depth=64,
-            payload_window=256 * KIB,
-        )
-        aggressor = FabricDevice(
-            workload=build_workload("imix", load_gbps=None, duplex=True),
-            model="kernel",
-            packets=600,
-            name="aggressor",
-            payload_window=1 * MIB,
-            payload_cache_state="device_warm",
-        )
-        fabric = FabricConfig(
+        params = ContentionParams(
+            devices=(
+                _victim(150),
+                _aggressor(
+                    600,
+                    payload_window=1 * MIB,
+                    payload_cache_state="device_warm",
+                ),
+            ),
+            names=("victim", "aggressor"),
             cache_model="faithful",
             ddio_partition=ddio_partition,
+            seed=seed,
         )
-        return FabricSimulator([victim, aggressor], fabric).run(seed=seed)
+        return FabricSimulator(params).run()
 
     def test_faithful_fabric_runs_and_conserves(self):
         result = self._run()
@@ -454,4 +432,4 @@ class TestFaithfulCacheFabric:
 
     def test_cache_model_validation(self):
         with pytest.raises(ValidationError):
-            FabricConfig(cache_model="magic")
+            ContentionParams(devices=(_victim(10),), cache_model="magic")

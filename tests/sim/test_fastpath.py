@@ -248,17 +248,11 @@ class TestFabricModes:
         return ContentionParams(**fields)
 
     def test_fabric_rejects_unknown_mode(self):
-        from repro.sim.fabric import FabricConfig, FabricDevice, FabricSimulator
-
-        device = FabricDevice(
-            workload=build_workload("fixed", size=512, load_gbps=5.0),
-            model="dpdk",
-            packets=50,
-        )
-        simulator = FabricSimulator([device], FabricConfig())
+        # A contention run's engine is its record's mode, checked when the
+        # record is built.
         for mode in ("warp", "hybrid"):
             with pytest.raises(ValidationError, match="mode must be one of"):
-                simulator.run(mode=mode)
+                self._params(mode=mode)
 
     def test_fabric_batch_is_bit_identical_to_exact(self):
         exact = run_contention_benchmark(self._params())

@@ -13,7 +13,7 @@ import pytest
 
 from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
 from repro.errors import SimulationError
-from repro.sim.fabric import FabricDevice, FabricSimulator
+from repro.sim.fabric import ContentionParams, FabricSimulator
 from repro.sim.nicsim import (
     LatencySummary,
     NicSimConfig,
@@ -114,23 +114,26 @@ class TestStreamingEquivalence:
 
     def test_streaming_fabric_contention_run(self):
         devices = (
-            FabricDevice(
-                workload=build_workload("fixed", size=512, load_gbps=5.0),
+            NicSimParams(
                 model="dpdk",
+                workload="fixed",
+                packet_size=512,
+                offered_load_gbps=5.0,
                 packets=300,
-                name="victim",
                 ring_depth=64,
                 retain_samples=False,
             ),
-            FabricDevice(
-                workload=build_workload("imix"),
+            NicSimParams(
                 model="kernel",
+                workload="imix",
                 packets=900,
-                name="aggressor",
                 retain_samples=False,
             ),
         )
-        result = FabricSimulator(devices).run(seed=11)
+        params = ContentionParams(
+            devices=devices, names=("victim", "aggressor"), seed=11
+        )
+        result = FabricSimulator(params).run()
         for device in result.devices:
             latency = device.result.tx.latency
             assert latency is not None
