@@ -113,7 +113,7 @@ def check_field_types(record) -> None:
         if not all(name in _SCALAR_TYPES for name in names):
             continue
         value = getattr(record, field.name)
-        if isinstance(value, bool) and "bool" not in names or not isinstance(
+        if (isinstance(value, bool) and "bool" not in names) or not isinstance(
             value, tuple(_SCALAR_TYPES[name] for name in names)
         ):
             raise ValidationError(
