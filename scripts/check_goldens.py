@@ -191,6 +191,7 @@ CHECKERS = {
     "trace_nicsim_multiqueue_seeded.json": traced_nicsim_record,
     "microbench_seeded.json": microbench_record,
     "experiments_solo_seeded.json": experiments_record,
+    "experiments_contention_seeded.json": experiments_record,
 }
 
 

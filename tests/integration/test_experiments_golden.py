@@ -1,11 +1,16 @@
-"""Bit-exact golden for the quick solo NIC datapath experiments.
+"""Bit-exact goldens for the quick NIC datapath and contention experiments.
 
 ``experiments_solo_seeded.json`` holds the quick ``figure-1-sim``,
-``figure-7-9-sim``, ``figure-8-sim`` and ``figure-8-knee`` results: every
-series point and table row at full float precision, and each check's
-description, pass flag and detail.  All four drive single-device NIC
-datapath runs (decoupled and host-coupled, bounded and unbounded DMA
-tags, the analytic cross-validation) with the library's default seed.
+``figure-7-9-sim``, ``figure-8-sim`` and ``figure-8-knee`` results, which
+drive single-device NIC datapath runs (decoupled and host-coupled,
+bounded and unbounded DMA tags, the analytic cross-validation).
+``experiments_contention_seeded.json`` holds the quick
+``figure-10-contention``, ``figure-11-topology``, ``figure-12-fleet``,
+``figure-13-control`` and ``figure-14-attribution`` results, which drive
+shared-host runs (arbiters, switch trees, DDIO partitions, the fleet,
+controllers and traced attribution).  Each file records every series
+point and table row at full float precision, and each check's
+description, pass flag and detail, with the library's default seed.
 ``scripts/check_goldens.py`` (``experiments_record``) applies the same
 exact check and reports a per-field diff.
 """
@@ -19,7 +24,7 @@ import pytest
 
 from repro.experiments import run_experiment
 
-GOLDEN = Path(__file__).parent.parent / "golden" / "experiments_solo_seeded.json"
+GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 
 
 def _record(result) -> dict:
@@ -45,20 +50,47 @@ def _canonical(record: object) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-GOLDEN_RECORD = json.loads(GOLDEN.read_text())
+GOLDEN_RECORD = json.loads((GOLDEN_DIR / "experiments_solo_seeded.json").read_text())
+CONTENTION_RECORD = json.loads(
+    (GOLDEN_DIR / "experiments_contention_seeded.json").read_text()
+)
 
 
-@pytest.mark.parametrize("experiment_id", GOLDEN_RECORD["experiments"])
-def test_quick_experiment_is_bit_identical(experiment_id):
+@pytest.mark.parametrize(
+    "golden, experiment_id",
+    [
+        pytest.param(golden, experiment_id, id=experiment_id)
+        for golden in (GOLDEN_RECORD, CONTENTION_RECORD)
+        for experiment_id in golden["experiments"]
+    ],
+)
+def test_quick_experiment_is_bit_identical(golden, experiment_id):
     fresh = json.loads(json.dumps(_record(run_experiment(experiment_id, quick=True))))
-    assert _canonical(fresh) == _canonical(GOLDEN_RECORD["result"][experiment_id])
+    assert _canonical(fresh) == _canonical(golden["result"][experiment_id])
+
+
+def _covers_and_all_pass(golden: dict, experiments: list[str]) -> None:
+    assert golden["quick"] is True
+    assert golden["experiments"] == experiments
+    for record in golden["result"].values():
+        # Most contention experiments report a table and no plotted series.
+        assert record["table_rows"] and record["checks"]
+        assert all(check["passed"] for check in record["checks"])
 
 
 def test_golden_covers_the_solo_experiments_and_all_pass():
-    assert GOLDEN_RECORD["quick"] is True
-    assert GOLDEN_RECORD["experiments"] == [
-        "figure-1-sim", "figure-7-9-sim", "figure-8-sim", "figure-8-knee",
-    ]
-    for record in GOLDEN_RECORD["result"].values():
-        assert record["series"] and record["table_rows"] and record["checks"]
-        assert all(check["passed"] for check in record["checks"])
+    assert all(record["series"] for record in GOLDEN_RECORD["result"].values())
+    _covers_and_all_pass(
+        GOLDEN_RECORD,
+        ["figure-1-sim", "figure-7-9-sim", "figure-8-sim", "figure-8-knee"],
+    )
+
+
+def test_golden_covers_the_contention_experiments_and_all_pass():
+    _covers_and_all_pass(
+        CONTENTION_RECORD,
+        [
+            "figure-10-contention", "figure-11-topology", "figure-12-fleet",
+            "figure-13-control", "figure-14-attribution",
+        ],
+    )
