@@ -40,8 +40,7 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.sim.engine import MODES  # noqa: E402
-from repro.sim.nicsim import NicDatapathSimulator  # noqa: E402
-from repro.workloads import bursty_imix_workload  # noqa: E402
+from repro.sim.nicsim import NicDatapathSimulator, NicSimParams  # noqa: E402
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_eventcore.json"
 
@@ -98,12 +97,20 @@ def measure(mode: str) -> dict[str, float | int | str]:
     vectorised statistics, so only the end-to-end time compares engines
     fairly.
     """
-    workload = bursty_imix_workload(load_gbps=LOAD_GBPS)
-    simulator = NicDatapathSimulator(MODEL)
-    simulator.run(workload, PACKETS, seed=SEED, mode=mode)  # warm caches
+    simulator = NicDatapathSimulator(
+        NicSimParams(
+            model=MODEL,
+            workload=WORKLOAD,
+            offered_load_gbps=LOAD_GBPS,
+            packets=PACKETS,
+            seed=SEED,
+            mode=mode,
+        )
+    )
+    simulator.run()  # warm caches
     best = None
     for _ in range(ROUNDS):
-        simulator.run(workload, PACKETS, seed=SEED, mode=mode)
+        simulator.run()
         profile = simulator.last_profile
         assert profile is not None
         if best is None or profile.total_s < best.total_s:

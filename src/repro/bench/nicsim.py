@@ -1,16 +1,17 @@
 """NIC datapath simulation as a first-class benchmark.
 
 A solo run is one :class:`~repro.sim.nicsim.NicSimParams` record (defined
-beside the :class:`~repro.sim.nicsim.NicSimConfig` it builds and
-re-exported here): a frozen, validated, serialisable description of the
-NIC/driver model, traffic workload, offered load, ring depth and
+beside the :class:`~repro.sim.nicsim.NicDatapathSimulator` that runs it
+and re-exported here): a frozen, validated, serialisable description of
+the NIC/driver model, traffic workload, offered load, ring depth and
 (optionally) the host the datapath is coupled to, which the
 :class:`~repro.bench.runner.BenchmarkRunner` executes alongside the
 classic ``LAT_*``/``BW_*`` kinds and sweeps derive variants from with
 :meth:`~repro.sim.nicsim.NicSimParams.with_`.
 
-:func:`run_nicsim_benchmark` is the one way to run a solo NIC datapath from
-parameters; :func:`cross_validate` runs a record's fixed-size saturating
+:func:`run_nicsim_benchmark` runs a record through
+``NicDatapathSimulator(params)`` and attaches the engine profile when
+asked; :func:`cross_validate` runs a record's fixed-size saturating
 variants against the analytic model.
 """
 
@@ -20,8 +21,8 @@ from dataclasses import dataclass, replace
 
 from ..core.nic import model_by_name
 
-# The record and its kind tag live beside the NicSimConfig the record
-# builds; this module re-exports them.
+# The record and its kind tag live beside the simulator that runs the
+# record; this module re-exports them.
 from ..sim.nicsim import (
     NICSIM_KIND,
     NicDatapathSimulator,
@@ -50,16 +51,8 @@ def run_nicsim_benchmark(
     a window-sampled metrics registry attached as ``result.metrics``.
     ``device`` names the run in spans and metric names.
     """
-    simulator = NicDatapathSimulator(params.model, params.sim_config())
-    result = simulator.run(
-        params.build_workload(),
-        params.packets,
-        seed=params.seed,
-        tracer=tracer,
-        metrics=metrics,
-        device=device,
-        mode=params.mode,
-    )
+    simulator = NicDatapathSimulator(params)
+    result = simulator.run(tracer=tracer, metrics=metrics, device=device)
     if profile_sink is not None:
         profile_sink.append(simulator.last_profile)
         result = replace(result, profile=simulator.last_profile)

@@ -28,11 +28,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..bench.fleet import FleetParams, run_fleet_benchmark
-from ..sim.nicsim import NicDatapathSimulator, NicSimConfig
-from ..sim.nichost import NicHostConfig
+from ..sim.nicsim import NicDatapathSimulator, NicSimParams
 from ..stats import QuantileSketch
 from ..units import MIB
-from ..workloads import build_workload
 from .base import Check, ExperimentResult
 
 EXPERIMENT_ID = "figure-12-fleet"
@@ -44,30 +42,30 @@ TITLE = (
 #: The acceptance budget for sketch-vs-exact percentiles (relative error).
 SKETCH_TOLERANCE = 0.01
 
+GOLDEN_SEED = 7
+
 #: The seeded host-coupled scenario pinned by ``tests/golden/nicsim_seeded.json``
 #: (dpdk, IMIX at 20 Gb/s, 600 packets, ring 256, NFP6000-BDW with IOMMU,
 #: 1 MiB device-warm window, seed 7) — the sketch accuracy check runs the
-#: same datapath and compares against its exact per-packet latencies.
-GOLDEN_SEED = 7
-GOLDEN_PACKETS = 600
+#: same record and compares against its exact per-packet latencies.
+GOLDEN_SCENARIO = NicSimParams(
+    model="dpdk",
+    workload="imix",
+    offered_load_gbps=20.0,
+    packets=600,
+    ring_depth=256,
+    system="NFP6000-BDW",
+    iommu_enabled=True,
+    payload_window=1 * MIB,
+    payload_cache_state="device_warm",
+    seed=GOLDEN_SEED,
+)
 
 
 def _golden_scenario_latencies() -> dict[str, np.ndarray]:
     """Exact per-packet latency samples of the golden-pinned scenario."""
-    simulator = NicDatapathSimulator(
-        "dpdk",
-        sim_config=NicSimConfig(
-            ring_depth=256,
-            host=NicHostConfig(
-                system="NFP6000-BDW",
-                iommu_enabled=True,
-                payload_window=1 * MIB,
-                payload_cache_state="device_warm",
-            ),
-        ),
-    )
-    workload = build_workload("imix", load_gbps=20.0)
-    simulator.run(workload, GOLDEN_PACKETS, seed=GOLDEN_SEED)
+    simulator = NicDatapathSimulator(GOLDEN_SCENARIO)
+    simulator.run()
     return {
         direction: trace.notifies_ns - trace.arrivals_ns
         for direction, trace in simulator.last_traces.items()

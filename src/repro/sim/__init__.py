@@ -37,11 +37,10 @@ from .fabric import (
     FabricPortStats,
     FabricSimulator,
 )
-from .nichost import HostCoupling, HostSideStats, NicHostConfig, SharedHost
+from .nichost import HostCoupling, HostSideStats, SharedHost
 from .nicsim import (
     LatencySummary,
     NicDatapathSimulator,
-    NicSimConfig,
     NicSimParams,
     NicSimResult,
     PathResult,
@@ -101,8 +100,6 @@ __all__ = [
     "HostSideStats",
     "LatencySummary",
     "NicDatapathSimulator",
-    "NicHostConfig",
-    "NicSimConfig",
     "NicSimParams",
     "NicSimResult",
     "PathResult",

@@ -68,7 +68,6 @@ from ..control import (
     ControlRuntime,
     build_controller,
 )
-from ..core.nic import model_by_name
 from ..errors import ValidationError, check_field_types, record_reader
 from ..obs.metrics import MetricsRegistry, metric_segment
 from ..obs.trace import ARB_PREFIX, STAGE_WALKER, Tracer
@@ -798,8 +797,8 @@ class ContentionResult:
 class FabricSimulator:
     """Runs the devices of one :class:`ContentionParams` on one shared host.
 
-    Device *i* is built from ``params.solo_params(i)``: its datapath and
-    host configuration, its workload, packets and seed.  ``workloads``,
+    Device *i* is built from its solo record ``params.solo_params(i)``:
+    its datapath and host knobs, its workload, packets and seed.  ``workloads``,
     one prepared :class:`~repro.workloads.Workload` per device, replaces
     the traffic the records name, for mixes no record can (a single hot
     flow among mice); the run is otherwise the record's.
@@ -823,7 +822,6 @@ class FabricSimulator:
                 f"got {len(workloads)}"
             )
         self.workloads = tuple(workloads)
-        self._sim_configs = tuple(device.sim_config() for device in self.devices)
         self._topology = (
             None
             if params.topology is None
@@ -857,8 +855,7 @@ class FabricSimulator:
         wall_start = perf_counter()
         loop = EventLoop()
         shared = SharedHost(
-            [config.host for config in self._sim_configs],
-            [config.ring_depth for config in self._sim_configs],
+            self.devices,
             seed=resolved_seed,
             cache_model=params.cache_model,
             ddio_partition=params.ddio_partition,
@@ -911,12 +908,9 @@ class FabricSimulator:
             _Device(
                 name,
                 "fabric",
-                model_by_name(device.model),
-                self._sim_configs[index],
+                device,
                 loop,
                 self.workloads[index],
-                device.packets,
-                seed=resolved_seed if device.seed is None else device.seed,
                 coupling=shared.couplings[index],
                 host_port=(
                     _UpstreamPort(

@@ -1,8 +1,10 @@
 """The vectorised batch engine for the NIC datapath simulator.
 
-``mode="batch"`` on :meth:`~repro.sim.nicsim.NicDatapathSimulator.run`
-(and ``--mode batch`` on the CLI) escapes per-event interpreter dispatch
-through :func:`run_batch`.  When a run has no interaction points (no
+A :class:`~repro.sim.nicsim.NicSimParams` record with ``mode="batch"``
+(``--mode batch`` on the CLI) makes
+:meth:`~repro.sim.nicsim.NicDatapathSimulator.run` escape per-event
+interpreter dispatch through :func:`run_batch`, which reads everything
+it solves from the simulator's record.  When a run has no interaction points (no
 host coupling, no bounded DMA tag pool, a single queue pair, and
 descriptor rings that never fill), every transaction instance of the
 whole run can be laid out as numpy columns and the two link directions
@@ -32,12 +34,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.transactions import OpKind
-from ..errors import ValidationError
 from .engine import EngineProfile
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .nicsim import NicDatapathSimulator, NicSimResult
-    from ..workloads import Workload
+    from .nicsim import NicDatapathSimulator, NicSimParams, NicSimResult
 
 #: Outer waveform-relaxation sweep cap.  Interaction-free runs reach
 #: their fixed point in a handful of sweeps (the per-packet dependency
@@ -339,15 +339,14 @@ class _DirSolver:
         sizes,
         link_up: _Link,
         link_down: _Link,
-        sim_config,
-        packets: int,
+        params: NicSimParams,
     ) -> None:
         self.direction = direction
         # Feed order of same-time arrival events across directions: the
         # run feeds the tx stream before rx, so tx wins tier-0 ties.
         self.dir_index = 0 if direction == "tx" else 1
         self.path = path
-        self.packets = packets
+        self.packets = params.packets
         # The event loop processes arrivals in (time, feed-order) order;
         # packet indices below follow that order so gate triggers, batch
         # boundaries and record order all match the scalar walk.
@@ -358,7 +357,7 @@ class _DirSolver:
 
         self.hrl = HOST_READ_LATENCY_NS
         self.mmio = MMIO_READ_LATENCY_NS
-        self.ring_depth = sim_config.ring_depth
+        self.ring_depth = params.ring_depth
         p = self.arrivals.size
 
         reference = path._ops_for(_reference_packet())
@@ -603,7 +602,7 @@ class _DirSolver:
 
     # -- results ----------------------------------------------------------------
 
-    def path_result(self, sim_config):
+    def path_result(self, params: NicSimParams):
         from .nicsim import (
             PathResult,
             _path_statistics,
@@ -613,19 +612,19 @@ class _DirSolver:
 
         ring = self.ring_stats()
         p = self.arrivals.size
-        if sim_config.retain_samples:
+        if params.retain_samples:
             throughput, rate, latency = _path_statistics(
                 self.arrivals,
                 self.dones,
                 self.notifies,
                 self.sizes,
-                ring_depth=sim_config.ring_depth,
+                ring_depth=params.ring_depth,
             )
         else:
             stream = _StreamStats()
             threshold = _streaming_warmup_threshold(
                 self.packets,
-                ring_depth=sim_config.ring_depth,
+                ring_depth=params.ring_depth,
             )
             if p > threshold:
                 latencies = (self.notifies - self.arrivals)[threshold:]
@@ -667,15 +666,12 @@ def _reference_packet() -> int:
 
 def run_batch(
     simulator: "NicDatapathSimulator",
-    workload: "Workload",
-    packets: int,
     *,
-    seed: int | None = None,
     tracer=None,
     metrics=None,
     device: str = "nic",
 ) -> "NicSimResult":
-    """Run one workload through the vectorised batch engine.
+    """Run the simulator's record through the vectorised batch engine.
 
     Mirrors :meth:`NicDatapathSimulator.run` end to end — same RNG
     stream, same result/record shapes, same ``last_traces`` /
@@ -700,38 +696,36 @@ def run_batch(
     from ..obs.metrics import metric_segment
     from ..obs.trace import BATCH_PREFIX
 
-    if packets <= 0:
-        raise ValidationError(f"packets must be positive, got {packets}")
-    sim_config = simulator.sim_config
-    if sim_config.host is not None:
+    params = simulator.params
+    if params.system is not None:
         raise BatchFallback("host coupling is an interaction point")
-    if sim_config.dma_tags is not None:
+    if params.dma_tags is not None:
         raise BatchFallback("a bounded DMA tag pool is an interaction point")
-    if sim_config.num_queues != 1:
+    if params.num_queues != 1:
         raise BatchFallback("multi-queue arbitration is an interaction point")
 
+    workload = simulator.workload
     wall_start = perf_counter()
-    resolved_seed = DEFAULT_SEED if seed is None else seed
-    rng = SimRng(resolved_seed)
+    rng = SimRng(DEFAULT_SEED if params.seed is None else params.seed)
     link_up = _Link("nicsim.device_to_host")
     link_down = _Link("nicsim.host_to_device")
 
     solvers: list[_DirSolver] = []
     for direction in ("tx", "rx") if workload.duplex else ("tx",):
         # The throwaway scalar datapath performs sequence compilation and
-        # the ring-depth/notify validation exactly as the event loop
-        # would, so the batch path inherits both bit-for-bit.
+        # locates the payload and completion report exactly as the event
+        # loop would, so the batch path inherits both bit-for-bit.
         path = _Datapath(
             direction,
             simulator.model,
-            sim_config,
+            params,
             EventLoop(),
             SerialResource("fastpath.compile.up"),
             SerialResource("fastpath.compile.down"),
-            warmup_gate=None if sim_config.retain_samples else _WarmupGate(0),
+            warmup_gate=None if params.retain_samples else _WarmupGate(0),
             device=device,
         )
-        schedule = workload.generate(packets, rng, stream=direction)
+        schedule = workload.generate(params.packets, rng, stream=direction)
         solvers.append(
             _DirSolver(
                 direction,
@@ -740,8 +734,7 @@ def run_batch(
                 schedule.sizes,
                 link_up,
                 link_down,
-                sim_config,
-                packets,
+                params,
             )
         )
     link_up.finalize()
@@ -790,7 +783,7 @@ def run_batch(
             solver.forward()
     stats_start = perf_counter()
 
-    results = [solver.path_result(sim_config) for solver in solvers]
+    results = [solver.path_result(params) for solver in solvers]
     duration = max(float(solver.notifies.max()) for solver in solvers)
     events = int(link_up.req.size + link_down.req.size)
 
@@ -804,7 +797,7 @@ def run_batch(
             queue_ids=np.zeros(solver.arrivals.size, dtype=np.int64),
         )
         for solver in solvers
-    } if sim_config.retain_samples else {}
+    } if params.retain_samples else {}
 
     if tracer is not None:
         for solver in solvers:
@@ -871,7 +864,7 @@ def run_batch(
     return NicSimResult(
         model=simulator.model.name,
         workload=workload.name,
-        packets=packets,
+        packets=params.packets,
         duration_ns=duration,
         tx=results[0],
         rx=results[1] if len(results) > 1 else None,

@@ -33,7 +33,11 @@ residency probability is per-window, not per-address.
 :class:`SharedHost` is the only code that builds and prepares a coupling's
 host: one profile-built :class:`~repro.sim.host.HostSystem` (root complex,
 LLC/DDIO cache, IOMMU, NUMA, memory, noise) plus a descriptor-side root
-complex, with one :class:`HostCoupling` per device.  Devices keep private
+complex, with one :class:`HostCoupling` per device.  Both read each
+device's host-coupled :class:`~repro.sim.nicsim.NicSimParams` record (its
+``system``, IOMMU settings, payload window, cache state and placement,
+and ring depth); the record checked every value when it was built, so
+neither keeps a copy of those rules.  Devices keep private
 buffer regions (offset by :data:`DEVICE_ADDRESS_STRIDE` so translations
 never alias) but contend on the shared cache residency, IOTLB and memory
 system.  A solo :class:`~repro.sim.nicsim.NicDatapathSimulator` run binds
@@ -44,18 +48,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..core.transactions import DESCRIPTOR_BYTES, OpKind
 from ..errors import ValidationError, record_reader
-from ..units import CACHELINE_BYTES, KIB, MIB, align_up
+from ..units import CACHELINE_BYTES, align_up
 from .cache import CacheState, CacheStats, SetAssociativeCache
 from .host import HostSystem, _build_cache
 from .hostbuffer import HostBuffer
-from .iommu import SUPPORTED_PAGE_SIZES
-from .profiles import get_profile
 from .rng import SimRng, block_draws
 from .root_complex import HostAccess, RootComplex
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .nicsim import NicSimParams
 
 #: Size of one payload unit in the payload window.  Every packet's DMA is
 #: mapped to one unit, so the unit must hold a maximum-size frame.
@@ -81,60 +86,6 @@ DEVICE_ADDRESS_STRIDE = 1 << 40
 #: would then silently reshuffle payload hit/miss draws, defeating the
 #: per-component decorrelation :mod:`repro.sim.rng` promises.
 _DESCRIPTOR_SEED_SALT = 0x6E69_6352
-
-
-@dataclass(frozen=True)
-class NicHostConfig:
-    """How the simulated NIC datapath is attached to a host.
-
-    Attributes:
-        system: Table 1 profile supplying the root complex, cache, IOMMU,
-            NUMA and noise calibrations (e.g. ``"NFP6000-HSW"``).
-        iommu_enabled: translate DMA addresses (``intel_iommu=on``).
-        iommu_page_size: IOVA mapping granularity; 4 KiB replicates the
-            paper's ``sp_off`` setting, 2 MiB models super-pages.
-        payload_window: bytes of payload buffer the workload cycles
-            through; the working set that interacts with the DDIO slice,
-            the LLC and the IOTLB reach.
-        payload_cache_state: cache preparation for the payload window
-            (``"cold"``, ``"host_warm"`` or ``"device_warm"``).
-        payload_placement: ``"local"`` pins payload buffers to the
-            device's NUMA node, ``"remote"`` to the other socket (requires
-            a two-socket profile).
-    """
-
-    system: str = "NFP6000-HSW"
-    iommu_enabled: bool = False
-    iommu_page_size: int = 4 * KIB
-    payload_window: int = 4 * MIB
-    payload_cache_state: str = "host_warm"
-    payload_placement: str = "local"
-
-    def __post_init__(self) -> None:
-        profile = get_profile(self.system)  # raises on unknown profiles
-        object.__setattr__(self, "system", profile.name)
-        if self.iommu_page_size not in SUPPORTED_PAGE_SIZES:
-            raise ValidationError(
-                f"iommu_page_size must be one of {SUPPORTED_PAGE_SIZES}, "
-                f"got {self.iommu_page_size}"
-            )
-        if self.payload_window < PAYLOAD_UNIT_BYTES:
-            raise ValidationError(
-                f"payload_window must hold at least one {PAYLOAD_UNIT_BYTES}-byte "
-                f"unit, got {self.payload_window}"
-            )
-        state = CacheState.from_value(self.payload_cache_state)
-        object.__setattr__(self, "payload_cache_state", state.value)
-        if self.payload_placement not in ("local", "remote"):
-            raise ValidationError(
-                "payload_placement must be 'local' or 'remote', got "
-                f"{self.payload_placement!r}"
-            )
-        if self.payload_placement == "remote" and profile.sockets < 2:
-            raise ValidationError(
-                f"{profile.name} has a single socket; remote payload "
-                "placement needs a two-socket profile"
-            )
 
 
 @dataclass(frozen=True)
@@ -212,7 +163,10 @@ def _unit_layout(buffer: HostBuffer) -> tuple[int, int, int]:
 class HostCoupling:
     """One device's runtime host-side state on a :class:`SharedHost`.
 
-    Owns the device's descriptor-ring and payload buffer layouts, its
+    Built from the device's host-coupled
+    :class:`~repro.sim.nicsim.NicSimParams` record (its payload window,
+    cache state and placement, IOMMU page size and ring depth).  Owns the
+    device's descriptor-ring and payload buffer layouts, its
     address streams and its hit/stall counters; the root complexes, cache,
     IOMMU, NUMA and noise models are the shared host's, which builds every
     coupling and prepares its cache and IOTLB state.
@@ -228,52 +182,50 @@ class HostCoupling:
 
     def __init__(
         self,
-        config: NicHostConfig,
+        params: NicSimParams,
         *,
-        ring_depth: int,
         shared: "SharedHost",
         device_index: int = 0,
     ) -> None:
-        if ring_depth <= 0:
-            raise ValidationError(
-                f"ring_depth must be positive, got {ring_depth}"
-            )
         if device_index < 0:
             raise ValidationError(
                 f"device_index must be non-negative, got {device_index}"
             )
-        self.config = config
+        self.params = params
         self.device_index = device_index
         self.host = shared.host
         numa = self.host.numa
         self._payload_node = (
             numa.device_node
-            if config.payload_placement == "local"
+            if params.payload_placement == "local"
             else numa.remote_node()
         )
         region_base = device_index * DEVICE_ADDRESS_STRIDE
+        page_size = params.iommu_page_size
         self.payload_buffer = HostBuffer(
-            window_size=config.payload_window,
+            window_size=params.payload_window,
             transfer_size=PAYLOAD_UNIT_BYTES,
             numa_node=self._payload_node,
             base_address=PAYLOAD_BASE + region_base,
-            page_size=config.iommu_page_size,
+            page_size=page_size,
         )
-        ring_window = align_up(ring_depth * DESCRIPTOR_BYTES, CACHELINE_BYTES)
+        ring_window = align_up(
+            params.ring_depth * DESCRIPTOR_BYTES, CACHELINE_BYTES
+        )
         self.ring_buffers = {
             "tx": HostBuffer(
                 window_size=ring_window,
                 transfer_size=DESCRIPTOR_BYTES,
                 numa_node=numa.device_node,
                 base_address=TX_RING_BASE + region_base,
-                page_size=config.iommu_page_size,
+                page_size=page_size,
             ),
             "rx": HostBuffer(
                 window_size=ring_window,
                 transfer_size=DESCRIPTOR_BYTES,
                 numa_node=numa.device_node,
                 base_address=RX_RING_BASE + region_base,
-                page_size=config.iommu_page_size,
+                page_size=page_size,
             ),
         }
         # Payload DMAs go through the host's root complex, descriptor-region
@@ -427,12 +379,12 @@ class SharedHost:
     """The one host N device couplings contend on, built and prepared here.
 
     Construction order matters: build the host from the profile and IOMMU
-    settings the device configs agree on, build the descriptor root
-    complex, bind one :class:`HostCoupling` per device, then prepare the
-    payload cache, the descriptor cache and the IOTLB, each over the
-    *aggregate* working set, so N devices genuinely squeeze each other out
-    of the LLC and the IOTLB reach.  A solo run is a one-device shared
-    host, whose aggregates are the device's own working set.
+    settings the devices agree on, build the descriptor root complex, bind
+    one :class:`HostCoupling` per device, then prepare the payload cache,
+    the descriptor cache and the IOTLB, each over the *aggregate* working
+    set, so N devices genuinely squeeze each other out of the LLC and the
+    IOTLB reach.  A solo run is a one-device shared host, whose aggregates
+    are the device's own working set.
 
     The descriptor root complex shares the host's IOMMU, NUMA, memory and
     noise models but has its own cache model, because the statistical
@@ -442,9 +394,11 @@ class SharedHost:
     ``_DESCRIPTOR_SEED_SALT``).
 
     Args:
-        device_configs: one host config per device; they must agree on
-            ``system``, ``iommu_enabled`` and ``iommu_page_size``.
-        ring_depths: each device's descriptor ring depth.
+        devices: one host-coupled :class:`~repro.sim.nicsim.NicSimParams`
+            record per device (a solo run's record, or
+            :meth:`~repro.sim.fabric.ContentionParams.solo_params`); they
+            must agree on ``system``, ``iommu_enabled`` and
+            ``iommu_page_size``.
         seed: seed of every host-side random stream.
         cache_model: ``"statistical"`` (the occupancy-probability model)
             or ``"faithful"`` (the line-accurate
@@ -457,23 +411,17 @@ class SharedHost:
 
     def __init__(
         self,
-        device_configs: Sequence[NicHostConfig],
-        ring_depths: Sequence[int],
+        devices: Sequence[NicSimParams],
         *,
         seed: int,
         cache_model: str = "statistical",
         ddio_partition: Sequence[float] | None = None,
     ) -> None:
-        if not device_configs:
+        if not devices:
             raise ValidationError("a shared host needs at least one device")
-        if len(device_configs) != len(ring_depths):
-            raise ValidationError(
-                "need one ring depth per device config "
-                f"({len(device_configs)} vs {len(ring_depths)})"
-            )
         settings = {
-            (config.system, config.iommu_enabled, config.iommu_page_size)
-            for config in device_configs
+            (device.system, device.iommu_enabled, device.iommu_page_size)
+            for device in devices
         }
         if len(settings) > 1:
             raise ValidationError(
@@ -481,8 +429,8 @@ class SharedHost:
                 "IOMMU settings (system, iommu_enabled, iommu_page_size), "
                 f"got {sorted(settings)}"
             )
-        partitioned = ddio_partition is not None and len(device_configs) > 1
-        states = {config.payload_cache_state for config in device_configs}
+        partitioned = ddio_partition is not None and len(devices) > 1
+        states = {device.payload_cache_state for device in devices}
         if (
             len(states) > 1
             and not partitioned
@@ -498,18 +446,10 @@ class SharedHost:
                 "per-device states need ddio_partition or the faithful "
                 "cache model"
             )
-        if (
-            ddio_partition is not None
-            and len(ddio_partition) != len(device_configs)
-        ):
-            raise ValidationError(
-                f"need one ddio_partition share per device "
-                f"({len(device_configs)}), got {len(ddio_partition)}"
-            )
         self.cache_model = cache_model
         self.ddio_partition = ddio_partition
         self.partitioned = partitioned
-        first = device_configs[0]
+        first = devices[0]
         self.host = HostSystem.from_profile(
             first.system,
             iommu_enabled=first.iommu_enabled,
@@ -529,12 +469,8 @@ class SharedHost:
             rng=descriptor_rng,
         )
         self.couplings = [
-            HostCoupling(
-                config, ring_depth=ring_depth, shared=self, device_index=index
-            )
-            for index, (config, ring_depth) in enumerate(
-                zip(device_configs, ring_depths)
-            )
+            HostCoupling(device, shared=self, device_index=index)
+            for index, device in enumerate(devices)
         ]
         self._prepare()
 
@@ -563,7 +499,7 @@ class SharedHost:
                 for coupling in self.couplings
             )
             self.host.root_complex.prepare_cache(
-                self.couplings[0].config.payload_cache_state, payload_lines
+                self.couplings[0].params.payload_cache_state, payload_lines
             )
             descriptor_window = sum(
                 2 * coupling.ring_buffers["tx"].window_cachelines
@@ -593,7 +529,7 @@ class SharedHost:
         for index, coupling in enumerate(self.couplings):
             own_payload = coupling.payload_buffer.window_cachelines
             payload_cache.prepare_partition(
-                index, coupling.config.payload_cache_state, own_payload
+                index, coupling.params.payload_cache_state, own_payload
             )
             descriptor_cache.prepare_partition(
                 index,
@@ -676,7 +612,7 @@ class SharedHost:
             descriptor_cache.partition_ddio(self.ddio_partition, owner)
         for coupling in self.couplings:
             buffer = coupling.payload_buffer
-            state = CacheState.from_value(coupling.config.payload_cache_state)
+            state = CacheState.from_value(coupling.params.payload_cache_state)
             if state is CacheState.COLD:
                 continue
             first = buffer.base_address // CACHELINE_BYTES

@@ -35,21 +35,21 @@ hide — ring occupancy, head-of-line waits, drops, and the latency cost of
 interrupt moderation — which is the new scientific output of the
 subsystem.
 
-When a :class:`~repro.sim.nichost.NicHostConfig` is attached (via
-``NicSimConfig.host``), the flat per-DMA host latency is replaced by the
-full host model: every descriptor fetch, payload DMA and write-back
-becomes a :class:`~repro.sim.root_complex.HostAccess` against a Table 1
-profile, adding cache hit/DRAM-miss latency, DDIO write-backs, IOTLB
-walks serialised on a shared page-walker resource, per-TLP root-complex
-ingress occupancy and remote-NUMA penalties on top of link serialisation.
+When the run's record names a host ``system``, the flat per-DMA host
+latency is replaced by the full host model: every descriptor fetch,
+payload DMA and write-back becomes a
+:class:`~repro.sim.root_complex.HostAccess` against that Table 1 profile,
+adding cache hit/DRAM-miss latency, DDIO write-backs, IOTLB walks
+serialised on a shared page-walker resource, per-TLP root-complex ingress
+occupancy and remote-NUMA penalties on top of link serialisation.
 Data flow: ``workloads → nicsim (rings, event loop, links) → nichost
 (buffers, address streams) → root_complex (cache/IOMMU/NUMA/memory/
-noise)``.  Without a host config the PR 1 link-only behaviour is
-preserved bit for bit.
+noise)``.  Without a host the PR 1 link-only behaviour is preserved bit
+for bit.
 
 Two device-side resource limits complete the picture:
 
-* **Bounded DMA tags** (``NicSimConfig.dma_tags``): real NICs hold a
+* **Bounded DMA tags** (``NicSimParams.dma_tags``): real NICs hold a
   finite pool of outstanding-DMA contexts, so host latency does not just
   stretch the tail — once every tag is waiting out a host round trip, the
   device cannot issue new work and *throughput* collapses (the Figure 8
@@ -58,7 +58,7 @@ Two device-side resource limits complete the picture:
   before touching a link; reads hold it until the completion lands,
   writes until the root complex has drained them (the flow-control
   credit loop).  ``dma_tags=None`` keeps the historical unbounded issue.
-* **Multiple queues** (``NicSimConfig.num_queues``): N TX/RX ring pairs
+* **Multiple queues** (``NicSimParams.num_queues``): N TX/RX ring pairs
   per device, each an independent descriptor ring with its own batching
   state, sharing the two link directions, the host coupling and the tag
   pool.  Packets are steered by hashing their workload-assigned flow
@@ -66,9 +66,10 @@ Two device-side resource limits complete the picture:
   queue imbalance real RSS suffers.  ``num_queues=1`` is the degenerate
   case and remains bit-identical to the single-queue datapath.
 
-A run is described by one :class:`NicSimParams` record, defined here
-beside the :class:`NicSimConfig` and :class:`~repro.sim.nichost.NicHostConfig`
-it builds; each device of a contention run is one too.
+A run is described by one :class:`NicSimParams` record, defined here and
+run by ``NicDatapathSimulator(params).run()``; each device of a
+contention run is one too.  Every rule a run depends on is checked when
+the record is built, so a record that constructs, runs.
 """
 
 from __future__ import annotations
@@ -122,7 +123,10 @@ from ..workloads import (
 )
 from ..workloads.rss import check_rss_table
 from .engine import MODES, EngineProfile, EventLoop, SerialResource, TagPool
-from .nichost import HostCoupling, HostSideStats, NicHostConfig, SharedHost
+from .cache import CacheState
+from .iommu import SUPPORTED_PAGE_SIZES
+from .nichost import PAYLOAD_UNIT_BYTES, HostCoupling, HostSideStats, SharedHost
+from .profiles import get_profile
 from .rng import DEFAULT_SEED, SimRng, check_seed
 from .root_complex import HostAccess
 
@@ -139,73 +143,6 @@ MMIO_READ_LATENCY_NS = 300.0
 #: Leading fraction of delivered packets excluded from throughput and
 #: latency statistics (pipeline fill).
 WARMUP_FRACTION = 0.25
-
-
-@dataclass(frozen=True)
-class NicSimConfig:
-    """Datapath parameters not captured by the :class:`NicModel` itself.
-
-    Attributes:
-        ring_depth: descriptor ring depth per direction (entries).
-        rx_backpressure: when true a full RX ring stalls the source instead
-            of dropping — the lossless-fabric premise of the closed-form
-            model, used by the cross-validation harness.  The realistic
-            default tail-drops, as a NIC must when the wire does not wait.
-        host: optional :class:`~repro.sim.nichost.NicHostConfig` coupling
-            the datapath to a Table 1 host model; when set, DMAs are
-            serviced by the root complex (cache, IOMMU, NUMA, noise) and
-            :data:`HOST_READ_LATENCY_NS` / :data:`MMIO_READ_LATENCY_NS` are
-            superseded by the profile's calibrated behaviour.
-        num_queues: TX/RX ring pairs per device.  Each queue has its own
-            descriptor ring and batching state; packets steer to queues by
-            RSS-hashing their flow label.  The default single queue is the
-            degenerate case, bit-identical to the pre-multi-queue datapath.
-        dma_tags: size of the device-wide pool of in-flight DMA tags every
-            descriptor fetch, payload DMA and write-back must hold while
-            outstanding.  ``None`` (default) models an infinitely deep
-            pool — the historical behaviour, where host latency can only
-            stretch the latency distribution, never cap throughput.
-        retain_samples: when true (default) per-packet event times are
-            kept in full, exactly as before — O(packets) memory, exact
-            percentiles, ``last_traces`` populated.  When false, latency
-            samples stream through a mergeable
-            :class:`~repro.stats.QuantileSketch` instead (O(1) memory
-            w.r.t. packet count, percentiles within the sketch's 0.5%
-            documented relative error) and warmup is applied as an
-            a-priori packet-count cutoff rather than the retained-mode
-            sort-by-completion rule — statistically equivalent, not
-            bit-identical.  Fleet-scale runs (:mod:`repro.fleet`) use
-            this mode so results survive 10^8-packet sweeps.
-    """
-
-    ring_depth: int = 512
-    rx_backpressure: bool = False
-    host: NicHostConfig | None = None
-    num_queues: int = 1
-    dma_tags: int | None = None
-    retain_samples: bool = True
-    #: Optional RSS indirection table: ``queue = table[hash % len(table)]``.
-    #: ``None`` uses the identity table, which sends every flow to queue
-    #: ``hash % num_queues``.  Requires ``num_queues > 1``.
-    rss_table: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.ring_depth <= 0:
-            raise ValidationError(
-                f"ring_depth must be positive, got {self.ring_depth}"
-            )
-        if not 1 <= self.num_queues <= 256:
-            raise ValidationError(
-                f"num_queues must be within [1, 256], got {self.num_queues}"
-            )
-        if self.dma_tags is not None and self.dma_tags <= 0:
-            raise ValidationError(
-                f"dma_tags must be positive (or None for unbounded), "
-                f"got {self.dma_tags}"
-            )
-        object.__setattr__(
-            self, "rss_table", check_rss_table(self.rss_table, self.num_queues)
-        )
 
 
 #: The ``kind`` tag used in labels and serialised records, mirroring the
@@ -316,11 +253,22 @@ class NicSimParams:
         # Canonicalise the RSS scenario name ("skewed" -> "zipf") so labels
         # and serialised params are stable whichever alias was written.
         object.__setattr__(self, "rss", canonical_flow_name(self.rss))
-        # The datapath and host knobs are validated by building the configs
-        # the simulator runs with, one source of truth.  Params without a
-        # host check their host knobs against the default profile, so a bad
-        # value fails where it is written, not at a later with_(system=...).
-        object.__setattr__(self, "rss_table", self.sim_config().rss_table)
+        if self.ring_depth <= 0:
+            raise ValidationError(
+                f"ring_depth must be positive, got {self.ring_depth}"
+            )
+        if not 1 <= self.num_queues <= 256:
+            raise ValidationError(
+                f"num_queues must be within [1, 256], got {self.num_queues}"
+            )
+        if self.dma_tags is not None and self.dma_tags <= 0:
+            raise ValidationError(
+                f"dma_tags must be positive (or None for unbounded), "
+                f"got {self.dma_tags}"
+            )
+        object.__setattr__(
+            self, "rss_table", check_rss_table(self.rss_table, self.num_queues)
+        )
         if self.system is None and self.iommu_enabled:
             raise ValidationError(
                 "iommu_enabled requires a host system (set system=...)"
@@ -329,44 +277,39 @@ class NicSimParams:
             raise ValidationError(
                 "remote payload placement requires a host system (set system=...)"
             )
-        host = self._host_config(self.system or NicHostConfig.system)
-        object.__setattr__(self, "payload_cache_state", host.payload_cache_state)
-        if self.system is not None:
+        # The host knobs are checked with or without a host, so a bad value
+        # fails where it is written, not at a later with_(system=...).
+        profile = None if self.system is None else get_profile(self.system)
+        if self.iommu_page_size not in SUPPORTED_PAGE_SIZES:
+            raise ValidationError(
+                f"iommu_page_size must be one of {SUPPORTED_PAGE_SIZES}, "
+                f"got {self.iommu_page_size}"
+            )
+        if self.payload_window < PAYLOAD_UNIT_BYTES:
+            raise ValidationError(
+                f"payload_window must hold at least one {PAYLOAD_UNIT_BYTES}-byte "
+                f"unit, got {self.payload_window}"
+            )
+        state = CacheState.from_value(self.payload_cache_state)
+        object.__setattr__(self, "payload_cache_state", state.value)
+        if self.payload_placement not in ("local", "remote"):
+            raise ValidationError(
+                "payload_placement must be 'local' or 'remote', got "
+                f"{self.payload_placement!r}"
+            )
+        if profile is not None:
             # Keep the canonical profile spelling for labels and records.
-            object.__setattr__(self, "system", host.system)
+            object.__setattr__(self, "system", profile.name)
+            if self.payload_placement == "remote" and profile.sockets < 2:
+                raise ValidationError(
+                    f"{profile.name} has a single socket; remote payload "
+                    "placement needs a two-socket profile"
+                )
 
     @property
     def kind(self) -> str:
         """Benchmark kind tag (always ``"NICSIM"``)."""
         return NICSIM_KIND
-
-    def host_config(self) -> NicHostConfig | None:
-        """The host coupling these parameters describe (``None`` when decoupled)."""
-        if self.system is None:
-            return None
-        return self._host_config(self.system)
-
-    def _host_config(self, system: str) -> NicHostConfig:
-        return NicHostConfig(
-            system=system,
-            iommu_enabled=self.iommu_enabled,
-            iommu_page_size=self.iommu_page_size,
-            payload_window=self.payload_window,
-            payload_cache_state=self.payload_cache_state,
-            payload_placement=self.payload_placement,
-        )
-
-    def sim_config(self) -> NicSimConfig:
-        """The datapath configuration the run's simulator is built with."""
-        return NicSimConfig(
-            ring_depth=self.ring_depth,
-            rx_backpressure=self.rx_backpressure,
-            host=self.host_config(),
-            num_queues=self.num_queues,
-            dma_tags=self.dma_tags,
-            retain_samples=self.retain_samples,
-            rss_table=self.rss_table,
-        )
 
     def build_workload(self) -> Workload:
         """The traffic the run replays.
@@ -1087,7 +1030,7 @@ class _Datapath:
         "queue_index",
         "label",
         "_model",
-        "_sim_config",
+        "_params",
         "_loop",
         "_link_up",
         "_link_down",
@@ -1125,7 +1068,7 @@ class _Datapath:
         self,
         direction: str,
         model: NicModel,
-        sim_config: NicSimConfig,
+        params: NicSimParams,
         loop: EventLoop,
         link_up: SerialResource,
         link_down: SerialResource,
@@ -1134,7 +1077,6 @@ class _Datapath:
         walker: SerialResource | None = None,
         tags: TagPool | None = None,
         queue_index: int = 0,
-        num_queues: int = 1,
         host_port: "object | None" = None,
         warmup_gate: _WarmupGate | None = None,
         tracer: Tracer | None = None,
@@ -1144,9 +1086,11 @@ class _Datapath:
         self.queue_index = queue_index
         #: Display label: plain direction for single-queue devices (so
         #: serialised results stay identical), ``"tx[i]"`` per queue.
-        self.label = direction if num_queues == 1 else f"{direction}[{queue_index}]"
+        self.label = (
+            direction if params.num_queues == 1 else f"{direction}[{queue_index}]"
+        )
         self._model = model
-        self._sim_config = sim_config
+        self._params = params
         self._loop = loop
         self._link_up = link_up
         self._link_down = link_down
@@ -1158,10 +1102,10 @@ class _Datapath:
         #: an object with ``claim(now, access, coupling, then)`` that
         #: replaces the direct ingress/walker serialisation below.
         self._host_port = host_port
-        self.ring = _Ring(f"{self.label}_ring", sim_config.ring_depth)
+        self.ring = _Ring(f"{self.label}_ring", params.ring_depth)
         #: A full ring queues the packet (TX backpressure / RX with
         #: backpressure on) or drops it (default RX) — fixed per run.
-        self._wait_on_full = direction == "tx" or sim_config.rx_backpressure
+        self._wait_on_full = direction == "tx" or params.rx_backpressure
         self._compiled: dict[int, list[_CompiledOp]] = {}
 
         reference = self._ops_for(_REFERENCE_PACKET)
@@ -1169,12 +1113,12 @@ class _Datapath:
         self._notify_idx = self._find_notify(reference, self._payload_idx)
         if self._notify_idx is not None:
             notify = reference[self._notify_idx]
-            if sim_config.ring_depth < notify.per_packets:
+            if params.ring_depth < notify.per_packets:
                 # Entries free only when a completion report fires, and the
                 # report fires only after per_packets payloads complete: a
                 # shallower ring can never fill a batch and deadlocks.
                 raise ValidationError(
-                    f"ring_depth {sim_config.ring_depth} is shallower than "
+                    f"ring_depth {params.ring_depth} is shallower than "
                     f"the model's completion-report batch "
                     f"({notify.label!r} every {notify.per_packets:g} "
                     "packets); the datapath could never report a batch"
@@ -1219,7 +1163,7 @@ class _Datapath:
         self.tracer = tracer
         self.device = device
         self._warmup_gate = warmup_gate
-        if not sim_config.retain_samples:
+        if not params.retain_samples:
             self.stream = _StreamStats()
             if self._warmup_gate is None:
                 # Direct construction without a shared gate: measure from
@@ -1593,7 +1537,7 @@ class _Datapath:
                 self.dones,
                 self.notifies,
                 self.delivered_sizes,
-                ring_depth=self._sim_config.ring_depth,
+                ring_depth=self._params.ring_depth,
             )
         else:
             throughput, rate, latency = self.stream.statistics()
@@ -1744,22 +1688,25 @@ class _Transfer:
 class _Device:
     """One simulated NIC: links, tag pool, per-direction queues and feed.
 
-    Both simulators build their devices here — a
-    :class:`NicDatapathSimulator` run builds one, a
+    Both simulators build their devices here from the device's
+    :class:`NicSimParams` record — a :class:`NicDatapathSimulator` run
+    builds one from its own record, a
     :class:`~repro.sim.fabric.FabricSimulator` run one per device of its
     :class:`~repro.sim.fabric.ContentionParams`, from that device's solo
     record (:meth:`~repro.sim.fabric.ContentionParams.solo_params`) — so a
-    device is assembled, fed and summarised one way.  The caller supplies
-    what devices share: the event loop, the host coupling and, when
-    several devices contend, the arbitrated upstream port.  A
-    host-coupled device without a port serialises its host accesses on
-    private ingress and walker resources.
+    device is assembled, fed and summarised one way.  The record gives the
+    model, the rings, queues and tag pool, the packet count and the seed;
+    the caller supplies the traffic (``workload``) and what devices share:
+    the event loop, the host coupling and, when several devices contend,
+    the arbitrated upstream port.  A host-coupled device without a port
+    serialises its host accesses on private ingress and walker resources.
 
     Construction draws each direction's schedule (``tx``, then ``rx``)
-    from one RNG seeded with ``seed`` and feeds the arrivals to the loop.
-    Multi-queue directions steer through an RSS indirection table: the
-    configured ``rss_table``, or the identity table, which sends every
-    flow where hashing it straight onto the queues would.  With
+    from one RNG seeded with the record's seed (the library default when
+    unset) and feeds the arrivals to the loop.  Multi-queue directions
+    steer through an RSS indirection table: the record's ``rss_table``,
+    or the identity table, which sends every flow where hashing it
+    straight onto the queues would.  With
     ``steered`` the table is a live :class:`~repro.control.RssSteering`
     (listed in ``steerings``) that a controller may rewrite mid-run.
     """
@@ -1767,10 +1714,9 @@ class _Device:
     __slots__ = (
         "name",
         "prefix",
+        "params",
         "model",
         "workload",
-        "packets",
-        "sim_config",
         "coupling",
         "link_up",
         "link_down",
@@ -1783,13 +1729,10 @@ class _Device:
         self,
         name: str,
         prefix: str,
-        model: NicModel,
-        sim_config: NicSimConfig,
+        params: NicSimParams,
         loop: EventLoop,
         workload: Workload,
-        packets: int,
         *,
-        seed: int,
         coupling: HostCoupling | None = None,
         host_port: "object | None" = None,
         tracer: Tracer | None = None,
@@ -1798,35 +1741,35 @@ class _Device:
         self.name = name
         #: Metric and resource name prefix (``"nicsim"`` or ``"fabric"``).
         self.prefix = prefix
-        self.model = model
+        self.params = params
+        self.model = model = model_by_name(params.model)
         self.workload = workload
-        self.packets = packets
-        self.sim_config = sim_config
         self.coupling = coupling
         base = f"{prefix}.{name}"
         self.link_up = SerialResource(f"{base}.device_to_host")
         self.link_down = SerialResource(f"{base}.host_to_device")
         self.tags = (
-            TagPool(f"{base}.dma_tags", sim_config.dma_tags)
-            if sim_config.dma_tags is not None
+            TagPool(f"{base}.dma_tags", params.dma_tags)
+            if params.dma_tags is not None
             else None
         )
         ingress = walker = None
         if coupling is not None and host_port is None:
             ingress = SerialResource(f"{base}.root_complex.ingress")
             walker = SerialResource(f"{base}.iommu.walker")
+        seed = DEFAULT_SEED if params.seed is None else params.seed
         rng = SimRng(seed)
-        num_queues = sim_config.num_queues
+        packets = params.packets
         self.directions: list[tuple[str, list[_Datapath]]] = []
         self.steerings: list[RssSteering] = []
         for direction in ("tx", "rx") if workload.duplex else ("tx",):
             warmup_gate = (
                 None
-                if sim_config.retain_samples
+                if params.retain_samples
                 else _WarmupGate(
                     _streaming_warmup_threshold(
                         packets,
-                        ring_depth=sim_config.ring_depth,
+                        ring_depth=params.ring_depth,
                     )
                 )
             )
@@ -1834,7 +1777,7 @@ class _Device:
                 _Datapath(
                     direction,
                     model,
-                    sim_config,
+                    params,
                     loop,
                     self.link_up,
                     self.link_down,
@@ -1843,13 +1786,12 @@ class _Device:
                     walker=walker,
                     tags=self.tags,
                     queue_index=index,
-                    num_queues=num_queues,
                     host_port=host_port,
                     warmup_gate=warmup_gate,
                     tracer=tracer,
                     device=name,
                 )
-                for index in range(num_queues)
+                for index in range(params.num_queues)
             ]
             schedule = workload.generate(packets, rng, stream=direction)
             self._feed(loop, queues, schedule, seed=seed, steered=steered)
@@ -1882,7 +1824,7 @@ class _Device:
                 "model to steer by (set Workload.flows, e.g. via "
                 "repro.workloads.build_flow_model)"
             )
-        table = self.sim_config.rss_table or identity_table(len(queues))
+        table = self.params.rss_table or identity_table(len(queues))
         if steered:
             steering = RssSteering(queues, table)
             self.steerings.append(steering)
@@ -1906,13 +1848,13 @@ class _Device:
             path.finish()
         duration = max([0.0] + [path.max_notify for path in paths])
         results = [
-            _direction_result(direction, queues, self.sim_config)
+            _direction_result(direction, queues, self.params)
             for direction, queues in self.directions
         ]
         return NicSimResult(
             model=self.model.name,
             workload=self.workload.name,
-            packets=self.packets,
+            packets=self.params.packets,
             duration_ns=duration,
             tx=results[0],
             rx=results[1] if len(results) > 1 else None,
@@ -1994,7 +1936,7 @@ def _path_statistics(
 
 
 def _direction_result(
-    direction: str, queues: list["_Datapath"], sim_config: NicSimConfig
+    direction: str, queues: list["_Datapath"], params: NicSimParams
 ) -> PathResult:
     """Aggregate the queues of one direction into its :class:`PathResult`.
 
@@ -2025,10 +1967,10 @@ def _direction_result(
             dones,
             notifies,
             sizes,
-            ring_depth=sim_config.ring_depth,
+            ring_depth=params.ring_depth,
         )
     ring = RingStats(
-        depth=sim_config.ring_depth,
+        depth=params.ring_depth,
         posts=sum(result.ring.posts for result in per_queue),
         drops=sum(result.ring.drops for result in per_queue),
         max_occupancy=max(result.ring.max_occupancy for result in per_queue),
@@ -2154,15 +2096,18 @@ class PathTrace:
 
 
 class NicDatapathSimulator:
-    """Replays workloads through a NIC/driver model, packet by packet."""
+    """Replays one :class:`NicSimParams` record through its NIC/driver model.
 
-    def __init__(
-        self,
-        model: NicModel | str,
-        sim_config: NicSimConfig | None = None,
-    ) -> None:
-        self.model = model_by_name(model) if isinstance(model, str) else model
-        self.sim_config = sim_config or NicSimConfig()
+    The record is the simulator's only input: the model, the traffic it
+    names, the packet count, the seed, the datapath and host knobs and the
+    engine mode.  The workload is built once here, so repeated runs replay
+    the same traffic.
+    """
+
+    def __init__(self, params: NicSimParams) -> None:
+        self.params = params
+        self.model = model_by_name(params.model)
+        self.workload = params.build_workload()
         #: Per-direction :class:`PathTrace` of the most recent ``run``.
         self.last_traces: dict[str, PathTrace] = {}
         #: Phase timing of the most recent ``run`` (the ``--profile`` hook).
@@ -2170,22 +2115,20 @@ class NicDatapathSimulator:
 
     def run(
         self,
-        workload: Workload,
-        packets: int,
         *,
-        seed: int | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         device: str = "nic",
-        mode: str = "exact",
     ) -> NicSimResult:
-        """Simulate ``packets`` packets per active direction.
+        """Simulate the record's packets per active direction.
+
+        The record's ``mode`` selects the engine: ``"exact"`` (the scalar
+        event loop every golden is pinned to) or ``"batch"`` (the
+        vectorised :mod:`repro.sim.fastpath` solver, falling back to the
+        scalar loop whenever an interaction point makes it inapplicable;
+        the profile then records the reason).
 
         Args:
-            workload: the traffic description to replay.
-            packets: packets per direction (full duplex runs 2x this).
-            seed: RNG seed for the workload draws (defaults to the library
-                seed so runs are reproducible).
             tracer: optional span recorder; when set, every packet's
                 lifecycle stages (and walker/arbitration waits) land in
                 its flight-recorder buffer.  Tracing only observes the
@@ -2197,20 +2140,10 @@ class NicDatapathSimulator:
                 the result as ``result.metrics``.
             device: name carried by spans and metric names (fabric runs
                 pass the contending device's name).
-            mode: engine selection — ``"exact"`` (default, the scalar
-                event loop every golden is pinned to) or ``"batch"`` (the
-                vectorised :mod:`repro.sim.fastpath` solver, falling back
-                to the scalar loop whenever an interaction point makes it
-                inapplicable).
         """
-        if packets <= 0:
-            raise ValidationError(f"packets must be positive, got {packets}")
-        if mode not in MODES:
-            raise ValidationError(
-                f"mode must be one of {', '.join(MODES)}; got {mode!r}"
-            )
+        params = self.params
         fallback_reason = None
-        if mode == "batch":
+        if params.mode == "batch":
             # Lazy import: fastpath imports this module itself, and exact
             # runs (every contended run, and the package-import probe of
             # perfbench's set-up time) never pay to load it.
@@ -2218,13 +2151,7 @@ class NicDatapathSimulator:
 
             try:
                 return run_batch(
-                    self,
-                    workload,
-                    packets,
-                    seed=seed,
-                    tracer=tracer,
-                    metrics=metrics,
-                    device=device,
+                    self, tracer=tracer, metrics=metrics, device=device
                 )
             except BatchFallback as fallback:
                 # An interaction point (host coupling, bounded tags,
@@ -2236,26 +2163,21 @@ class NicDatapathSimulator:
                 # engine ran and why.
                 fallback_reason = fallback.reason
         wall_start = perf_counter()
-        resolved_seed = DEFAULT_SEED if seed is None else seed
         loop = EventLoop()
         coupling = (
             SharedHost(
-                [self.sim_config.host],
-                [self.sim_config.ring_depth],
-                seed=resolved_seed,
+                [params],
+                seed=DEFAULT_SEED if params.seed is None else params.seed,
             ).couplings[0]
-            if self.sim_config.host is not None
+            if params.system is not None
             else None
         )
         nic = _Device(
             device,
             "nicsim",
-            self.model,
-            self.sim_config,
+            params,
             loop,
-            workload,
-            packets,
-            seed=resolved_seed,
+            self.workload,
             coupling=coupling,
             tracer=tracer,
         )
@@ -2289,9 +2211,9 @@ class NicDatapathSimulator:
                 ),
             )
             for direction, queues in nic.directions
-        } if self.sim_config.retain_samples else {}
+        } if params.retain_samples else {}
         self.last_profile = EngineProfile(
-            label=f"nicsim {self.model.name} {workload.name}",
+            label=f"nicsim {self.model.name} {self.workload.name}",
             build_s=events_start - wall_start,
             events_s=stats_start - events_start,
             stats_s=perf_counter() - stats_start,

@@ -8,16 +8,13 @@ from repro.bench.nicsim import NICSIM_KIND, NicSimParams, run_nicsim_benchmark
 from repro.bench.params import BenchmarkParams
 from repro.bench.runner import BenchmarkRunner
 from repro.errors import ValidationError
-from repro.sim.nicsim import NicSimConfig, NicSimResult
+from repro.sim.nicsim import NicSimResult
 
 #: Every record that carries an RSS indirection table, built for
 #: ``num_queues`` queues with table ``table``.
 RSS_TABLE_OWNERS = {
     "NicSimParams": lambda num_queues, table: NicSimParams(
         model="dpdk", num_queues=num_queues, rss_table=table
-    ),
-    "NicSimConfig": lambda num_queues, table: NicSimConfig(
-        num_queues=num_queues, rss_table=table
     ),
 }
 
@@ -160,19 +157,17 @@ class TestHostCouplingParams:
     def test_host_fields_default_to_decoupled(self):
         params = NicSimParams(model="dpdk")
         assert params.system is None
-        assert params.host_config() is None
+        assert not params.iommu_enabled
 
-    def test_system_normalised_and_host_config_built(self):
+    def test_system_and_host_fields_normalised(self):
         params = NicSimParams(
             model="dpdk", system="nfp6000-bdw", iommu_enabled=True,
             payload_window=1024 * 1024, payload_cache_state="warm",
         )
         assert params.system == "NFP6000-BDW"
         assert params.payload_cache_state == "host_warm"
-        host = params.host_config()
-        assert host is not None
-        assert host.iommu_enabled
-        assert host.payload_window == 1024 * 1024
+        assert params.iommu_enabled
+        assert params.payload_window == 1024 * 1024
 
     def test_iommu_and_remote_require_a_system(self):
         with pytest.raises(ValidationError):

@@ -25,7 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.transactions import OpKind
 from repro.sim.cache import CacheState, StatisticalCache
-from repro.sim.nichost import NicHostConfig, SharedHost
+from repro.sim.nichost import SharedHost
+from repro.sim.nicsim import NicSimParams
 from repro.sim.rng import DRAW_BLOCK, SimRng, block_draws
 from repro.units import MIB
 
@@ -166,8 +167,10 @@ def test_statistical_cache_matches_scalar_reference(seed, operations, split):
 @settings(max_examples=15, deadline=None)
 def test_host_coupling_matches_scalar_reference(seed, operations):
     """Payload addresses and cache outcomes of payload DMAs, access by access."""
-    config = NicHostConfig(system="NFP6000-HSW", payload_window=64 * MIB)
-    coupling = SharedHost([config], [64], seed=seed).couplings[0]
+    device = NicSimParams(
+        system="NFP6000-HSW", payload_window=64 * MIB, ring_depth=64
+    )
+    coupling = SharedHost([device], seed=seed).couplings[0]
     root_complex = coupling.payload_rc
     addresses: list[int] = []
 

@@ -29,8 +29,7 @@ import os
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.nichost import NicHostConfig
-from repro.sim.nicsim import NicDatapathSimulator, NicSimConfig, NicSimResult
+from repro.sim.nicsim import NicDatapathSimulator, NicSimParams, NicSimResult
 from repro.sim.rng import DEFAULT_SEED, SimRng
 from repro.units import KIB
 from repro.workloads import build_flow_model, build_workload, rss_queues
@@ -43,16 +42,17 @@ _QUEUE_ENV = os.environ.get("NICSIM_QUEUES")
 #: Queue layouts the grid samples; a CI matrix pins one via NICSIM_QUEUES.
 QUEUE_CHOICES = (int(_QUEUE_ENV),) if _QUEUE_ENV else (1, 4)
 
-#: Neutral host coupling used for the coupled half of the grid.
-NEUTRAL_HOST = NicHostConfig(system="NFP6000-HSW", payload_window=256 * KIB)
+#: Neutral host coupling used for the coupled half of the grid (the
+#: record's host fields).
+NEUTRAL_HOST = {"system": "NFP6000-HSW", "payload_window": 256 * KIB}
 #: Host coupling under maximum pressure (IOMMU miss storm, thrashed cache).
-STRESSED_HOST = NicHostConfig(
-    system="NFP6000-BDW",
-    iommu_enabled=True,
-    payload_window=4096 * KIB,
-    payload_cache_state="cold",
-    payload_placement="remote",
-)
+STRESSED_HOST = {
+    "system": "NFP6000-BDW",
+    "iommu_enabled": True,
+    "payload_window": 4096 * KIB,
+    "payload_cache_state": "cold",
+    "payload_placement": "remote",
+}
 
 
 def make_workload(
@@ -79,31 +79,31 @@ def run_simulation(
     ring_depth: int,
     load: float | None,
     duplex: bool,
-    host: NicHostConfig | None,
+    host: dict | None,
     rx_backpressure: bool,
     seed: int,
     num_queues: int = 1,
     rss: str = "uniform",
     dma_tags: int | None = None,
 ) -> tuple[NicDatapathSimulator, NicSimResult]:
-    workload = make_workload(
-        workload_name,
-        load=load,
-        duplex=duplex,
-        num_queues=num_queues,
-        rss=rss,
-    )
     simulator = NicDatapathSimulator(
-        model,
-        sim_config=NicSimConfig(
+        NicSimParams(
+            model=model,
+            workload=workload_name,
+            packet_size=512,
+            offered_load_gbps=load,
+            packets=packets,
             ring_depth=ring_depth,
+            duplex=duplex,
             rx_backpressure=rx_backpressure,
-            host=host,
             num_queues=num_queues,
             dma_tags=dma_tags,
-        ),
+            rss=rss,
+            seed=seed,
+            **(host or {}),
+        )
     )
-    return simulator, simulator.run(workload, packets, seed=seed)
+    return simulator, simulator.run()
 
 
 def assert_invariants(

@@ -25,7 +25,7 @@ from repro.sim.fabric import (
     ContentionResult,
     FabricSimulator,
 )
-from repro.sim.nichost import DEVICE_ADDRESS_STRIDE, NicHostConfig, SharedHost
+from repro.sim.nichost import DEVICE_ADDRESS_STRIDE, SharedHost
 from repro.units import KIB, MIB
 from repro.workloads import build_workload
 
@@ -48,6 +48,11 @@ def _golden_contention_params() -> tuple[ContentionParams, dict]:
         seed=params.seed,
     )
     return contention, golden
+
+
+def _host_device(**fields) -> NicSimParams:
+    """A device's host-coupled record, as ``solo_params`` builds it."""
+    return NicSimParams(system="NFP6000-HSW", **fields)
 
 
 def _victim(packets: int, **fields) -> NicSimParams:
@@ -226,19 +231,18 @@ class TestValidation:
             FabricSimulator(params, workloads=(workload,))
 
     def test_shared_host_rejects_mixed_cache_states(self):
-        configs = [
-            NicHostConfig(payload_cache_state="host_warm"),
-            NicHostConfig(payload_cache_state="cold"),
+        devices = [
+            _host_device(payload_cache_state="host_warm"),
+            _host_device(payload_cache_state="cold"),
         ]
         with pytest.raises(ValidationError):
-            SharedHost(configs, [512, 512], seed=1)
+            SharedHost(devices, seed=1)
 
     def test_shared_host_couplings_use_disjoint_regions(self):
-        configs = [
-            NicHostConfig(iommu_enabled=True, payload_window=256 * KIB)
-            for _ in range(2)
-        ]
-        shared = SharedHost(configs, [256, 256], seed=3)
+        device = _host_device(
+            iommu_enabled=True, payload_window=256 * KIB, ring_depth=256
+        )
+        shared = SharedHost([device, device], seed=3)
         first, second = shared.couplings
         assert (
             second.payload_buffer.base_address
@@ -337,13 +341,11 @@ class TestTopologyFabric:
         assert rebuilt.ddio_partition == (3.0, 1.0)
 
     def test_partition_allows_mixed_cache_states(self):
-        configs = [
-            NicHostConfig(payload_cache_state="host_warm"),
-            NicHostConfig(payload_cache_state="cold"),
+        devices = [
+            _host_device(payload_cache_state="host_warm"),
+            _host_device(payload_cache_state="cold"),
         ]
-        shared = SharedHost(
-            configs, [512, 512], seed=1, ddio_partition=(1.0, 1.0)
-        )
+        shared = SharedHost(devices, seed=1, ddio_partition=(1.0, 1.0))
         assert shared.partitioned is True
 
     def test_record_validates_topology_and_partition(self):
@@ -398,10 +400,9 @@ class TestFaithfulCacheFabric:
     def test_faithful_partition_uses_per_owner_way_budgets(self):
         from repro.sim.cache import SetAssociativeCache
 
-        configs = [NicHostConfig(payload_window=256 * KIB) for _ in range(2)]
+        device = _host_device(payload_window=256 * KIB, ring_depth=64)
         shared = SharedHost(
-            configs,
-            [64, 64],
+            [device, device],
             seed=3,
             cache_model="faithful",
             ddio_partition=(1.0, 1.0),

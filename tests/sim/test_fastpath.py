@@ -18,7 +18,6 @@ from repro.obs.trace import BATCH_PREFIX
 from repro.sim.engine import MODES, EngineProfile
 from repro.sim.fastpath import BatchFallback, run_batch
 from repro.sim.nicsim import NicDatapathSimulator
-from repro.workloads import build_workload
 
 
 class TestModeKnob:
@@ -26,11 +25,11 @@ class TestModeKnob:
         assert MODES == ("exact", "batch")
 
     def test_simulator_rejects_unknown_mode(self):
-        simulator = NicDatapathSimulator("dpdk")
-        workload = build_workload("fixed", size=512, load_gbps=5.0)
+        # The simulator's engine is its record's mode, checked when the
+        # record is built.
         for mode in ("warp", "hybrid"):
             with pytest.raises(ValidationError, match="mode must be one of"):
-                simulator.run(workload, 10, mode=mode)
+                NicDatapathSimulator(NicSimParams(model="dpdk", mode=mode))
 
     def test_params_reject_unknown_mode(self):
         for mode in ("warp", "hybrid"):
@@ -84,59 +83,39 @@ def _run(mode, *, model="dpdk", workload="fixed", size=512, load=5.0,
 class TestBatchEligibilityFallbacks:
     """Interaction points refuse the batch engine before any work."""
 
-    def _raw_batch(self, simulator, workload="fixed", packets=50, **wl):
-        built = build_workload(workload, **wl)
-        return run_batch(simulator, built, packets)
+    def _raw_batch(self, **fields):
+        record = dict(
+            model="dpdk", packet_size=512, offered_load_gbps=5.0, packets=50
+        )
+        record.update(fields)
+        return run_batch(NicDatapathSimulator(NicSimParams(**record)))
 
     def test_host_coupling_falls_back(self):
-        from repro.sim.nichost import NicHostConfig
-        from repro.sim.nicsim import NicSimConfig
-
-        simulator = NicDatapathSimulator(
-            "dpdk",
-            sim_config=NicSimConfig(host=NicHostConfig(system="NFP6000-HSW")),
-        )
         with pytest.raises(BatchFallback, match="host coupling"):
-            self._raw_batch(simulator, size=512, load_gbps=5.0)
+            self._raw_batch(system="NFP6000-HSW")
 
     def test_bounded_tags_fall_back(self):
-        from repro.sim.nicsim import NicSimConfig
-
-        simulator = NicDatapathSimulator(
-            "dpdk", sim_config=NicSimConfig(dma_tags=8)
-        )
         with pytest.raises(BatchFallback, match="DMA tag pool"):
-            self._raw_batch(simulator, size=512, load_gbps=5.0)
+            self._raw_batch(dma_tags=8)
 
     def test_multi_queue_falls_back(self):
-        from repro.sim.nicsim import NicSimConfig
-
-        simulator = NicDatapathSimulator(
-            "dpdk", sim_config=NicSimConfig(num_queues=4)
-        )
         with pytest.raises(BatchFallback, match="multi-queue"):
-            self._raw_batch(simulator, size=512, load_gbps=5.0)
+            self._raw_batch(num_queues=4)
 
     def test_ring_pressure_falls_back(self):
-        from repro.sim.nicsim import NicSimConfig
-
         # Saturating load against a tiny ring: the precomputed occupancy
         # exceeds the depth, which needs scalar backpressure semantics.
-        simulator = NicDatapathSimulator(
-            "dpdk", sim_config=NicSimConfig(ring_depth=8)
-        )
         with pytest.raises(BatchFallback, match="ring would exceed depth"):
-            self._raw_batch(simulator, size=1500, load_gbps=200.0,
-                            packets=200)
+            self._raw_batch(
+                ring_depth=8,
+                packet_size=1500,
+                offered_load_gbps=200.0,
+                packets=200,
+            )
 
     def test_fallback_reason_is_carried(self):
-        from repro.sim.nicsim import NicSimConfig
-
-        simulator = NicDatapathSimulator(
-            "dpdk", sim_config=NicSimConfig(dma_tags=8)
-        )
         with pytest.raises(BatchFallback) as excinfo:
-            self._raw_batch(simulator, size=512, load_gbps=5.0)
+            self._raw_batch(dma_tags=8)
         assert "interaction point" in excinfo.value.reason
 
     def test_run_nicsim_benchmark_falls_back_silently_to_exact(self):
@@ -172,11 +151,18 @@ class TestBatchBitIdentity:
         assert batch.as_dict() == exact.as_dict()
 
     def test_path_traces_bit_identical(self):
-        workload = build_workload("fixed", size=512, load_gbps=5.0)
-        simulator = NicDatapathSimulator("dpdk")
-        simulator.run(workload, 300, seed=3, mode="exact")
+        params = NicSimParams(
+            model="dpdk",
+            packet_size=512,
+            offered_load_gbps=5.0,
+            packets=300,
+            seed=3,
+        )
+        simulator = NicDatapathSimulator(params)
+        simulator.run()
         exact_traces = simulator.last_traces
-        simulator.run(workload, 300, seed=3, mode="batch")
+        simulator = NicDatapathSimulator(params.with_(mode="batch"))
+        simulator.run()
         batch_traces = simulator.last_traces
         assert set(batch_traces) == set(exact_traces)
         for direction, exact in exact_traces.items():

@@ -10,7 +10,7 @@ from repro.core.nic import (
     SIMPLE_NIC,
 )
 from repro.errors import ValidationError
-from repro.sim.nicsim import NicDatapathSimulator, NicSimConfig
+from repro.sim.fabric import ContentionParams, FabricSimulator
 from repro.workloads import build_workload
 
 
@@ -172,11 +172,14 @@ class TestMultiQueue:
         assert offered[-1] > 2 * offered[0]
 
     def test_multi_queue_needs_a_flow_model(self):
-        simulator = NicDatapathSimulator(
-            MODERN_NIC_DPDK, sim_config=NicSimConfig(num_queues=4)
+        # A record's multi-queue workload always carries its rss scenario's
+        # flows; only a prepared workload in a fabric run can lack them.
+        params = ContentionParams(
+            devices=(NicSimParams(model="dpdk", num_queues=4, packets=200),)
         )
-        with pytest.raises(ValidationError):
-            simulator.run(build_workload("fixed"), 200)
+        simulator = FabricSimulator(params, workloads=(build_workload("fixed"),))
+        with pytest.raises(ValidationError, match="flow model"):
+            simulator.run()
 
     def test_multi_queue_result_round_trips_through_dict(self):
         from repro.sim.nicsim import NicSimResult
@@ -249,8 +252,7 @@ class TestSimulatorMechanics:
         assert NicSimResult.from_dict(result.as_dict()) == result
 
     def test_validation_errors(self):
-        simulator = NicDatapathSimulator(MODERN_NIC_DPDK)
         with pytest.raises(ValidationError):
-            simulator.run(build_workload("fixed"), 0)
+            NicSimParams(model="dpdk", packets=0)
         with pytest.raises(ValidationError):
-            NicSimConfig(ring_depth=0)
+            NicSimParams(model="dpdk", ring_depth=0)

@@ -14,7 +14,6 @@ import pytest
 
 from repro.bench.nicsim import NicSimParams, cross_validate, run_nicsim_benchmark
 from repro.errors import ValidationError
-from repro.sim.nicsim import NicSimConfig
 from repro.units import KIB
 
 #: The experiment's setting: small packets (the remote adder is a large
@@ -120,10 +119,10 @@ class TestTagPoolMechanics:
 
     def test_dma_tags_validation(self):
         with pytest.raises(ValidationError):
-            NicSimConfig(dma_tags=0)
+            NicSimParams(dma_tags=0)
         with pytest.raises(ValidationError):
-            NicSimConfig(dma_tags=-4)
+            NicSimParams(dma_tags=-4)
         with pytest.raises(ValidationError):
-            NicSimConfig(num_queues=0)
+            NicSimParams(num_queues=0)
         with pytest.raises(ValidationError):
-            NicSimConfig(num_queues=1000)
+            NicSimParams(num_queues=1000)

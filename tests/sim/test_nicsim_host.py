@@ -7,7 +7,6 @@ from repro.errors import ValidationError
 from repro.core.nic import FIGURE1_MODELS
 from repro.sim.nichost import (
     HostSideStats,
-    NicHostConfig,
     PAYLOAD_UNIT_BYTES,
     SharedHost,
 )
@@ -20,7 +19,6 @@ from repro.units import KIB, MIB
 NEUTRAL = NicSimParams(
     model="dpdk", system="NFP6000-HSW", payload_window=256 * KIB
 )
-NEUTRAL_HOST = NEUTRAL.host_config()
 
 
 def _run(**fields):
@@ -47,35 +45,39 @@ class TestNeutralCouplingCrossValidation:
 
 
 class TestHostConfigValidation:
+    """The record's host knobs, checked where the record is built."""
+
     def test_unknown_profile_rejected(self):
-        with pytest.raises(Exception):
-            NicHostConfig(system="PDP-11")
+        with pytest.raises(ValidationError):
+            NicSimParams(system="PDP-11")
 
     def test_profile_name_normalised(self):
-        assert NicHostConfig(system="nfp6000-hsw").system == "NFP6000-HSW"
+        assert NicSimParams(system="nfp6000-hsw").system == "NFP6000-HSW"
 
     def test_bad_page_size_rejected(self):
         with pytest.raises(ValidationError):
-            NicHostConfig(iommu_page_size=8192)
+            NicSimParams(system="NFP6000-HSW", iommu_page_size=8192)
 
     def test_window_must_hold_a_unit(self):
         with pytest.raises(ValidationError):
-            NicHostConfig(payload_window=PAYLOAD_UNIT_BYTES // 2)
+            NicSimParams(
+                system="NFP6000-HSW", payload_window=PAYLOAD_UNIT_BYTES // 2
+            )
 
     def test_remote_placement_needs_two_sockets(self):
         with pytest.raises(ValidationError):
-            NicHostConfig(system="NFP6000-HSW", payload_placement="remote")
+            NicSimParams(system="NFP6000-HSW", payload_placement="remote")
         # The two-socket Broadwell accepts it.
-        config = NicHostConfig(
+        params = NicSimParams(
             system="NFP6000-BDW", payload_placement="remote"
         )
-        assert config.payload_placement == "remote"
+        assert params.payload_placement == "remote"
 
     def test_bad_placement_and_cache_state_rejected(self):
         with pytest.raises(ValidationError):
-            NicHostConfig(payload_placement="sideways")
+            NicSimParams(system="NFP6000-HSW", payload_placement="sideways")
         with pytest.raises(ValidationError):
-            NicHostConfig(payload_cache_state="lukewarm")
+            NicSimParams(system="NFP6000-HSW", payload_cache_state="lukewarm")
 
 
 class TestHostEffects:
@@ -170,7 +172,9 @@ class TestCouplingMechanics:
     def test_coupling_rejects_mmio(self):
         from repro.core.transactions import OpKind
 
-        coupling = SharedHost([NEUTRAL_HOST], [64], seed=1).couplings[0]
+        coupling = SharedHost(
+            [NEUTRAL.with_(ring_depth=64)], seed=1
+        ).couplings[0]
         with pytest.raises(ValidationError):
             coupling.access(
                 OpKind.MMIO_READ, direction="tx", payload=False, size=4
@@ -179,7 +183,9 @@ class TestCouplingMechanics:
     def test_access_counters_split_by_region(self):
         from repro.core.transactions import OpKind
 
-        coupling = SharedHost([NEUTRAL_HOST], [64], seed=1).couplings[0]
+        coupling = SharedHost(
+            [NEUTRAL.with_(ring_depth=64)], seed=1
+        ).couplings[0]
         coupling.access(OpKind.DMA_READ, direction="tx", payload=True, size=512)
         coupling.access(OpKind.DMA_WRITE, direction="rx", payload=False, size=16)
         stats = coupling.stats()

@@ -16,11 +16,10 @@ from repro.errors import SimulationError
 from repro.sim.fabric import ContentionParams, FabricSimulator
 from repro.sim.nicsim import (
     LatencySummary,
-    NicSimConfig,
+    NicDatapathSimulator,
     _streaming_warmup_threshold,
 )
 from repro.stats import QuantileSketch
-from repro.workloads import build_workload
 
 RUN = NicSimParams(
     model="dpdk",
@@ -81,14 +80,16 @@ class TestStreamingEquivalence:
             )
 
     def test_streaming_keeps_no_per_packet_state(self):
-        from repro.sim.nicsim import NicDatapathSimulator
-
         simulator = NicDatapathSimulator(
-            "dpdk",
-            sim_config=NicSimConfig(retain_samples=False),
+            NicSimParams(
+                model="dpdk",
+                offered_load_gbps=10.0,
+                packets=400,
+                seed=3,
+                retain_samples=False,
+            )
         )
-        workload = build_workload("fixed", load_gbps=10.0)
-        result = simulator.run(workload, 400, seed=3)
+        result = simulator.run()
         assert result.tx.delivered_packets > 0
         # No trace arrays survive a streaming run — that is the point.
         assert simulator.last_traces == {}
