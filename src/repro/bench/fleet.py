@@ -36,7 +36,7 @@ from ..fleet import (
 )
 from ..sim.engine import ARBITER_SCHEMES
 from ..sim.fabric import ContentionResult
-from ..sim.nicsim import LatencySummary
+from ..sim.nicsim import LatencySummary, _streaming_warmup_threshold
 from ..sim.profiles import profile_names
 from ..sim.rng import DEFAULT_SEED, check_seed
 from ..stats import QuantileSketch
@@ -47,6 +47,21 @@ from .nicsim import NicSimParams
 
 #: The ``kind`` tag used in labels and serialised records.
 FLEET_KIND = "FLEET"
+
+
+def _victim(packets: int) -> NicSimParams:
+    """Every host's latency-sensitive victim device."""
+    return NicSimParams(
+        model="dpdk",
+        workload="fixed",
+        packet_size=512,
+        offered_load_gbps=5.0,
+        packets=packets,
+        ring_depth=64,
+        payload_window=256 * KIB,
+        dma_tags=12,
+        retain_samples=False,
+    )
 
 
 @dataclass(frozen=True)
@@ -123,6 +138,19 @@ class FleetParams:
             raise ValidationError(
                 f"victim_packets must be positive, got {self.victim_packets}"
             )
+        # Each host reports its victim's streamed TX latency summary, which
+        # needs two measured packets past the streaming warm-up (TX never
+        # drops, so every offered packet is delivered).
+        victim = _victim(self.victim_packets)
+        measured = victim.packets - _streaming_warmup_threshold(
+            victim.packets, ring_depth=victim.ring_depth
+        )
+        if measured < 2:
+            raise ValidationError(
+                f"victim_packets {self.victim_packets} leaves {measured} "
+                "measured TX packet(s) past the streaming warm-up; a "
+                "victim's latency summary needs at least 2"
+            )
         if self.aggressor_packets <= 0:
             raise ValidationError(
                 f"aggressor_packets must be positive, "
@@ -195,18 +223,7 @@ class FleetParams:
             raise ValidationError(
                 f"host index must be within [0, {self.hosts}), got {index}"
             )
-        victim = NicSimParams(
-            model="dpdk",
-            workload="fixed",
-            packet_size=512,
-            offered_load_gbps=5.0,
-            packets=self.victim_packets,
-            ring_depth=64,
-            payload_window=256 * KIB,
-            dma_tags=12,
-            retain_samples=False,
-        )
-        devices: list[NicSimParams] = [victim]
+        devices: list[NicSimParams] = [_victim(self.victim_packets)]
         names = ["victim"]
         load = self.host_aggressor_loads()[index]
         if load is not None:

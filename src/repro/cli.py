@@ -512,9 +512,9 @@ def _cmd_nicsim(args: argparse.Namespace) -> int:
         models = [model_by_name(args.model).name]
     tracer = _build_tracer(args)
     records = []
-    runs = []
-    for model in models:
-        params = NicSimParams(
+    # Every record is built, and so checked, before the first run starts.
+    runs = [
+        NicSimParams(
             model=model,
             workload=args.workload,
             packet_size=args.size,
@@ -534,7 +534,9 @@ def _cmd_nicsim(args: argparse.Namespace) -> int:
             seed=args.seed,
             mode=args.mode,
         )
-        runs.append(params)
+        for model in models
+    ]
+    for model, params in zip(models, runs):
         print(params.label(), file=sys.stderr)
         profiles: list = [] if args.profile else None  # type: ignore[assignment]
         records.append(

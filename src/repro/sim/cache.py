@@ -140,6 +140,15 @@ def _check_cache_args(llc_bytes: int, ddio_fraction: float) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: Associativity of the line-accurate cache model.
+DEFAULT_WAYS = 20
+
+
+def ddio_way_count(ddio_fraction: float, ways: int = DEFAULT_WAYS) -> int:
+    """Ways per set that device writes may allocate into (at least one)."""
+    return max(1, int(round(ways * ddio_fraction)))
+
+
 class SetAssociativeCache:
     """Line-accurate set-associative LRU cache with a DDIO way restriction.
 
@@ -161,7 +170,7 @@ class SetAssociativeCache:
         self,
         llc_bytes: int = DEFAULT_LLC_BYTES,
         *,
-        ways: int = 20,
+        ways: int = DEFAULT_WAYS,
         ddio_fraction: float = DEFAULT_DDIO_FRACTION,
         line_bytes: int = CACHELINE_BYTES,
     ) -> None:
@@ -177,7 +186,7 @@ class SetAssociativeCache:
         self.line_bytes = line_bytes
         self.ways = ways
         self.ddio_fraction = ddio_fraction
-        self.ddio_ways = max(1, int(round(ways * ddio_fraction)))
+        self.ddio_ways = ddio_way_count(ddio_fraction, ways)
         self.sets = total_lines // ways
         # Each set maps line_address -> dirty flag, in LRU order (oldest first).
         self._sets: list[OrderedDict[int, bool]] = [

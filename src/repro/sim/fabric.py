@@ -81,6 +81,7 @@ from .engine import (
     EngineProfile,
     EventLoop,
 )
+from .cache import ddio_way_count
 from .iommu import SUPPORTED_PAGE_SIZES
 from .nichost import SharedHost
 from .nicsim import (
@@ -254,7 +255,8 @@ class ContentionParams:
                 raise ValidationError(f"device names must be unique: {names}")
             object.__setattr__(self, "names", tuple(names))
         # Keep the canonical profile spelling for labels and records.
-        object.__setattr__(self, "system", get_profile(self.system).name)
+        profile = get_profile(self.system)
+        object.__setattr__(self, "system", profile.name)
         if self.iommu_page_size not in SUPPORTED_PAGE_SIZES:
             raise ValidationError(
                 f"iommu_page_size must be one of {SUPPORTED_PAGE_SIZES}, "
@@ -301,6 +303,29 @@ class ContentionParams:
                 "cache_model must be 'statistical' or 'faithful', got "
                 f"{self.cache_model!r}"
             )
+        partitioned = self.ddio_partition is not None and count > 1
+        states = sorted({device.payload_cache_state for device in self.devices})
+        if len(states) > 1 and not partitioned and self.cache_model == "statistical":
+            # Only the statistical shared regime folds every device into
+            # one aggregate residency; the faithful model warms each
+            # device's real address region and partitions are per-device
+            # by construction.
+            raise ValidationError(
+                "devices sharing one aggregate cache residency must share "
+                f"one payload cache preparation state, got {states}; "
+                "per-device states need ddio_partition or the faithful "
+                "cache model"
+            )
+        if partitioned and self.cache_model == "faithful":
+            # The faithful cache splits its DDIO ways between the devices,
+            # and each device needs a way of its own.
+            ways = ddio_way_count(profile.ddio_fraction)
+            if count > ways:
+                raise ValidationError(
+                    f"cannot partition {ways} DDIO ways of the {self.system} "
+                    f"faithful cache between {count} devices (each needs at "
+                    "least one way)"
+                )
         if self.controller not in CONTROL_POLICIES:
             raise ValidationError(
                 f"unknown controller {self.controller!r}; "

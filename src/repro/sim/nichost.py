@@ -430,22 +430,6 @@ class SharedHost:
                 f"got {sorted(settings)}"
             )
         partitioned = ddio_partition is not None and len(devices) > 1
-        states = {device.payload_cache_state for device in devices}
-        if (
-            len(states) > 1
-            and not partitioned
-            and cache_model == "statistical"
-        ):
-            # Only the statistical shared regime folds every device into
-            # one aggregate residency; the faithful model warms each
-            # device's real address region and partitions are per-device
-            # by construction.
-            raise ValidationError(
-                "devices sharing one aggregate cache residency must share "
-                f"one payload cache preparation state, got {sorted(states)}; "
-                "per-device states need ddio_partition or the faithful "
-                "cache model"
-            )
         self.cache_model = cache_model
         self.ddio_partition = ddio_partition
         self.partitioned = partitioned

@@ -77,7 +77,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from itertools import repeat
 from time import perf_counter
 from typing import Callable
@@ -225,7 +225,8 @@ class NicSimParams:
         check_field_types(self)
         # Normalise aliases ("dpdk") to the canonical model name and fail
         # fast on unknown models/workloads, as BenchmarkParams does.
-        object.__setattr__(self, "model", model_by_name(self.model).name)
+        model = model_by_name(self.model)
+        object.__setattr__(self, "model", model.name)
         key = self.workload.strip().lower()
         if key not in workload_names():
             raise ValidationError(
@@ -257,6 +258,18 @@ class NicSimParams:
             raise ValidationError(
                 f"ring_depth must be positive, got {self.ring_depth}"
             )
+        for direction in ("tx", "rx"):
+            # Entries free only when a completion report fires, and the
+            # report fires only after its batch of payloads completes: a
+            # shallower ring could never fill a batch and deadlocks.
+            report = _report_batch(model, direction)
+            if report is not None and self.ring_depth < report.per_packets:
+                raise ValidationError(
+                    f"ring_depth {self.ring_depth} is shallower than the "
+                    f"{model.name} completion-report batch ({report.label!r} "
+                    f"every {report.per_packets:g} packets); the datapath "
+                    "could never report a batch"
+                )
         if not 1 <= self.num_queues <= 256:
             raise ValidationError(
                 f"num_queues must be within [1, 256], got {self.num_queues}"
@@ -305,6 +318,21 @@ class NicSimParams:
                     f"{profile.name} has a single socket; remote payload "
                     "placement needs a two-socket profile"
                 )
+        # The arrival process shapes each direction's gaps when the run
+        # generates its schedule; ask it, without generating one, how many
+        # packets it needs.
+        arrivals = build_workload(
+            self.workload,
+            size=self.packet_size,
+            load_gbps=self.offered_load_gbps,
+            duplex=self.duplex,
+        ).arrivals
+        if self.packets < arrivals.min_packets:
+            raise ValidationError(
+                f"the {self.workload!r} workload's {arrivals.name} arrivals "
+                f"need at least {arrivals.min_packets} packets per direction, "
+                f"got {self.packets}"
+            )
 
     @property
     def kind(self) -> str:
@@ -827,6 +855,75 @@ class _CompiledOp:
     dma: bool
 
 
+def _compile_sequence(
+    model: NicModel, direction: str, size: int
+) -> list[_CompiledOp]:
+    """One direction's transactions for a ``size``-byte packet, on the paper's link."""
+    sequence = (
+        model.tx_sequence(size) if direction == "tx" else model.rx_sequence(size)
+    )
+    link = PAPER_DEFAULT_CONFIG.link
+    ops = []
+    for transaction in sequence.transactions:
+        wire = transaction.wire_bytes(PAPER_DEFAULT_CONFIG)
+        ops.append(
+            _CompiledOp(
+                kind=transaction.kind,
+                per_packets=transaction.per_packets,
+                size=transaction.size,
+                up_ns=link.serialisation_time_ns(wire.device_to_host),
+                down_ns=link.serialisation_time_ns(wire.host_to_device),
+                label=transaction.label,
+                dma=transaction.kind in (OpKind.DMA_READ, OpKind.DMA_WRITE),
+            )
+        )
+    return ops
+
+
+def _find_payload(reference: list[_CompiledOp]) -> int:
+    """Index of the payload DMA: the largest per-packet DMA by wire time."""
+    payload = None
+    payload_time = None
+    for index, op in enumerate(reference):
+        if op.per_packets != 1.0:
+            continue
+        if op.kind not in (OpKind.DMA_READ, OpKind.DMA_WRITE):
+            continue
+        # The payload is the per-packet DMA whose wire time scales with
+        # the reference packet, i.e. the largest per-packet DMA.
+        time = max(op.up_ns, op.down_ns)
+        if payload_time is None or time > payload_time:
+            payload_time = time
+            payload = index
+    if payload is None:
+        raise SimulationError(
+            "transaction sequence has no per-packet payload DMA"
+        )
+    return payload
+
+
+def _find_notify(reference: list[_CompiledOp], payload_idx: int) -> int | None:
+    """Index of the completion report: the first trailing interrupt write,
+    else the first trailing DMA write (``None`` when nothing reports)."""
+    trailing = range(payload_idx + 1, len(reference))
+    for index in trailing:
+        op = reference[index]
+        if op.kind is OpKind.DMA_WRITE and "interrupt" in op.label.lower():
+            return index
+    for index in trailing:
+        if reference[index].kind is OpKind.DMA_WRITE:
+            return index
+    return None
+
+
+@cache
+def _report_batch(model: NicModel, direction: str) -> _CompiledOp | None:
+    """The transaction whose completion frees a direction's ring entries."""
+    reference = _compile_sequence(model, direction, _REFERENCE_PACKET)
+    notify = _find_notify(reference, _find_payload(reference))
+    return None if notify is None else reference[notify]
+
+
 class _Ring:
     """A descriptor ring: bounded entries, completion-batched reclamation.
 
@@ -1109,20 +1206,8 @@ class _Datapath:
         self._compiled: dict[int, list[_CompiledOp]] = {}
 
         reference = self._ops_for(_REFERENCE_PACKET)
-        self._payload_idx = self._find_payload(reference)
-        self._notify_idx = self._find_notify(reference, self._payload_idx)
-        if self._notify_idx is not None:
-            notify = reference[self._notify_idx]
-            if params.ring_depth < notify.per_packets:
-                # Entries free only when a completion report fires, and the
-                # report fires only after per_packets payloads complete: a
-                # shallower ring can never fill a batch and deadlocks.
-                raise ValidationError(
-                    f"ring_depth {params.ring_depth} is shallower than "
-                    f"the model's completion-report batch "
-                    f"({notify.label!r} every {notify.per_packets:g} "
-                    "packets); the datapath could never report a batch"
-                )
+        self._payload_idx = _find_payload(reference)
+        self._notify_idx = _find_notify(reference, self._payload_idx)
         # Fetch-side (gating) transactions start with a full credit so the
         # first packet of every batch issues the instance (prefetch);
         # completion-report (trailing) transactions start empty so the
@@ -1175,62 +1260,9 @@ class _Datapath:
     def _ops_for(self, size: int) -> list[_CompiledOp]:
         ops = self._compiled.get(size)
         if ops is None:
-            sequence = (
-                self._model.tx_sequence(size)
-                if self.direction == "tx"
-                else self._model.rx_sequence(size)
-            )
-            link = PAPER_DEFAULT_CONFIG.link
-            ops = []
-            for transaction in sequence.transactions:
-                wire = transaction.wire_bytes(PAPER_DEFAULT_CONFIG)
-                ops.append(
-                    _CompiledOp(
-                        kind=transaction.kind,
-                        per_packets=transaction.per_packets,
-                        size=transaction.size,
-                        up_ns=link.serialisation_time_ns(wire.device_to_host),
-                        down_ns=link.serialisation_time_ns(wire.host_to_device),
-                        label=transaction.label,
-                        dma=transaction.kind
-                        in (OpKind.DMA_READ, OpKind.DMA_WRITE),
-                    )
-                )
+            ops = _compile_sequence(self._model, self.direction, size)
             self._compiled[size] = ops
         return ops
-
-    @staticmethod
-    def _find_payload(reference: list[_CompiledOp]) -> int:
-        payload = None
-        payload_time = None
-        for index, op in enumerate(reference):
-            if op.per_packets != 1.0:
-                continue
-            if op.kind not in (OpKind.DMA_READ, OpKind.DMA_WRITE):
-                continue
-            # The payload is the per-packet DMA whose wire time scales with
-            # the reference packet, i.e. the largest per-packet DMA.
-            time = max(op.up_ns, op.down_ns)
-            if payload_time is None or time > payload_time:
-                payload_time = time
-                payload = index
-        if payload is None:
-            raise SimulationError(
-                "transaction sequence has no per-packet payload DMA"
-            )
-        return payload
-
-    @staticmethod
-    def _find_notify(reference: list[_CompiledOp], payload_idx: int) -> int | None:
-        trailing = range(payload_idx + 1, len(reference))
-        for index in trailing:
-            op = reference[index]
-            if op.kind is OpKind.DMA_WRITE and "interrupt" in op.label.lower():
-                return index
-        for index in trailing:
-            if reference[index].kind is OpKind.DMA_WRITE:
-                return index
-        return None
 
     # -- transaction issue ------------------------------------------------------
 

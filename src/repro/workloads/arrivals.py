@@ -22,6 +22,8 @@ class ArrivalProcess:
     """Interface: maps nominal per-packet gaps onto actual gaps."""
 
     name: str = "arrivals"
+    #: Fewest packets whose gaps the process can shape.
+    min_packets: int = 1
 
     def gaps(
         self, nominal_gaps_ns: np.ndarray, rng: np.random.Generator
@@ -95,17 +97,22 @@ class BurstyArrivals(ArrivalProcess):
     def name(self) -> str:  # type: ignore[override]
         return f"bursty-{self.burst_size}x{self.peak_factor:g}"
 
+    @property
+    def min_packets(self) -> int:  # type: ignore[override]
+        """Two bursts: one full burst and at least one packet of the next."""
+        return self.burst_size + 1
+
     def gaps(
         self, nominal_gaps_ns: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         nominal = np.asarray(nominal_gaps_ns, dtype=np.float64)
-        burst_starts = np.arange(0, nominal.size, self.burst_size)
-        if burst_starts.size < 2:
+        if nominal.size < self.min_packets:
             raise ValidationError(
                 f"bursty arrivals need at least two bursts; got "
                 f"{nominal.size} packets with burst_size {self.burst_size} "
                 "(increase the packet count or reduce burst_size)"
             )
+        burst_starts = np.arange(0, nominal.size, self.burst_size)
         gaps = nominal / self.peak_factor
         saved = nominal - gaps
         per_burst_saved = np.add.reduceat(saved, burst_starts)

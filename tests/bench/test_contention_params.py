@@ -88,6 +88,48 @@ class TestContentionParams:
                 seed=7,
             )
 
+    def test_mixed_cache_states_need_a_partition_or_the_faithful_cache(self):
+        # One aggregate statistical residency has one preparation state.
+        warm, cold = _pair().devices[0], _pair().devices[0].with_(
+            payload_cache_state="cold"
+        )
+        with pytest.raises(ValidationError, match="preparation state"):
+            ContentionParams(devices=(warm, cold))
+        for fields in (
+            {"ddio_partition": (1.0, 1.0)},
+            {"cache_model": "faithful"},
+        ):
+            params = ContentionParams(
+                devices=(warm.with_(packets=50), cold.with_(packets=50)),
+                **fields,
+            )
+            result = run_contention_benchmark(params)
+            assert len(result.devices) == 2
+
+    def test_faithful_partition_needs_a_ddio_way_per_device(self):
+        # Every Table 1 profile's faithful cache has 2 DDIO ways per set.
+        device = NicSimParams(model="dpdk", packets=50)
+        with pytest.raises(ValidationError, match="2 DDIO ways"):
+            ContentionParams(
+                devices=(device,) * 3,
+                cache_model="faithful",
+                ddio_partition=(1.0, 1.0, 1.0),
+            )
+        # Two partitioned devices, or three unpartitioned or statistical
+        # ones, are fine.
+        ContentionParams(
+            devices=(device,) * 3, ddio_partition=(1.0, 1.0, 1.0)
+        )
+        ContentionParams(devices=(device,) * 3, cache_model="faithful")
+        result = run_contention_benchmark(
+            ContentionParams(
+                devices=(device,) * 2,
+                cache_model="faithful",
+                ddio_partition=(1.0, 1.0),
+            )
+        )
+        assert len(result.devices) == 2
+
     def test_rejects_mismatched_names_and_weights(self):
         with pytest.raises(ValidationError):
             _pair(names=("only-one",))

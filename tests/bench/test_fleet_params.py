@@ -160,6 +160,19 @@ class TestFleetParams:
         with pytest.raises(ValidationError):
             FleetParams(tenant_skew=-1.0)
 
+    def test_victim_needs_two_measured_packets(self):
+        # A host reports its victim's streamed TX latency summary, which
+        # needs two packets past the streaming warm-up.
+        for packets in (1, 2):
+            with pytest.raises(ValidationError, match="streaming warm-up"):
+                FleetParams(victim_packets=packets)
+        result = run_fleet_benchmark(
+            FleetParams(
+                hosts=1, tenants=2, victim_packets=3, aggressor_packets=50
+            )
+        )
+        assert result.hosts[0].victim_latency.count == 2
+
     @pytest.mark.parametrize("bad", (math.nan, math.inf), ids=("nan", "inf"))
     def test_non_finite_load_and_skew_rejected(self, bad):
         with pytest.raises(ValidationError, match="finite and positive"):

@@ -153,6 +153,47 @@ class TestMultiQueueAndTagParams:
         assert result.tags.capacity == 16
 
 
+class TestRecordsThatConstructRun:
+    """Rules a run depends on are rules of the record."""
+
+    @pytest.mark.parametrize(
+        "model, batch", (("kernel", 16), ("dpdk", 8), ("simple", 1))
+    )
+    @pytest.mark.parametrize("duplex", (True, False), ids=("duplex", "tx-only"))
+    def test_ring_must_hold_one_completion_report_batch(
+        self, model, batch, duplex
+    ):
+        # Ring entries free only when a completion report fires, after a
+        # batch of payloads: a shallower ring could never report one.
+        if batch > 1:
+            with pytest.raises(ValidationError, match="completion-report batch"):
+                NicSimParams(
+                    model=model, ring_depth=batch - 1, duplex=duplex, packets=50
+                )
+        result = run_nicsim_benchmark(
+            NicSimParams(model=model, ring_depth=batch, duplex=duplex, packets=50)
+        )
+        assert result.tx.delivered_packets == 50
+
+    @pytest.mark.parametrize("workload", ("bursty", "bursty-imix"))
+    def test_bursty_traffic_needs_two_bursts(self, workload, monkeypatch):
+        from repro.workloads.arrivals import BurstyArrivals
+
+        with pytest.raises(ValidationError, match="at least 33 packets"):
+            NicSimParams(workload=workload, packets=32)
+        # The rule reads the arrival process; it draws no schedule.
+        def no_schedule(*_args, **_kwargs):
+            raise AssertionError("a record must not generate its schedule")
+
+        monkeypatch.setattr(BurstyArrivals, "gaps", no_schedule)
+        NicSimParams(workload=workload, packets=33)
+        monkeypatch.undo()
+        result = run_nicsim_benchmark(
+            NicSimParams(workload=workload, packets=33, offered_load_gbps=10.0)
+        )
+        assert result.tx.offered_packets == 33
+
+
 class TestHostCouplingParams:
     def test_host_fields_default_to_decoupled(self):
         params = NicSimParams(model="dpdk")

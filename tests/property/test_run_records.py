@@ -3,7 +3,7 @@
 ``NicSimParams`` describes a solo NIC run or one device of a contention
 run; ``ContentionParams`` describes a shared-host run.  They are what the
 CLI, the runner, perfbench and the goldens hand to the simulators, and
-``from_dict`` is how a record comes back from disk.  Three laws:
+``from_dict`` is how a record comes back from disk.  Four laws:
 
 * **exact round trip** — every record rebuilds from ``as_dict()`` (also
   through JSON) to an equal record with an equal dict;
@@ -14,7 +14,12 @@ CLI, the runner, perfbench and the goldens hand to the simulators, and
 * **the one-device contract** — a contention run of one device produces
   exactly the ``NicSimResult`` of that device's solo record
   (``params.solo_params(0)``), on every host profile, IOMMU setting and
-  arbiter.
+  arbiter;
+* **a record that constructs, runs** — every drawn record the
+  constructor accepts runs to the end, solo (host-coupled or not, on
+  either engine) or contended (every fabric knob, both cache models,
+  partitions and controllers).  The strategies draw the knobs freely and
+  discard what the constructor refuses; they copy none of its rules.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from repro.bench.contention import ContentionParams, run_contention_benchmark
 from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
@@ -94,8 +99,18 @@ CONTENTION_BAD = {
 }
 
 
+def _built(record_type, **fields):
+    """The record, or a discarded example when its constructor refuses it."""
+    try:
+        return record_type(**fields)
+    except ValidationError:
+        reject()
+
+
 @st.composite
-def device_records(draw, *, packets=st.integers(1, 10_000)) -> NicSimParams:
+def device_records(
+    draw, *, packets=st.integers(1, 10_000), windows=st.sampled_from(WINDOWS)
+) -> NicSimParams:
     """A contention device: every datapath knob, host half left empty."""
     num_queues = draw(st.integers(1, 4))
     table = (
@@ -104,7 +119,8 @@ def device_records(draw, *, packets=st.integers(1, 10_000)) -> NicSimParams:
         else st.none()
         | st.lists(st.integers(0, num_queues - 1), min_size=1, max_size=8)
     )
-    return NicSimParams(
+    return _built(
+        NicSimParams,
         model=draw(st.sampled_from(MODELS)),
         workload=draw(st.sampled_from(workload_names())),
         packet_size=draw(st.integers(64, 9000)),
@@ -112,10 +128,10 @@ def device_records(draw, *, packets=st.integers(1, 10_000)) -> NicSimParams:
             st.none() | st.integers(1, 60) | st.floats(0.5, 60.0)
         ),
         packets=draw(packets),
-        ring_depth=draw(st.integers(16, 1024)),
+        ring_depth=draw(st.integers(1, 1024)),
         duplex=draw(st.booleans()),
         rx_backpressure=draw(st.booleans()),
-        payload_window=draw(st.sampled_from(WINDOWS)),
+        payload_window=draw(windows),
         payload_cache_state=draw(st.sampled_from(CACHE_STATES)),
         num_queues=num_queues,
         dma_tags=draw(st.none() | st.integers(1, 64)),
@@ -127,9 +143,9 @@ def device_records(draw, *, packets=st.integers(1, 10_000)) -> NicSimParams:
 
 
 @st.composite
-def solo_records(draw) -> NicSimParams:
+def solo_records(draw, devices=device_records()) -> NicSimParams:
     """A solo run: a device record, host-coupled or not, either engine."""
-    device = draw(device_records())
+    device = draw(devices)
     mode = draw(st.sampled_from(("exact", "batch")))
     system = draw(st.none() | st.sampled_from(profile_names()))
     if system is None:
@@ -146,16 +162,23 @@ def solo_records(draw) -> NicSimParams:
     )
 
 
+#: Finite positive reals of the fabric knobs (weights, shares, quanta).
+POSITIVE = st.integers(1, 16) | st.floats(0.1, 16.0)
+
+
 @st.composite
-def contention_records(draw, *, devices=None) -> ContentionParams:
+def contention_records(
+    draw,
+    devices=st.lists(device_records(), min_size=1, max_size=4),
+    control_windows=POSITIVE,
+) -> ContentionParams:
     """A shared-host run over 1-4 devices with every fabric knob drawn."""
-    if devices is None:
-        devices = draw(st.lists(device_records(), min_size=1, max_size=4))
+    devices = draw(devices)
     count = len(devices)
     names = draw(st.none() | st.just(tuple(f"nic{i}" for i in range(count))))
     labels = names or tuple(f"dev{i}" for i in range(count))
     arbiter = draw(st.sampled_from(ARBITER_SCHEMES))
-    positive = st.integers(1, 16) | st.floats(0.1, 16.0)
+    positive = POSITIVE
     shares = st.lists(positive, min_size=count, max_size=count)
     # The tree puts the first device on the root port and the rest (or
     # a lone device) behind one switch.
@@ -170,7 +193,8 @@ def contention_records(draw, *, devices=None) -> ContentionParams:
         ),
     }[shape]
     controller = draw(st.sampled_from(("static", "threshold", "aimd")))
-    return ContentionParams(
+    return _built(
+        ContentionParams,
         devices=tuple(devices),
         names=names,
         system=draw(st.sampled_from(profile_names())),
@@ -184,7 +208,7 @@ def contention_records(draw, *, devices=None) -> ContentionParams:
         cache_model=draw(st.sampled_from(("statistical", "faithful"))),
         controller=controller,
         control_window_ns=(
-            None if controller == "static" else draw(st.none() | positive)
+            None if controller == "static" else draw(st.none() | control_windows)
         ),
         mode=draw(st.sampled_from(("exact", "batch"))),
         engine_profile=draw(st.booleans()),
@@ -239,8 +263,8 @@ def test_anything_but_a_mapping_is_rejected(bad):
 @st.composite
 def one_device_runs(draw) -> ContentionParams:
     """A one-device run: static control plane, shared statistical cache."""
-    device = draw(device_records(packets=st.integers(40, 400)))
-    params = draw(contention_records(devices=[device]))
+    device = device_records(packets=st.integers(40, 400))
+    params = draw(contention_records(devices=st.tuples(device)))
     return params.with_(
         ddio_partition=None,
         cache_model="statistical",
@@ -254,3 +278,34 @@ def one_device_runs(draw) -> ContentionParams:
 def test_one_device_run_equals_its_solo_record(params):
     solo = run_nicsim_benchmark(params.solo_params(0))
     assert run_contention_benchmark(params).devices[0].result == solo
+
+
+#: Run-sized devices: a few dozen packets (some below two bursts), and
+#: windows the faithful cache warms in milliseconds.
+RUN_DEVICES = device_records(
+    packets=st.integers(1, 60),
+    windows=st.sampled_from((4 * KIB, 256 * KIB, 4 * MIB)),
+)
+
+
+@given(record=solo_records(devices=RUN_DEVICES))
+@settings(max_examples=150, deadline=None)
+def test_a_solo_record_that_constructs_runs(record):
+    result = run_nicsim_benchmark(record)
+    assert result.tx.offered_packets == record.packets
+
+
+@given(
+    params=contention_records(
+        devices=st.lists(RUN_DEVICES, min_size=1, max_size=4),
+        # A control tick costs the same whatever the window, so sub-packet
+        # windows only make a run slow: draw 1-100 us ones.
+        control_windows=st.floats(1_000.0, 100_000.0),
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_a_contention_record_that_constructs_runs(params):
+    result = run_contention_benchmark(params)
+    assert [device.result.tx.offered_packets for device in result.devices] == [
+        device.packets for device in params.devices
+    ]

@@ -230,13 +230,10 @@ class TestValidation:
         with pytest.raises(ValidationError, match="one workload per device"):
             FabricSimulator(params, workloads=(workload,))
 
-    def test_shared_host_rejects_mixed_cache_states(self):
-        devices = [
-            _host_device(payload_cache_state="host_warm"),
-            _host_device(payload_cache_state="cold"),
-        ]
-        with pytest.raises(ValidationError):
-            SharedHost(devices, seed=1)
+    def test_record_rejects_mixed_cache_states(self):
+        devices = (_victim(10), _victim(10, payload_cache_state="cold"))
+        with pytest.raises(ValidationError, match="preparation state"):
+            ContentionParams(devices=devices)
 
     def test_shared_host_couplings_use_disjoint_regions(self):
         device = _host_device(
