@@ -4,7 +4,6 @@ from .ascii_plot import ascii_plot
 from .attribution import (
     attribute_spans,
     format_attribution_summary,
-    stage_totals,
 )
 from .contention import (
     device_slowdowns,
@@ -24,7 +23,6 @@ __all__ = [
     "ascii_plot",
     "attribute_spans",
     "format_attribution_summary",
-    "stage_totals",
     "device_slowdowns",
     "format_contention_summary",
     "format_control_summary",

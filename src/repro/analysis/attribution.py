@@ -121,23 +121,6 @@ def _stage_breakdown(
     }
 
 
-def stage_totals(
-    spans: Iterable[Span], *, device: str | None = None
-) -> dict[str, float]:
-    """Total recorded duration per stage label, optionally for one device.
-
-    Resource stages keep their full labels (``arb:walker@root``,
-    ``walker``, ``op:TX doorbell write`` ...), so callers can separate
-    per-hop arbitration waits from walker service time.
-    """
-    totals: dict[str, float] = {}
-    for span in spans:
-        if device is not None and span.device != device:
-            continue
-        totals[span.stage] = totals.get(span.stage, 0.0) + span.duration_ns
-    return totals
-
-
 def format_attribution_summary(
     records: Sequence[Mapping], *, title: str = "Latency attribution"
 ) -> str:

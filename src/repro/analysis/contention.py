@@ -95,68 +95,6 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator
 
 
-def format_topology_comparison(
-    records: Sequence[tuple[str, dict]],
-    solo: dict[str, dict],
-    *,
-    title: str | None = None,
-) -> str:
-    """Slowdown-vs-topology table over several contention records.
-
-    Args:
-        records: ``(scenario label, ContentionResult.as_dict())`` pairs —
-            typically the same device mix run under different fabric
-            shapes (flat, shared switch, own root port, partitioned,
-            sliced ...).
-        solo: per-device-name solo baselines
-            (``NicSimResult.as_dict()``), as for :func:`device_slowdowns`.
-
-    Returns:
-        One row per (scenario, device) with the fabric depth, the
-        device's slowdown factors, and the scenario's Jain fairness index
-        over p99 slowdowns — how much isolation each topology buys, in
-        one table.
-    """
-    if not records:
-        raise AnalysisError("no contention records to compare")
-    rows = []
-    for label, record in records:
-        slowdowns = device_slowdowns(record, solo)
-        if not slowdowns:
-            raise AnalysisError(
-                f"scenario {label!r} shares no device names with the solo "
-                "baselines"
-            )
-        fairness = jain_fairness_index(
-            [factors["p99"] for factors in slowdowns.values()]
-        )
-        depth = int(record.get("topology_depth", 1))
-        for index, (name, factors) in enumerate(slowdowns.items()):
-            rows.append(
-                [
-                    label if index == 0 else "",
-                    depth if index == 0 else "",
-                    name,
-                    factors["throughput"],
-                    factors["p99"],
-                    f"{fairness:.3f}" if index == 0 else "",
-                ]
-            )
-    return format_table(
-        [
-            "scenario",
-            "depth",
-            "device",
-            "throughput slowdown",
-            "p99 slowdown",
-            "Jain (p99)",
-        ],
-        rows,
-        title=title or "Slowdown vs solo across fabric topologies",
-        float_format="{:.2f}",
-    )
-
-
 def format_contention_summary(
     record: dict,
     *,

@@ -34,13 +34,12 @@ from .params import (
 )
 from .results import (
     BenchmarkResult,
-    filter_results,
     load_results_json,
     save_results_csv,
     save_results_json,
 )
 from .runner import BenchmarkRunner, contention_suite_params, full_suite_params
-from .stats import LatencyStats, cdf, fraction_within, histogram, percentile_ratio
+from .stats import LatencyStats, cdf, fraction_within, histogram
 
 __all__ = [
     "bw_rd",
@@ -73,7 +72,6 @@ __all__ = [
     "BenchmarkParams",
     "NumaPlacement",
     "BenchmarkResult",
-    "filter_results",
     "load_results_json",
     "save_results_csv",
     "save_results_json",
@@ -84,5 +82,4 @@ __all__ = [
     "cdf",
     "fraction_within",
     "histogram",
-    "percentile_ratio",
 ]

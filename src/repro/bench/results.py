@@ -13,7 +13,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -208,27 +208,3 @@ def save_results_csv(results: Sequence[BenchmarkResult], path: str | Path) -> No
         writer.writerows(rows)
 
 
-def filter_results(
-    results: Iterable[BenchmarkResult], **criteria: object
-) -> list[BenchmarkResult]:
-    """Select results whose parameters match all the given criteria.
-
-    Example::
-
-        filter_results(all_results, kind=BenchmarkKind.BW_RD, transfer_size=64)
-    """
-    selected = []
-    for result in results:
-        params_dict = result.params.as_dict()
-        match = True
-        for key, wanted in criteria.items():
-            if key not in params_dict:
-                raise ValidationError(f"unknown parameter {key!r} in filter")
-            actual = params_dict[key]
-            wanted_value = getattr(wanted, "value", wanted)
-            if actual != wanted_value and actual != wanted:
-                match = False
-                break
-        if match:
-            selected.append(result)
-    return selected

@@ -148,12 +148,6 @@ class BenchmarkRunner:
         """Run the same benchmark across a list of window sizes."""
         return self.run_all([base.with_(window_size=window) for window in windows])
 
-    def sweep_cache_state(
-        self, base: BenchmarkParams, states: Iterable[str] = ("cold", "host_warm")
-    ) -> list[BenchmarkResult]:
-        """Run the same benchmark for each cache preparation state."""
-        return self.run_all([base.with_(cache_state=state) for state in states])
-
     # -- persistence ---------------------------------------------------------------
 
     @staticmethod

@@ -123,14 +123,3 @@ def fraction_within(
     return inside / samples.size
 
 
-def percentile_ratio(
-    samples_ns: np.ndarray | list[float], upper: float, lower: float
-) -> float:
-    """Ratio between two percentiles (e.g. p99.9 / median for tail weight)."""
-    samples = np.asarray(samples_ns, dtype=np.float64)
-    if samples.size == 0:
-        raise AnalysisError("cannot compute percentiles over zero samples")
-    lower_value = float(np.percentile(samples, lower))
-    if lower_value == 0:
-        raise AnalysisError("lower percentile is zero; ratio undefined")
-    return float(np.percentile(samples, upper)) / lower_value

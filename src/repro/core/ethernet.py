@@ -69,30 +69,6 @@ class EthernetLink:
         """
         return 1e9 / self.packet_rate_pps(frame_size)
 
-    def required_inflight_dmas(
-        self, frame_size: int, dma_latency_ns: float, *, per_packet_dmas: int = 1
-    ) -> int:
-        """Minimum concurrent DMAs needed to hide ``dma_latency_ns`` at line rate.
-
-        Section 7 works this out for the NFP6000-HSW system: 560-666 ns to
-        move 128 B to the device against a 29.6 ns packet budget requires at
-        least 30 in-flight transactions, more once descriptor DMAs are
-        counted (``per_packet_dmas``).
-        """
-        if dma_latency_ns < 0:
-            raise ValidationError(
-                f"dma_latency_ns must be non-negative, got {dma_latency_ns}"
-            )
-        if per_packet_dmas <= 0:
-            raise ValidationError(
-                f"per_packet_dmas must be positive, got {per_packet_dmas}"
-            )
-        budget = self.inter_packet_time_ns(frame_size)
-        import math
-
-        return math.ceil(dma_latency_ns / budget) * per_packet_dmas
-
-
 #: Convenience instances for the link speeds discussed in the paper.
 ETHERNET_10G = EthernetLink(10.0)
 ETHERNET_25G = EthernetLink(25.0)

@@ -184,16 +184,3 @@ class LatencyModel:
             )
         return math.ceil(self.read_latency_ns(size) / inter_packet_time_ns)
 
-    def latency_sweep(
-        self, sizes: list[int], *, cache_hit: bool = False, kind: str = "read"
-    ) -> list[tuple[int, float]]:
-        """Latency curve over transfer sizes for ``"read"`` or ``"write_read"``."""
-        if kind == "read":
-            func = self.read_latency_ns
-        elif kind == "write_read":
-            func = self.write_read_latency_ns
-        else:
-            raise ValidationError(
-                f"kind must be 'read' or 'write_read', got {kind!r}"
-            )
-        return [(size, func(size, cache_hit=cache_hit)) for size in sizes]

@@ -209,17 +209,3 @@ class Iommu:
         """Zero the counters (between benchmark phases)."""
         self.stats = IommuStats()
 
-    def expected_miss_rate(self, window_pages: int) -> float:
-        """Analytical steady-state miss rate for uniform access over N pages.
-
-        With a fully associative LRU TLB of E entries and uniform random
-        page accesses over ``window_pages`` pages, the steady-state hit rate
-        is ``min(1, E / window_pages)``.
-        """
-        if window_pages <= 0:
-            raise ValidationError(
-                f"window_pages must be positive, got {window_pages}"
-            )
-        if not self.config.enabled:
-            return 0.0
-        return max(0.0, 1.0 - self.config.iotlb_entries / window_pages)

@@ -119,19 +119,7 @@ class SimRng:
             raise ValidationError(f"count must be non-negative, got {count}")
         return self.spawn(name).integers(0, upper, size=count, dtype=np.int64)
 
-    def gaussian(self, name: str, mean: float, sigma: float, count: int) -> np.ndarray:
-        """``count`` normal draws, truncated below at zero."""
-        draws = self.spawn(name).normal(mean, sigma, size=count)
-        return np.clip(draws, 0.0, None)
-
     def exponential(self, name: str, scale: float, count: int) -> np.ndarray:
         """``count`` exponential draws with the given scale (mean)."""
         return self.spawn(name).exponential(scale, size=count)
 
-    def bernoulli(self, name: str, probability: float, count: int) -> np.ndarray:
-        """``count`` boolean draws with the given success probability."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValidationError(
-                f"probability must be within [0, 1], got {probability}"
-            )
-        return self.spawn(name).random(count) < probability

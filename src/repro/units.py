@@ -96,33 +96,11 @@ def format_size(size: int) -> str:
     return f"{size}B"
 
 
-def cachelines_spanned(offset: int, size: int, line: int = CACHELINE_BYTES) -> int:
-    """Number of cache lines touched by an access of ``size`` bytes at ``offset``.
-
-    Used both by the host-buffer unit layout (Figure 3: a unit is offset plus
-    transfer size rounded up to the next cache line) and by the cache model.
-    """
-    if size < 0 or offset < 0:
-        raise ValidationError("offset and size must be non-negative")
-    if size == 0:
-        return 0
-    first = offset // line
-    last = (offset + size - 1) // line
-    return last - first + 1
-
-
 def align_up(value: int, alignment: int) -> int:
     """Round ``value`` up to the next multiple of ``alignment``."""
     if alignment <= 0:
         raise ValidationError(f"alignment must be positive, got {alignment}")
     return ((value + alignment - 1) // alignment) * alignment
-
-
-def align_down(value: int, alignment: int) -> int:
-    """Round ``value`` down to a multiple of ``alignment``."""
-    if alignment <= 0:
-        raise ValidationError(f"alignment must be positive, got {alignment}")
-    return (value // alignment) * alignment
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +112,9 @@ NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
 
-def ns_to_us(ns: float) -> float:
-    """Convert nanoseconds to microseconds."""
-    return ns / NS_PER_US
-
-
 def ns_to_s(ns: float) -> float:
     """Convert nanoseconds to seconds."""
     return ns / NS_PER_S
-
-
-def s_to_ns(seconds: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return seconds * NS_PER_S
 
 
 def format_ns(ns: float) -> str:
@@ -165,14 +133,6 @@ def format_ns(ns: float) -> str:
 # ---------------------------------------------------------------------------
 # Bandwidth
 # ---------------------------------------------------------------------------
-
-
-def gbps_to_bytes_per_ns(gbps: float) -> float:
-    """Convert a decimal Gb/s figure into bytes per nanosecond.
-
-    1 Gb/s = 1e9 bits/s = 0.125e9 bytes/s = 0.125 bytes/ns.
-    """
-    return gbps * 0.125
 
 
 def bytes_per_ns_to_gbps(bytes_per_ns: float) -> float:

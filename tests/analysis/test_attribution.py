@@ -7,7 +7,6 @@ import pytest
 from repro.analysis import (
     attribute_spans,
     format_attribution_summary,
-    stage_totals,
 )
 from repro.errors import AnalysisError
 from repro.obs import PACKET_STAGES, Span
@@ -70,16 +69,6 @@ def test_devices_sorted_and_tail_present() -> None:
     assert [record["device"] for record in records] == ["a", "b"]
     for record in records:
         assert set(record["tail_stages"]) == set(PACKET_STAGES)
-
-
-def test_stage_totals_filters_by_device() -> None:
-    spans = [
-        Span("a", "tx", -1, "walker", 0.0, 10.0),
-        Span("a", "tx", -1, "walker", 0.0, 5.0),
-        Span("b", "tx", -1, "walker", 0.0, 100.0),
-    ]
-    assert stage_totals(spans)["walker"] == pytest.approx(115.0)
-    assert stage_totals(spans, device="a")["walker"] == pytest.approx(15.0)
 
 
 def test_format_attribution_summary_renders_tables() -> None:

@@ -9,7 +9,6 @@ import pytest
 from repro.analysis.contention import (
     device_slowdowns,
     format_contention_summary,
-    format_topology_comparison,
     jain_fairness_index,
 )
 from repro.analysis.table import format_nicsim_summary
@@ -271,41 +270,3 @@ class TestNicsimSummaryEdgeCases:
     def test_empty_records_rejected(self):
         with pytest.raises(AnalysisError):
             format_nicsim_summary([])
-
-
-class TestFormatTopologyComparison:
-    def _solo(self) -> dict:
-        return {
-            "victim": _device_record("victim", p99=1000.0)["result"],
-            "aggressor": _device_record(
-                "aggressor", tx_gbps=30.0, rx_gbps=30.0, p99=1000.0
-            )["result"],
-        }
-
-    def test_renders_one_row_per_scenario_device_with_depth_and_jain(self):
-        flat = _contention_record()
-        tree = _contention_record(
-            devices=[
-                _device_record("victim", rx_gbps=5.0, p99=1100.0),
-                _device_record("aggressor", tx_gbps=30.0, rx_gbps=28.0),
-            ]
-        )
-        tree["topology"] = "victim=root,aggressor=sw0,sw0=root"
-        tree["topology_depth"] = 2
-        rendered = format_topology_comparison(
-            [("flat", flat), ("own root port", tree)], self._solo()
-        )
-        assert "scenario" in rendered and "depth" in rendered
-        assert "flat" in rendered and "own root port" in rendered
-        assert "Jain" in rendered
-        # Two scenarios x two devices = four data rows.
-        assert rendered.count("victim") == 2
-        assert rendered.count("aggressor") == 2
-
-    def test_rejects_empty_and_baseline_free_inputs(self):
-        with pytest.raises(AnalysisError):
-            format_topology_comparison([], self._solo())
-        with pytest.raises(AnalysisError):
-            format_topology_comparison(
-                [("flat", _contention_record())], {"nobody": {}}
-            )

@@ -100,12 +100,6 @@ class TestRunner:
         results = runner.sweep_window_size(base, [4 * KIB, 64 * KIB])
         assert [r.params.window_size for r in results] == [4 * KIB, 64 * KIB]
 
-    def test_sweep_cache_state(self):
-        runner = BenchmarkRunner()
-        base = BenchmarkParams(kind="LAT_RD", transfer_size=64, transactions=200)
-        results = runner.sweep_cache_state(base)
-        assert len(results) == 2
-
     def test_progress_callback_invoked(self):
         calls = []
         runner = BenchmarkRunner(progress=lambda i, n, p: calls.append((i, n)))

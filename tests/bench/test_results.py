@@ -11,7 +11,6 @@ from repro.bench.nicsim import NicSimParams
 from repro.bench.params import BenchmarkKind, BenchmarkParams
 from repro.bench.results import (
     BenchmarkResult,
-    filter_results,
     load_results_json,
     save_results_csv,
     save_results_json,
@@ -203,20 +202,3 @@ class TestMalformedRecords:
             ValidationError, match=f"malformed {record_type.__name__} record"
         ):
             record_type.from_dict(data)
-
-
-
-class TestFiltering:
-    def test_filter_by_kind_and_size(self):
-        results = [latency_result(64), latency_result(128), bandwidth_result(64)]
-        selected = filter_results(results, kind=BenchmarkKind.LAT_RD, transfer_size=64)
-        assert len(selected) == 1
-        assert selected[0].params.transfer_size == 64
-
-    def test_filter_accepts_string_values(self):
-        results = [latency_result(system="NFP6000-HSW")]
-        assert filter_results(results, system="NFP6000-HSW")
-
-    def test_filter_unknown_key_rejected(self):
-        with pytest.raises(ValidationError):
-            filter_results([latency_result()], flavour="vanilla")

@@ -8,7 +8,6 @@ from repro.bench.stats import (
     cdf,
     fraction_within,
     histogram,
-    percentile_ratio,
 )
 from repro.errors import AnalysisError
 
@@ -79,13 +78,3 @@ class TestHistogramAndFractions:
             fraction_within([1.0], 5.0, 1.0)
         with pytest.raises(AnalysisError):
             fraction_within([], 0.0, 1.0)
-
-    def test_percentile_ratio(self):
-        samples = np.arange(1, 101, dtype=float)
-        assert percentile_ratio(samples, 99, 50) == pytest.approx(
-            np.percentile(samples, 99) / np.percentile(samples, 50)
-        )
-
-    def test_percentile_ratio_rejects_zero_denominator(self):
-        with pytest.raises(AnalysisError):
-            percentile_ratio([0.0, 0.0, 1.0], 99, 10)

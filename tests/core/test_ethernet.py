@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.ethernet import (
-    ETHERNET_10G,
     ETHERNET_40G,
     ETHERNET_100G,
     EthernetLink,
@@ -49,31 +48,6 @@ class TestPacketRate:
     def test_inter_packet_time_inverse_of_rate(self):
         rate = ETHERNET_40G.packet_rate_pps(256)
         assert ETHERNET_40G.inter_packet_time_ns(256) == pytest.approx(1e9 / rate)
-
-
-class TestInflightDmas:
-    def test_paper_worked_example(self):
-        # ~900 ns of PCIe latency at 29.6 ns per packet -> at least 30 DMAs.
-        assert ETHERNET_40G.required_inflight_dmas(128, 900.0) >= 30
-
-    def test_descriptor_dmas_multiply(self):
-        single = ETHERNET_40G.required_inflight_dmas(128, 600.0)
-        double = ETHERNET_40G.required_inflight_dmas(128, 600.0, per_packet_dmas=2)
-        assert double == 2 * single
-
-    def test_zero_latency_needs_no_inflight(self):
-        assert ETHERNET_40G.required_inflight_dmas(128, 0.0) == 0
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValidationError):
-            ETHERNET_40G.required_inflight_dmas(128, -1.0)
-        with pytest.raises(ValidationError):
-            ETHERNET_40G.required_inflight_dmas(128, 100.0, per_packet_dmas=0)
-
-    def test_slower_link_needs_fewer_inflight(self):
-        assert ETHERNET_10G.required_inflight_dmas(128, 900.0) < (
-            ETHERNET_40G.required_inflight_dmas(128, 900.0)
-        )
 
 
 class TestValidation:

@@ -75,14 +75,6 @@ class TestDerivedQuantities:
         with pytest.raises(ValidationError):
             MODEL.inflight_dmas_for_line_rate(128, 0.0)
 
-    def test_latency_sweep_kinds(self):
-        sizes = [64, 256]
-        reads = MODEL.latency_sweep(sizes, kind="read")
-        wrrd = MODEL.latency_sweep(sizes, kind="write_read")
-        assert len(reads) == len(wrrd) == 2
-        with pytest.raises(ValidationError):
-            MODEL.latency_sweep(sizes, kind="bogus")
-
     def test_with_replaces_parameters(self):
         slower = MODEL.with_(host_read_ns=800.0)
         assert slower.read_latency_ns(64) > MODEL.read_latency_ns(64)

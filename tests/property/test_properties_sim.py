@@ -100,13 +100,6 @@ class TestIommuProperties:
         # The most recently touched page is always resident.
         assert iommu.translate(pages[-1] * 4096).hit
 
-    @given(window_pages=st.integers(min_value=1, max_value=100_000))
-    @settings(max_examples=200)
-    def test_expected_miss_rate_is_a_probability(self, window_pages):
-        iommu = Iommu(IommuConfig(enabled=True))
-        assert 0.0 <= iommu.expected_miss_rate(window_pages) <= 1.0
-
-
 class TestEngineProperties:
     @given(
         durations=st.lists(

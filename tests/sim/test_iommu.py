@@ -116,21 +116,3 @@ class TestIommuTranslate:
             Iommu(IommuConfig(enabled=True)).translate(-1)
 
 
-class TestExpectedMissRate:
-    def test_window_within_reach_has_no_misses(self):
-        iommu = Iommu(IommuConfig(enabled=True, iotlb_entries=64))
-        assert iommu.expected_miss_rate(64) == 0.0
-        assert iommu.expected_miss_rate(32) == 0.0
-
-    def test_miss_rate_grows_with_window(self):
-        iommu = Iommu(IommuConfig(enabled=True, iotlb_entries=64))
-        assert iommu.expected_miss_rate(128) == pytest.approx(0.5)
-        assert iommu.expected_miss_rate(640) == pytest.approx(0.9)
-
-    def test_disabled_iommu_has_zero_miss_rate(self):
-        iommu = Iommu(IommuConfig(enabled=False))
-        assert iommu.expected_miss_rate(10_000) == 0.0
-
-    def test_invalid_window(self):
-        with pytest.raises(ValidationError):
-            Iommu().expected_miss_rate(0)
