@@ -80,7 +80,9 @@ class FleetParams:
         system: Table 1 profile every host runs.
         arbiter: arbitration scheme at every host's fabric nodes.
         iommu_enabled: share each host's IOMMU between its devices.
-        victim_packets: packets per direction for each host's victim.
+        victim_packets: packets per direction for each host's victim;
+            enough to leave two measured TX packets past the streaming
+            warm-up (at least 3).
         aggressor_packets: packets per direction for each aggressor.
         rack_load_gbps: nominal aggressor load of the whole rack; host
             ``h`` offers ``rack_load_gbps * demand_share(h) *

@@ -176,11 +176,15 @@ class ContentionParams:
             positive; ``None`` keeps one shared residency over the
             aggregate working set.  With shares, a bulk neighbour can no
             longer evict a victim's payload window or descriptor rings.
+            Devices whose ``payload_cache_state`` differ need shares or
+            the faithful cache, since one statistical residency has one
+            preparation state.
         cache_model: ``"statistical"`` (default, the occupancy-probability
             model) or ``"faithful"`` — the line-accurate
             :class:`~repro.sim.cache.SetAssociativeCache`, warmed over
             each device's real address regions (per-owner DDIO *way*
-            budgets when combined with ``ddio_partition``; O(window
+            budgets when combined with ``ddio_partition``, so at most as
+            many partitioned devices as the profile has DDIO ways; O(window
             lines) to warm, so best with windows of a few MiB or less).
         controller: closed-loop control policy retuning the run's QoS
             knobs mid-run (``static`` — no control plane, the default —

@@ -166,8 +166,12 @@ class NicSimParams:
         workload: named traffic workload (see :mod:`repro.workloads`).
         packet_size: frame size for the fixed-size workload families.
         offered_load_gbps: offered load per direction; ``None`` saturates.
-        packets: packets simulated per direction.
-        ring_depth: descriptor ring depth per direction.
+        packets: packets simulated per direction; at least the
+            workload's arrival process needs (two bursts for ``bursty``
+            and ``bursty-imix``).
+        ring_depth: descriptor ring depth per direction; at least the
+            model's completion-report batch (16 for the kernel driver, 8
+            for DPDK), since entries free only when a report fires.
         duplex: full-duplex (TX and RX) or TX-only traffic.
         rx_backpressure: stall instead of dropping when the RX ring fills.
         system: Table 1 host profile to couple the datapath to; ``None``
@@ -881,7 +885,8 @@ def _compile_sequence(
 
 
 def _find_payload(reference: list[_CompiledOp]) -> int:
-    """Index of the payload DMA: the largest per-packet DMA by wire time."""
+    """Index of the payload DMA: the per-packet DMA whose wire time scales
+    with the reference packet, i.e. the largest per-packet DMA."""
     payload = None
     payload_time = None
     for index, op in enumerate(reference):
@@ -889,8 +894,6 @@ def _find_payload(reference: list[_CompiledOp]) -> int:
             continue
         if op.kind not in (OpKind.DMA_READ, OpKind.DMA_WRITE):
             continue
-        # The payload is the per-packet DMA whose wire time scales with
-        # the reference packet, i.e. the largest per-packet DMA.
         time = max(op.up_ns, op.down_ns)
         if payload_time is None or time > payload_time:
             payload_time = time
@@ -916,6 +919,8 @@ def _find_notify(reference: list[_CompiledOp], payload_idx: int) -> int | None:
     return None
 
 
+# Records name one of the registered models, so the cache holds at most
+# one entry per model and direction.
 @cache
 def _report_batch(model: NicModel, direction: str) -> _CompiledOp | None:
     """The transaction whose completion frees a direction's ring entries."""
