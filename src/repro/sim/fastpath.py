@@ -4,9 +4,9 @@ A :class:`~repro.sim.nicsim.NicSimParams` record with ``mode="batch"``
 (``--mode batch`` on the CLI) makes
 :meth:`~repro.sim.nicsim.NicDatapathSimulator.run` escape per-event
 interpreter dispatch through :func:`run_batch`, which reads everything
-it solves from the simulator's record.  When a run has no interaction points (no
-host coupling, no bounded DMA tag pool, a single queue pair, and
-descriptor rings that never fill), every transaction instance of the
+it solves from the simulator's record.  When a run has no interaction
+points (no host coupling, no bounded DMA tag pool, a single queue pair,
+and descriptor rings that never fill), every transaction instance of the
 whole run can be laid out as numpy columns and the two link directions
 solved by waveform relaxation: each sweep computes every instance's
 *request* time from the previous sweep's link schedule, re-serves each

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.units import (
+    CACHELINE_BYTES,
     GIB,
     KIB,
     MIB,
@@ -58,6 +59,11 @@ class TestFormatSize:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             format_size(-1)
+
+
+class TestCachelines:
+    def test_default_line_is_64(self):
+        assert CACHELINE_BYTES == 64
 
 
 class TestAlignment:
