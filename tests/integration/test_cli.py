@@ -159,6 +159,45 @@ class TestCommands:
         assert "events/s" in captured.err
         assert "build" in captured.err and "stats" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["nicsim", "--model", "kernel", "--ring-depth", "8", "--packets", "50"],
+            [
+                "contend",
+                "--device", "model=dpdk,packets=50",
+                "--device", "model=dpdk,packets=50,cache=cold",
+            ],
+            ["nicsim", "--workload", "bursty", "--packets", "32"],
+            [
+                "contend",
+                *["--device", "model=dpdk,packets=50"] * 3,
+                "--cache-model", "faithful",
+                "--ddio-partition", "equal",
+            ],
+            [
+                "fleet", "--hosts", "1", "--tenants", "2",
+                "--victim-packets", "2", "--aggressor-packets", "50",
+            ],
+        ),
+        ids=(
+            "shallow-ring",
+            "mixed-cache-states",
+            "one-burst",
+            "ddio-ways",
+            "fleet-victim",
+        ),
+    )
+    def test_record_that_cannot_run_is_refused_before_its_label(
+        self, capsys, argv
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        # The label would come first on stderr: the record was refused
+        # before any run was announced.
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_suite_rejects_zero_and_negative_jobs(self, capsys):
         # --jobs 0 used to slip past the flag layer and fail deep inside
         # the runner; the CLI now rejects it as a usage error up front.
@@ -407,45 +446,6 @@ class TestContendCommand:
         code = main(["contend", *flags])
         assert code == 1
         assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "argv",
-        (
-            ["nicsim", "--model", "kernel", "--ring-depth", "8", "--packets", "50"],
-            [
-                "contend",
-                "--device", "model=dpdk,packets=50",
-                "--device", "model=dpdk,packets=50,cache=cold",
-            ],
-            ["nicsim", "--workload", "bursty", "--packets", "32"],
-            [
-                "contend",
-                *["--device", "model=dpdk,packets=50"] * 3,
-                "--cache-model", "faithful",
-                "--ddio-partition", "equal",
-            ],
-            [
-                "fleet", "--hosts", "1", "--tenants", "2",
-                "--victim-packets", "2", "--aggressor-packets", "50",
-            ],
-        ),
-        ids=(
-            "shallow-ring",
-            "mixed-cache-states",
-            "one-burst",
-            "ddio-ways",
-            "fleet-victim",
-        ),
-    )
-    def test_record_that_cannot_run_is_refused_before_its_label(
-        self, capsys, argv
-    ):
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        # The label would come first on stderr: the record was refused
-        # before any run was announced.
-        assert captured.err.startswith("error: ")
-        assert captured.out == ""
 
     def test_contend_rejects_unknown_controller(self):
         with pytest.raises(SystemExit):
