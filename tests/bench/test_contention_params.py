@@ -20,6 +20,8 @@ from repro.bench.runner import (
 from repro.bench.results import load_results_json
 from repro.errors import BenchmarkError, ValidationError
 from repro.sim.fabric import ContentionResult
+from repro.sim.host import HostSystem
+from repro.sim.profiles import profile_names
 from repro.units import KIB, MIB
 
 
@@ -129,6 +131,32 @@ class TestContentionParams:
             )
         )
         assert len(result.devices) == 2
+
+    @pytest.mark.parametrize("system", profile_names())
+    def test_partition_rule_agrees_with_the_profiles_faithful_cache(
+        self, system
+    ):
+        # The record refuses exactly the device counts whose DDIO ways the
+        # run's line-accurate cache for this profile could not split.
+        cache = HostSystem.from_profile(
+            system, cache_model="faithful"
+        ).root_complex.cache
+        device = NicSimParams(model="dpdk", packets=50)
+
+        def partitioned(count: int) -> ContentionParams:
+            return ContentionParams(
+                devices=(device,) * count,
+                system=system,
+                cache_model="faithful",
+                ddio_partition=(1.0,) * count,
+            )
+
+        partitioned(cache.ddio_ways)
+        cache.partition_ddio((1.0,) * cache.ddio_ways, lambda line: 0)
+        with pytest.raises(ValidationError, match="DDIO ways"):
+            partitioned(cache.ddio_ways + 1)
+        with pytest.raises(ValidationError, match="DDIO ways"):
+            cache.partition_ddio((1.0,) * (cache.ddio_ways + 1), lambda line: 0)
 
     def test_rejects_mismatched_names_and_weights(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 """Tests for the IOMMU / IOTLB model."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ValidationError
@@ -116,3 +117,41 @@ class TestIommuTranslate:
             Iommu(IommuConfig(enabled=True)).translate(-1)
 
 
+class TestExpectedMissRate:
+    """Steady-state IOTLB miss rate under uniform random page accesses.
+
+    A fully associative LRU IOTLB of ``E`` entries, touched uniformly at
+    random over ``N`` pages, always holds ``min(E, N)`` of them, so a
+    translation misses with probability ``max(0, 1 - E / N)``.
+    """
+
+    ENTRIES = 64
+
+    def _steady_miss_rate(self, iommu, window_pages, accesses=20_000):
+        for page in range(window_pages):  # fill the IOTLB first
+            iommu.translate(page * 4 * KIB)
+        iommu.reset_stats()
+        draws = np.random.default_rng(11).integers(0, window_pages, accesses)
+        for page in draws:
+            iommu.translate(int(page) * 4 * KIB)
+        return iommu.stats.miss_rate
+
+    def _iommu(self, enabled=True):
+        return Iommu(IommuConfig(enabled=enabled, iotlb_entries=self.ENTRIES))
+
+    def test_window_within_reach_has_no_misses(self):
+        assert self._steady_miss_rate(self._iommu(), 64) == 0.0
+        assert self._steady_miss_rate(self._iommu(), 32) == 0.0
+
+    def test_miss_rate_grows_with_window(self):
+        assert self._steady_miss_rate(self._iommu(), 128) == pytest.approx(
+            0.5, abs=0.02
+        )
+        assert self._steady_miss_rate(self._iommu(), 640) == pytest.approx(
+            0.9, abs=0.02
+        )
+
+    def test_disabled_iommu_has_zero_miss_rate(self):
+        iommu = self._iommu(enabled=False)
+        assert self._steady_miss_rate(iommu, 10_000, accesses=1_000) == 0.0
+        assert iommu.stats.translations == 0

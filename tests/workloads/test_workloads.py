@@ -115,6 +115,21 @@ class TestArrivalProcesses:
         with pytest.raises(ValidationError):
             workload.generate(32, SimRng(1))
 
+    @pytest.mark.parametrize("name", workload_names())
+    def test_min_packets_is_the_shortest_schedule(self, name):
+        # NicSimParams refuses short runs from min_packets alone, without
+        # generating a schedule, so it must be exactly what generate takes.
+        workload = build_workload(name, size=512, load_gbps=5.0)
+        fewest = workload.arrivals.min_packets
+        schedule = workload.generate(fewest, SimRng(1))
+        assert schedule.count == fewest
+        if fewest > 1:
+            # The shortest schedule already idles between bursts, so it
+            # realises the offered load rather than the burst peak.
+            assert schedule.offered_load_gbps() == pytest.approx(5.0, rel=0.1)
+            with pytest.raises(ValidationError, match="two bursts"):
+                workload.generate(fewest - 1, SimRng(1))
+
     def test_bursty_validation(self):
         with pytest.raises(ValidationError):
             BurstyArrivals(burst_size=1)
