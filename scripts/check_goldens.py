@@ -161,7 +161,8 @@ def experiment_record(result) -> dict:
         "checks": [
             {
                 "description": check.description,
-                "passed": check.passed,
+                # A check comparing numpy scalars passes a numpy.bool_.
+                "passed": bool(check.passed),
                 "detail": check.detail,
             }
             for check in result.checks
@@ -192,6 +193,7 @@ CHECKERS = {
     "microbench_seeded.json": microbench_record,
     "experiments_solo_seeded.json": experiments_record,
     "experiments_contention_seeded.json": experiments_record,
+    "experiments_micro_seeded.json": experiments_record,
 }
 
 

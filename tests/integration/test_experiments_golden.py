@@ -1,5 +1,9 @@
-"""Bit-exact goldens for the quick NIC datapath and contention experiments.
+"""Bit-exact goldens for every quick experiment.
 
+``experiments_micro_seeded.json`` holds the quick ``figure-1``,
+``figure-2``, ``figure-4`` to ``figure-9``, ``table-1`` and ``table-2``
+results: the analytic models and the micro-benchmark sweeps over both
+cache models, the IOMMU, NUMA and every host profile.
 ``experiments_solo_seeded.json`` holds the quick ``figure-1-sim``,
 ``figure-7-9-sim``, ``figure-8-sim`` and ``figure-8-knee`` results, which
 drive single-device NIC datapath runs (decoupled and host-coupled,
@@ -37,7 +41,7 @@ def _record(result) -> dict:
         "checks": [
             {
                 "description": check.description,
-                "passed": check.passed,
+                "passed": bool(check.passed),
                 "detail": check.detail,
             }
             for check in result.checks
@@ -50,6 +54,7 @@ def _canonical(record: object) -> str:
     return json.dumps(record, sort_keys=True)
 
 
+MICRO_RECORD = json.loads((GOLDEN_DIR / "experiments_micro_seeded.json").read_text())
 GOLDEN_RECORD = json.loads((GOLDEN_DIR / "experiments_solo_seeded.json").read_text())
 CONTENTION_RECORD = json.loads(
     (GOLDEN_DIR / "experiments_contention_seeded.json").read_text()
@@ -60,7 +65,7 @@ CONTENTION_RECORD = json.loads(
     "golden, experiment_id",
     [
         pytest.param(golden, experiment_id, id=experiment_id)
-        for golden in (GOLDEN_RECORD, CONTENTION_RECORD)
+        for golden in (MICRO_RECORD, GOLDEN_RECORD, CONTENTION_RECORD)
         for experiment_id in golden["experiments"]
     ],
 )
@@ -73,13 +78,25 @@ def _covers_and_all_pass(golden: dict, experiments: list[str]) -> None:
     assert golden["quick"] is True
     assert golden["experiments"] == experiments
     for record in golden["result"].values():
-        # Most contention experiments report a table and no plotted series.
-        assert record["table_rows"] and record["checks"]
+        assert (record["series"] or record["table_rows"]) and record["checks"]
         assert all(check["passed"] for check in record["checks"])
 
 
+def test_golden_covers_the_micro_experiments_and_all_pass():
+    _covers_and_all_pass(
+        MICRO_RECORD,
+        [
+            "figure-1", "figure-2", "figure-4", "figure-5", "figure-6",
+            "figure-7", "figure-8", "figure-9", "table-1", "table-2",
+        ],
+    )
+
+
 def test_golden_covers_the_solo_experiments_and_all_pass():
-    assert all(record["series"] for record in GOLDEN_RECORD["result"].values())
+    assert all(
+        record["series"] and record["table_rows"]
+        for record in GOLDEN_RECORD["result"].values()
+    )
     _covers_and_all_pass(
         GOLDEN_RECORD,
         ["figure-1-sim", "figure-7-9-sim", "figure-8-sim", "figure-8-knee"],
@@ -87,6 +104,8 @@ def test_golden_covers_the_solo_experiments_and_all_pass():
 
 
 def test_golden_covers_the_contention_experiments_and_all_pass():
+    # Most contention experiments report a table and no plotted series.
+    assert all(record["table_rows"] for record in CONTENTION_RECORD["result"].values())
     _covers_and_all_pass(
         CONTENTION_RECORD,
         [

@@ -26,7 +26,7 @@ def checker():
 def test_every_golden_file_has_a_checker(checker):
     listing = sorted(path.name for path in checker.GOLDEN_DIR.iterdir())
     assert sorted(checker.CHECKERS) == listing
-    assert len(listing) == 11
+    assert len(listing) == 12
 
 
 def test_an_unchecked_golden_fails_the_check(checker, monkeypatch, tmp_path, capsys):
