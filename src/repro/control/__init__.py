@@ -13,7 +13,7 @@ The package splits along the classic control-loop seams:
 """
 
 from .actions import ACTUATOR_KINDS, ControlAction
-from .observations import DeviceWindow, QueueWindow
+from .observations import DeviceWindow
 from .policies import (
     CONTROL_POLICIES,
     AimdController,
@@ -43,7 +43,6 @@ __all__ = [
     "ControlRuntime",
     "Controller",
     "DeviceWindow",
-    "QueueWindow",
     "RssSteering",
     "StaticController",
     "ThresholdController",

@@ -1,53 +1,30 @@
 """What the control plane sees each window: per-device telemetry deltas.
 
 A controller never reads simulator internals directly — each tick the
-:class:`~repro.control.runtime.ControlRuntime` freezes one
-:class:`~repro.stats.WindowedStats` window per TX queue and packages the
-result (plus instantaneous ring fill, the window's descriptor-cache hit
-rate and the window's arbitration-wait delta) into immutable
-:class:`DeviceWindow` records.  Policies decide from these alone, which
-keeps them unit-testable with hand-built observations.
+:class:`~repro.control.runtime.ControlRuntime` sums the window's TX
+deliveries (one packet count and one latency sum per queue) and packages
+them, with the window's descriptor-cache hit rate, arbitration wait and
+busy deltas and RSS bucket counts, into immutable :class:`DeviceWindow`
+records.  Policies decide from these alone, which keeps them
+unit-testable with hand-built observations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..stats import QuantileSketch, StreamingMoments, WindowSnapshot
-
-
-@dataclass(frozen=True)
-class QueueWindow:
-    """One TX queue's latency window plus its instantaneous ring state."""
-
-    queue_index: int
-    snapshot: WindowSnapshot
-    ring_fill: float
-
-    @property
-    def count(self) -> int:
-        return self.snapshot.count
-
-    @property
-    def p99_ns(self) -> float | None:
-        """The window's p99 latency (``None`` for an empty window)."""
-        if self.snapshot.count == 0:
-            return None
-        return self.snapshot.quantile(0.99)
-
 
 @dataclass(frozen=True)
 class DeviceWindow:
-    """One device's merged observation window.
+    """One device's observation window.
 
     Attributes:
         device / index: the device's name and fabric index.
         window_index: which tick produced this window (0-based).
-        queues: per-TX-queue windows, in queue order.
-        sketch / moments: the queue windows merged in queue order.
-        ring_fill: the fullest TX ring's occupancy fraction at the tick —
-            ~1.0 flags a saturating bulk source, low values a paced
-            latency-sensitive one.
+        num_queues: the device's TX queue count.
+        count: packets delivered (TX) this window, over every queue.
+        latency_sum_ns: those packets' summed latencies — each queue's
+            sum in delivery order, the queues added in queue order.
         descriptor_hit_rate: descriptor-cache hit fraction over this
             window's accesses (``None`` if the window saw none).
         wait_ns_delta: arbitration wait accumulated this window across
@@ -67,33 +44,15 @@ class DeviceWindow:
     device: str
     index: int
     window_index: int
-    queues: tuple[QueueWindow, ...]
-    sketch: QuantileSketch
-    moments: StreamingMoments
-    ring_fill: float
+    num_queues: int
+    count: int
+    latency_sum_ns: float
     descriptor_hit_rate: float | None
     wait_ns_delta: float
     busy_ns_delta: float = 0.0
     window_ns: float = 0.0
     bucket_counts: tuple[int, ...] | None = None
     rss_table: tuple[int, ...] | None = None
-
-    @property
-    def count(self) -> int:
-        """Packets delivered (TX) this window."""
-        return self.sketch.count
-
-    @property
-    def p99_ns(self) -> float | None:
-        if self.sketch.count == 0:
-            return None
-        return self.sketch.quantile(0.99)
-
-    @property
-    def mean_ns(self) -> float | None:
-        if self.sketch.count == 0:
-            return None
-        return self.sketch.mean
 
     @property
     def fabric_share(self) -> float:
@@ -109,9 +68,9 @@ class DeviceWindow:
         """Arbitration wait per delivered packet over the window's mean
         latency — the fraction of a packet's life spent waiting for the
         fabric, the wait-dominance signal the weight policies act on."""
-        if self.sketch.count == 0:
+        if self.count == 0:
             return 0.0
-        mean = self.sketch.mean
+        mean = self.latency_sum_ns / self.count
         if mean <= 0.0:
             return 0.0
-        return (self.wait_ns_delta / self.sketch.count) / mean
+        return (self.wait_ns_delta / self.count) / mean

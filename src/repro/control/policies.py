@@ -130,7 +130,7 @@ class _ReactiveBase(Controller):
         """Per-queue packet loads from the window's bucket counts."""
         if device.bucket_counts is None or device.rss_table is None:
             return None
-        loads = [0] * len(device.queues)
+        loads = [0] * device.num_queues
         for bucket, count in enumerate(device.bucket_counts):
             loads[device.rss_table[bucket]] += count
         return loads, sum(loads)
@@ -175,7 +175,7 @@ class _ReactiveBase(Controller):
         table = list(device.rss_table)
         counts = device.bucket_counts
         loads, _ = self._queue_loads(device)
-        cool = [q for q in range(len(device.queues)) if q != hot_queue]
+        cool = [q for q in range(device.num_queues) if q != hot_queue]
         for bucket in sorted(movable, key=lambda b: (-counts[b], b)):
             target = min(cool, key=lambda q: (loads[q], q))
             table[bucket] = target

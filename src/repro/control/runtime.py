@@ -1,13 +1,14 @@
 """The controller runtime: window ticks inside the shared event loop.
 
 :class:`ControlRuntime` is the glue between a policy and a live fabric
-run.  The fabric simulator registers each device's TX datapaths (whose
-per-packet latencies feed per-queue :class:`~repro.stats.WindowedStats`
-observers), the live RSS steering dispatchers, the arbitration trees and
-the shared host — then calls :meth:`start`.  From that point the runtime
-ticks itself every ``window_ns`` of *simulation* time: freeze the
-window, hand the policy immutable :class:`~repro.control.observations.
-DeviceWindow` records, and let it drive the three actuators.
+run.  The fabric simulator registers each device's TX datapaths (each
+delivered packet adds one to its queue's window count and its latency to
+the queue's window sum), the live RSS steering dispatchers, the
+arbitration trees and the shared host — then calls :meth:`start`.  From
+that point the runtime ticks itself every ``window_ns`` of *simulation*
+time: sum the queues' windows in queue order and reset them, hand the
+policy immutable :class:`~repro.control.observations.DeviceWindow`
+records, and let it drive the three actuators.
 
 The tick self-reschedules only while the event loop still has work
 (``loop.peek_time() < inf``), so a drained run ends exactly when the
@@ -28,14 +29,13 @@ import math
 from typing import Callable, Sequence
 
 from ..errors import ValidationError
-from ..stats import QuantileSketch, StreamingMoments, WindowedStats
 from .actions import ControlAction
-from .observations import DeviceWindow, QueueWindow
+from .observations import DeviceWindow
 from .policies import Controller
 
 #: Default controller window: 50 µs of simulation time, a few thousand
-#: packets at the contention scenarios' loads — enough for stable window
-#: percentiles, short enough for several corrective rounds per run.
+#: packets at the contention scenarios' loads — enough for a stable window
+#: mean, short enough for several corrective rounds per run.
 DEFAULT_CONTROL_WINDOW_NS = 50_000.0
 
 #: Indirection-table buckets per queue for the live steering table (the
@@ -106,25 +106,37 @@ class RssSteering:
         self.table[:] = entries
 
 
+class _QueueTally:
+    """One TX queue's deliveries in the open window: count and latency sum."""
+
+    __slots__ = ("count", "latency_sum_ns")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.latency_sum_ns = 0.0
+
+    def record(self, latency_ns: float) -> None:
+        self.count += 1
+        self.latency_sum_ns += latency_ns
+
+
 class _DeviceState:
     """Everything the runtime tracks for one registered device."""
 
     __slots__ = (
         "name",
         "index",
-        "windowed",
-        "rings",
+        "tallies",
         "steerings",
         "coupling",
         "last_descriptor",
         "last_port",
     )
 
-    def __init__(self, name, index, windowed, rings, steerings, coupling):
+    def __init__(self, name, index, tallies, steerings, coupling):
         self.name = name
         self.index = index
-        self.windowed = windowed            # one WindowedStats per TX queue
-        self.rings = rings                  # one _Ring per TX queue
+        self.tallies = tallies              # one _QueueTally per TX queue
         self.steerings = steerings          # RssSteering per direction (tx first)
         self.coupling = coupling
         self.last_descriptor = (0, 0)       # (accesses, hits) at last tick
@@ -156,12 +168,6 @@ class Actuators:
         return self._runtime._apply_weights(weights, device, reason)
 
     # -- rss -------------------------------------------------------------------
-
-    def rss_table(self, device_index: int) -> tuple[int, ...] | None:
-        state = self._runtime._devices[device_index]
-        if not state.steerings:
-            return None
-        return tuple(state.steerings[0].table)
 
     def set_rss_table(
         self, device_index: int, table: Sequence[int], *, reason: str
@@ -225,18 +231,11 @@ class ControlRuntime:
                 f"devices must be registered in index order, expected "
                 f"{len(self._devices)}, got {index}"
             )
-        windowed = [WindowedStats() for _ in tx_queues]
-        for path, stats in zip(tx_queues, windowed):
-            path.observer = stats.record
+        tallies = [_QueueTally() for _ in tx_queues]
+        for path, tally in zip(tx_queues, tallies):
+            path.observer = tally.record
         self._devices.append(
-            _DeviceState(
-                name,
-                index,
-                windowed,
-                [path.ring for path in tx_queues],
-                list(steerings),
-                coupling,
-            )
+            _DeviceState(name, index, tallies, list(steerings), coupling)
         )
 
     def bind_weights(
@@ -353,26 +352,11 @@ class ControlRuntime:
     def _observe(self, now: float) -> list[DeviceWindow]:
         observations = []
         for state in self._devices:
-            queues = []
-            merged_sketch = QuantileSketch()
-            merged_moments = StreamingMoments()
-            ring_fill = 0.0
-            for queue_index, (stats, ring) in enumerate(
-                zip(state.windowed, state.rings)
-            ):
-                snapshot = stats.snapshot()
-                fill = ring.occupancy / ring.depth
-                if fill > ring_fill:
-                    ring_fill = fill
-                queues.append(
-                    QueueWindow(
-                        queue_index=queue_index,
-                        snapshot=snapshot,
-                        ring_fill=fill,
-                    )
-                )
-                merged_sketch.merge(snapshot.sketch)
-                merged_moments.merge(snapshot.moments)
+            count, latency_sum_ns = 0, 0.0
+            for tally in state.tallies:
+                count += tally.count
+                latency_sum_ns += tally.latency_sum_ns
+                tally.count, tally.latency_sum_ns = 0, 0.0
             accesses, hits = state.coupling.descriptor_counters()
             last_accesses, last_hits = state.last_descriptor
             state.last_descriptor = (accesses, hits)
@@ -399,10 +383,9 @@ class ControlRuntime:
                     device=state.name,
                     index=state.index,
                     window_index=self.windows_ticked,
-                    queues=tuple(queues),
-                    sketch=merged_sketch,
-                    moments=merged_moments,
-                    ring_fill=ring_fill,
+                    num_queues=len(state.tallies),
+                    count=count,
+                    latency_sum_ns=latency_sum_ns,
                     descriptor_hit_rate=hit_rate,
                     wait_ns_delta=wait_delta,
                     busy_ns_delta=busy_delta,

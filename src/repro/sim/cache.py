@@ -200,7 +200,6 @@ class SetAssociativeCache:
         self._ddio_lines: list[list[set[int]]] = [
             [set()] for _ in range(self.sets)
         ]
-        self.stats = CacheStats()
 
     @property
     def ddio_bytes(self) -> int:
@@ -258,9 +257,7 @@ class SetAssociativeCache:
         cache_set = self._sets[index]
         if line_address in cache_set:
             cache_set.move_to_end(line_address)
-            self.stats.read_hits += 1
             return CacheAccessResult(hit=True)
-        self.stats.read_misses += 1
         return CacheAccessResult(hit=False)
 
     def write(self, line_address: int) -> CacheAccessResult:
@@ -270,7 +267,6 @@ class SetAssociativeCache:
         if line_address in cache_set:
             cache_set[line_address] = True
             cache_set.move_to_end(line_address)
-            self.stats.write_hits += 1
             return CacheAccessResult(hit=True)
 
         part = self._owner(line_address)
@@ -288,9 +284,6 @@ class SetAssociativeCache:
         cache_set[line_address] = True
         ddio_lines.add(line_address)
         self._evict_overflow(index)
-        self.stats.write_misses += 1
-        if writeback:
-            self.stats.writebacks += 1
         return CacheAccessResult(hit=False, writeback_required=bool(writeback), allocated=True)
 
     # -- host-side priming ----------------------------------------------------------
@@ -331,10 +324,8 @@ class SetAssociativeCache:
     def _evict_overflow(self, index: int) -> None:
         cache_set = self._sets[index]
         while len(cache_set) > self.ways:
-            victim, dirty = cache_set.popitem(last=False)
+            victim, _ = cache_set.popitem(last=False)
             self._ddio_lines[index][self._owner(victim)].discard(victim)
-            if dirty:
-                self.stats.writebacks += 1
 
     def resident(self, line_address: int) -> bool:
         """Whether a line is currently cached (test/inspection helper)."""
@@ -343,23 +334,6 @@ class SetAssociativeCache:
     def occupancy(self) -> int:
         """Number of resident lines."""
         return sum(len(cache_set) for cache_set in self._sets)
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters kept by the faithful cache model."""
-
-    read_hits: int = 0
-    read_misses: int = 0
-    write_hits: int = 0
-    write_misses: int = 0
-    writebacks: int = 0
-
-    @property
-    def read_hit_rate(self) -> float:
-        """Fraction of device reads served by the cache."""
-        total = self.read_hits + self.read_misses
-        return self.read_hits / total if total else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +389,12 @@ class StatisticalCache:
         # (a host that rebuilds its cache model hands the rebuilt one the
         # same shared iterator), so the values are the scalar draws'.
         self._uniforms = self._rng.uniforms("cache.statistical")
-        self._window_lines = 0
         self._resident_fraction = 0.0
         self._writeback_probability = 0.0
         self._partition_shares: tuple[float, ...] | None = None
         self._partition_of: Callable[[int], int] | None = None
         self._partition_resident: list[float] = []
         self._partition_writeback: list[float] = []
-        self.stats = CacheStats()
 
     @property
     def ddio_bytes(self) -> int:
@@ -513,7 +485,6 @@ class StatisticalCache:
         # partitioned state is per-benchmark, not per-cache-lifetime.
         self._partition_shares = None
         self._partition_of = None
-        self._window_lines = window_lines
         if state is CacheState.COLD:
             self._resident_fraction = 0.0
         elif state is CacheState.HOST_WARM:
@@ -532,9 +503,7 @@ class StatisticalCache:
         else:
             resident = self._partition_resident[self._partition_of(line_address)]
         if next(self._uniforms) < resident:
-            self.stats.read_hits += 1
             return _HIT
-        self.stats.read_misses += 1
         return _MISS
 
     def write(self, line_address: int) -> CacheAccessResult:
@@ -547,13 +516,10 @@ class StatisticalCache:
             resident = self._partition_resident[index]
             writeback_probability = self._partition_writeback[index]
         if next(self._uniforms) < resident:
-            self.stats.write_hits += 1
             return _HIT
-        self.stats.write_misses += 1
         # Write allocation into the DDIO slice: when the benchmark window
         # exceeds the slice, allocations evict dirty DDIO lines which must be
         # written back to memory before the new write can complete.
         if next(self._uniforms) < writeback_probability:
-            self.stats.writebacks += 1
             return _ALLOCATED_WRITEBACK
         return _ALLOCATED

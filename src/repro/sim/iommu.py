@@ -36,7 +36,6 @@ class IommuStats:
     translations: int = 0
     hits: int = 0
     misses: int = 0
-    invalidations: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -203,7 +202,6 @@ class Iommu:
     def invalidate(self) -> None:
         """Invalidate the IOTLB (unmap / domain flush)."""
         self.iotlb.invalidate_all()
-        self.stats.invalidations += 1
 
     def reset_stats(self) -> None:
         """Zero the counters (between benchmark phases)."""

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Sequence
 from ..core.transactions import DESCRIPTOR_BYTES, OpKind
 from ..errors import ValidationError, record_reader
 from ..units import CACHELINE_BYTES, align_up
-from .cache import CacheState, CacheStats, SetAssociativeCache
+from .cache import CacheState, SetAssociativeCache
 from .host import HostSystem, _build_cache
 from .hostbuffer import HostBuffer
 from .rng import SimRng, block_draws
@@ -192,7 +192,6 @@ class HostCoupling:
                 f"device_index must be non-negative, got {device_index}"
             )
         self.params = params
-        self.device_index = device_index
         self.host = shared.host
         numa = self.host.numa
         self._payload_node = (
@@ -610,9 +609,6 @@ class SharedHost:
                 first = buffer.base_address // CACHELINE_BYTES
                 for line in range(first, first + buffer.window_cachelines):
                     descriptor_cache.host_touch(line)
-        # Warming is preparation, not measurement.
-        payload_cache.stats = CacheStats()
-        descriptor_cache.stats = CacheStats()
 
 
 def _line_owner(device_count: int):

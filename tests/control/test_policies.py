@@ -14,10 +14,9 @@ from repro.control import (
     ThresholdController,
     build_controller,
 )
-from repro.control.observations import DeviceWindow, QueueWindow
+from repro.control.observations import DeviceWindow
 from repro.control.policies import BULK_FABRIC_SHARE, MIN_WINDOW_COUNT
 from repro.errors import ValidationError
-from repro.stats import QuantileSketch, StreamingMoments, WindowSnapshot
 
 WINDOW_NS = 50_000.0
 
@@ -28,7 +27,6 @@ def make_window(
     index=0,
     window_index=0,
     values=(1000.0,) * 20,
-    ring_fill=0.2,
     hit_rate=None,
     wait_fraction=0.0,
     fabric_share=0.0,
@@ -37,27 +35,20 @@ def make_window(
     num_queues=None,
 ):
     """A DeviceWindow whose derived signals hit the requested values."""
-    sketch = QuantileSketch()
-    moments = StreamingMoments()
+    count = len(values)
+    latency_sum_ns = 0.0
     for value in values:
-        sketch.add(value)
-        moments.push(value)
-    count = sketch.count
-    mean = sketch.mean if count else 0.0
-    snapshot = WindowSnapshot(index=window_index, sketch=sketch, moments=moments)
+        latency_sum_ns += value
+    mean = latency_sum_ns / count if count else 0.0
     if num_queues is None:
         num_queues = 1 + max(rss_table) if rss_table else 1
     return DeviceWindow(
         device=device,
         index=index,
         window_index=window_index,
-        queues=tuple(
-            QueueWindow(queue_index=q, snapshot=snapshot, ring_fill=ring_fill)
-            for q in range(num_queues)
-        ),
-        sketch=sketch,
-        moments=moments,
-        ring_fill=ring_fill,
+        num_queues=num_queues,
+        count=count,
+        latency_sum_ns=latency_sum_ns,
         descriptor_hit_rate=hit_rate,
         wait_ns_delta=wait_fraction * mean * count,
         busy_ns_delta=fabric_share * WINDOW_NS,
@@ -70,10 +61,9 @@ def make_window(
 class RecordingActuators:
     """Actuator stand-in: applies everything, records every call."""
 
-    def __init__(self, *, weights=None, shares=None, tables=None):
+    def __init__(self, *, weights=None, shares=None):
         self._weights = weights
         self._shares = shares
-        self._tables = dict(tables or {})
         self.calls = []
 
     def weights(self):
@@ -84,12 +74,8 @@ class RecordingActuators:
         self._weights = tuple(weights)
         return True
 
-    def rss_table(self, device_index):
-        return self._tables.get(device_index)
-
     def set_rss_table(self, device_index, table, *, reason):
         self.calls.append(("rss", device_index, tuple(table), reason))
-        self._tables[device_index] = tuple(table)
         return True
 
     def ddio_shares(self):
@@ -113,10 +99,7 @@ class TestSignals:
     def test_empty_window_signals_are_defined(self):
         window = make_window(values=())
         assert window.count == 0
-        assert window.p99_ns is None
-        assert window.mean_ns is None
         assert window.wait_fraction == 0.0
-        assert window.queues[0].p99_ns is None
 
 
 class TestStaticController:

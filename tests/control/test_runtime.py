@@ -27,18 +27,11 @@ from repro.sim.engine import EventLoop
 WINDOW_NS = 1000.0
 
 
-class FakeRing:
-    def __init__(self, depth=8, occupancy=2):
-        self.depth = depth
-        self.occupancy = occupancy
-
-
 class FakeQueue:
-    """A TX datapath stand-in: observer slot, ring, arrival log."""
+    """A TX datapath stand-in: observer slot and arrival log."""
 
     def __init__(self):
         self.observer = None
-        self.ring = FakeRing()
         self.arrivals = []
 
     def on_arrival(self, now, size):
@@ -131,6 +124,35 @@ class TestRuntimeTicks:
         second = controller.ticks[1][1][0]
         assert second.count == 2  # 1100, 1200 (delta, not cumulative)
         assert second.window_index == 1
+
+    def test_window_sums_the_queues_in_queue_order_and_restarts(self):
+        controller = RecordingController()
+        loop, runtime, tx, steering = build_runtime(controller, queues=2)
+        runtime.bind_port_stats(lambda index: (3.0, 0.0))
+        # The identity table sends even buckets to queue 0 and odd ones to
+        # queue 1; a packet's latency is its size.  Deliveries alternate
+        # between the queues, so delivery order would sum to 1.3.
+        first_window = [(0, 0.1), (1, 0.2), (0, 0.7), (1, 0.3)]
+        loop.feed_many(
+            [
+                (100.0 * (i + 1), partial(steering.dispatch, bucket), latency)
+                for i, (bucket, latency) in enumerate(first_window)
+            ]
+            + [(1500.0, partial(steering.dispatch, 1), 5.0)]
+        )
+        runtime.start()
+        loop.run()
+        first, second = (devices[0] for _, devices in controller.ticks)
+        queue0 = 0.0 + 0.1 + 0.7
+        queue1 = 0.0 + 0.2 + 0.3
+        assert first.num_queues == 2
+        assert first.count == 4
+        assert first.latency_sum_ns == queue0 + queue1 != 1.3
+        assert first.wait_fraction == (3.0 / 4) / (first.latency_sum_ns / 4)
+        # The tick reset both tallies: window 2 holds its one packet only.
+        assert second.count == 1
+        assert second.latency_sum_ns == 5.0
+        assert second.wait_fraction == 0.0
 
     def test_tick_chain_dies_with_the_traffic(self):
         controller = RecordingController()
@@ -259,7 +281,6 @@ class TestActuators:
         assert runtime.actuators.set_rss_table(0, new_table, reason="pin")
         assert tx_steer.table == new_table
         assert rx_steer.table == new_table
-        assert runtime.actuators.rss_table(0) == tuple(new_table)
         [action] = runtime.actions
         assert action.actuator == "rss"
 

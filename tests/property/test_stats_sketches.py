@@ -1,4 +1,4 @@
-"""Property tests for the streaming estimators (repro.stats).
+"""Property tests for the streaming quantile sketch (repro.stats).
 
 Two contracts the fleet layer depends on:
 
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.rng import SimRng
-from repro.stats import QuantileSketch, StreamingMoments
+from repro.stats import QuantileSketch
 from repro.stats.sketch import MIN_TRACKED_VALUE
 from repro.workloads import build_workload, workload_names
 
@@ -139,19 +139,3 @@ class TestMergeAlgebra:
             assert left.quantile(q) == whole.quantile(q)
         # Pairwise merge is fully commutative, floats included.
         assert a.copy().merge(b.copy()) == b.copy().merge(a.copy())
-
-    @given(values=positive_samples, cut=st.integers(0, 400))
-    @settings(max_examples=25, deadline=None)
-    def test_moments_merge_matches_single_pass(self, values, cut):
-        samples = np.asarray(values)
-        cut %= samples.size
-        whole = StreamingMoments()
-        whole.push_many(samples)
-        left, right = StreamingMoments(), StreamingMoments()
-        left.push_many(samples[:cut])
-        right.push_many(samples[cut:])
-        merged = left.merge(right)
-        assert merged.count == whole.count
-        assert merged.minimum == whole.minimum
-        assert merged.maximum == whole.maximum
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-9, abs=1e-9)

@@ -96,15 +96,6 @@ class TestSetAssociativeCache:
         # Only roughly the DDIO share of the window can be resident.
         assert hits <= window * 0.3
 
-    def test_stats_track_hits_and_misses(self):
-        cache = self.make()
-        cache.host_touch(0)
-        cache.read(0)
-        cache.read(1)
-        assert cache.stats.read_hits == 1
-        assert cache.stats.read_misses == 1
-        assert cache.stats.read_hit_rate == pytest.approx(0.5)
-
     def test_invalid_construction(self):
         with pytest.raises(ValidationError):
             SetAssociativeCache(0)

@@ -105,12 +105,11 @@ class TestIommuTranslate:
         assert iommu.translate(8 * KIB).hit is True
         assert iommu.translate(0).hit is False
 
-    def test_invalidate_clears_and_counts(self):
+    def test_invalidate_clears_the_iotlb(self):
         iommu = Iommu(IommuConfig(enabled=True))
         iommu.translate(0)
         iommu.invalidate()
         assert iommu.translate(0).hit is False
-        assert iommu.stats.invalidations == 1
 
     def test_negative_address_rejected(self):
         with pytest.raises(ValidationError):

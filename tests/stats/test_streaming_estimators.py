@@ -1,4 +1,4 @@
-"""Unit tests for the repro.stats streaming estimators."""
+"""Unit tests for the repro.stats quantile sketch."""
 
 import math
 
@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.stats import (
-    DEFAULT_RELATIVE_ACCURACY,
-    QuantileSketch,
-    StreamingMoments,
-)
+from repro.stats import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 from repro.stats.sketch import MIN_TRACKED_VALUE
 
 
@@ -171,64 +167,3 @@ class TestQuantileSketch:
         sketch.add(5.0)
         text = repr(sketch)
         assert "count=1" in text and "buckets=1" in text
-
-
-class TestStreamingMoments:
-    def test_matches_numpy_moments(self):
-        rng = np.random.default_rng(5)
-        samples = rng.normal(100.0, 15.0, 4000)
-        moments = StreamingMoments()
-        moments.push_many(samples)
-        assert moments.count == samples.size
-        assert moments.mean == pytest.approx(float(samples.mean()), rel=1e-9)
-        assert moments.std == pytest.approx(float(samples.std()), rel=1e-9)
-        assert moments.variance == pytest.approx(float(samples.var()), rel=1e-9)
-        assert moments.minimum == float(samples.min())
-        assert moments.maximum == float(samples.max())
-
-    def test_empty_raises(self):
-        moments = StreamingMoments()
-        assert moments.count == 0
-        for query in (lambda: moments.mean, lambda: moments.variance,
-                      lambda: moments.minimum, lambda: moments.maximum):
-            with pytest.raises(ValidationError):
-                query()
-
-    def test_rejects_non_finite(self):
-        moments = StreamingMoments()
-        with pytest.raises(ValidationError):
-            moments.push(math.inf)
-
-    def test_merge_matches_single_pass(self):
-        rng = np.random.default_rng(9)
-        samples = rng.exponential(50.0, 3000)
-        whole = StreamingMoments()
-        whole.push_many(samples)
-        left, right = StreamingMoments(), StreamingMoments()
-        left.push_many(samples[:1234])
-        right.push_many(samples[1234:])
-        merged = left.merge(right)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert merged.variance == pytest.approx(whole.variance, rel=1e-9)
-        assert merged.minimum == whole.minimum
-        assert merged.maximum == whole.maximum
-
-    def test_merge_with_empty_and_type_error(self):
-        moments = StreamingMoments()
-        moments.push_many([1.0, 2.0])
-        snapshot = moments.as_dict()
-        assert moments.merge(StreamingMoments()).as_dict() == snapshot
-        empty = StreamingMoments()
-        assert empty.merge(moments).as_dict() == snapshot
-        with pytest.raises(ValidationError):
-            moments.merge(42)
-
-    def test_round_trip_and_copy(self):
-        moments = StreamingMoments()
-        moments.push_many([3.0, 5.0, 8.0])
-        assert StreamingMoments.from_dict(moments.as_dict()) == moments
-        clone = moments.copy()
-        clone.push(100.0)
-        assert moments.count == 3
-        assert StreamingMoments.from_dict(StreamingMoments().as_dict()).count == 0
