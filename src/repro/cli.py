@@ -60,7 +60,7 @@ from .core.model import PCIeModel
 from .core.nic import FIGURE1_MODELS, model_by_name
 from .errors import ReproError, UsageError, ValidationError
 from .experiments.registry import experiment_ids, run_all, run_experiment
-from .control import CONTROL_POLICIES
+from .control import CONTROL_POLICIES, MIN_CONTROL_WINDOW_NS
 from .obs import DEFAULT_CAPACITY, Tracer
 from .sim.engine import ARBITER_SCHEMES, MODES
 from .sim.profiles import profile_names
@@ -248,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     contend.add_argument(
         "--control-window", type=float, default=None, metavar="NS",
-        help="controller observation window in simulated ns "
-        "(default: the control plane's default window)",
+        help="controller observation window in simulated ns, at least "
+        f"{MIN_CONTROL_WINDOW_NS:g} (default: the control plane's default window)",
     )
     contend.add_argument(
         "--mode", default="exact", choices=MODES,

@@ -25,6 +25,7 @@ from .policies import (
 from .runtime import (
     BUCKETS_PER_QUEUE,
     DEFAULT_CONTROL_WINDOW_NS,
+    MIN_CONTROL_WINDOW_NS,
     Actuators,
     ControlRuntime,
     RssSteering,
@@ -37,6 +38,7 @@ __all__ = [
     "BUCKETS_PER_QUEUE",
     "CONTROL_POLICIES",
     "DEFAULT_CONTROL_WINDOW_NS",
+    "MIN_CONTROL_WINDOW_NS",
     "Actuators",
     "AimdController",
     "ControlAction",

@@ -38,6 +38,12 @@ from .policies import Controller
 #: mean, short enough for several corrective rounds per run.
 DEFAULT_CONTROL_WINDOW_NS = 50_000.0
 
+#: Shortest control window a run record accepts.  A policy acts on a
+#: window only once it holds ``MIN_WINDOW_COUNT`` (8) packets, and a 1 µs
+#: window of the contention pair's victim (512 B at 5 Gb/s, a packet
+#: every ~0.8 µs) holds about one: shorter windows only add ticks.
+MIN_CONTROL_WINDOW_NS = 1_000.0
+
 #: Indirection-table buckets per queue for the live steering table (the
 #: table length is ``num_queues * max(1, BUCKETS_PER_QUEUE // num_queues)``
 #: so the queue count always divides it and the identity table

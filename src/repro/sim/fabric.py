@@ -64,6 +64,7 @@ from typing import Sequence
 from ..control import (
     CONTROL_POLICIES,
     DEFAULT_CONTROL_WINDOW_NS,
+    MIN_CONTROL_WINDOW_NS,
     ControlAction,
     ControlRuntime,
     build_controller,
@@ -190,8 +191,9 @@ class ContentionParams:
             knobs mid-run (``static`` — no control plane, the default —
             ``threshold`` or ``aimd``; see :mod:`repro.control`).
         control_window_ns: the controller's observation window in
-            simulated nanoseconds (``None`` uses
-            :data:`~repro.control.runtime.DEFAULT_CONTROL_WINDOW_NS`;
+            simulated nanoseconds, at least
+            :data:`~repro.control.runtime.MIN_CONTROL_WINDOW_NS` (``None``
+            uses :data:`~repro.control.runtime.DEFAULT_CONTROL_WINDOW_NS`;
             rejected with the ``static`` controller, which never ticks).
         mode: engine selection (``"exact"`` or ``"batch"``).  Fabric runs
             couple every datapath to the shared host, the interaction the
@@ -341,11 +343,14 @@ class ContentionParams:
                     "control_window_ns only applies to an active "
                     "controller; the 'static' policy never ticks"
                 )
-            object.__setattr__(
-                self,
-                "control_window_ns",
-                _positive("control_window_ns", self.control_window_ns),
-            )
+            window = _positive("control_window_ns", self.control_window_ns)
+            if window < MIN_CONTROL_WINDOW_NS:
+                raise ValidationError(
+                    f"control_window_ns must be at least "
+                    f"{MIN_CONTROL_WINDOW_NS:g} ns, got {window:g}: a "
+                    "shorter window holds too few packets for a policy to act"
+                )
+            object.__setattr__(self, "control_window_ns", window)
         if self.mode not in MODES:
             raise ValidationError(
                 f"mode must be one of {', '.join(MODES)}; got {self.mode!r}"

@@ -13,6 +13,7 @@ import pytest
 
 from repro.bench.contention import ContentionParams, run_contention_benchmark
 from repro.bench.nicsim import NicSimParams
+from repro.control import MIN_CONTROL_WINDOW_NS
 from repro.errors import ValidationError
 from repro.sim.fabric import ContentionResult, FabricSimulator
 from repro.units import KIB, MIB
@@ -58,6 +59,13 @@ class TestControllerParams:
             _pair(controller="threshold", control_window_ns=0.0)
         with pytest.raises(ValidationError):
             _pair(controller="threshold", control_window_ns=-1.0)
+
+    def test_window_must_reach_the_floor(self):
+        # A window under 1 us holds too few packets for a policy to act on.
+        with pytest.raises(ValidationError, match="at least 1000 ns, got 999"):
+            _pair(controller="threshold", control_window_ns=999.0)
+        params = _pair(controller="aimd", control_window_ns=MIN_CONTROL_WINDOW_NS)
+        assert params.control_window_ns == 1_000.0
 
     def test_label_and_round_trip_carry_controller_fields(self):
         params = _pair(controller="threshold", control_window_ns=20_000.0)

@@ -428,6 +428,19 @@ class TestContendCommand:
         assert code == 0
         assert "Control plane" not in captured.out
 
+    def test_contend_refuses_a_window_below_the_floor_before_its_label(
+        self, capsys
+    ):
+        code = main(
+            ["contend", "--controller", "threshold", "--control-window", "10"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(
+            "error: control_window_ns must be at least 1000 ns, got 10"
+        )
+        assert captured.out == ""
+
     def test_contend_rejects_window_without_controller(self, capsys):
         code = main(["contend", "--control-window", "50000"])
         captured = capsys.readouterr()

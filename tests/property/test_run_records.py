@@ -19,7 +19,8 @@ CLI, the runner, perfbench and the goldens hand to the simulators, and
   constructor accepts runs to the end, solo (host-coupled or not, on
   either engine) or contended (every fabric knob, both cache models,
   partitions and controllers).  The strategies draw the knobs freely and
-  discard what the constructor refuses; they copy none of its rules.
+  discard what the constructor refuses; they copy none of its rules but
+  the control window's floor, which they draw from.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from repro.bench.contention import ContentionParams, run_contention_benchmark
 from repro.bench.nicsim import NicSimParams, run_nicsim_benchmark
+from repro.control import MIN_CONTROL_WINDOW_NS
 from repro.errors import ValidationError
 from repro.sim.engine import ARBITER_SCHEMES, WEIGHTED_SCHEMES
 from repro.sim.iommu import SUPPORTED_PAGE_SIZES
@@ -92,7 +94,7 @@ CONTENTION_BAD = {
     "ddio_partition": ("1:1", 5, ["a"], [-1.0], [math.inf], [1.0] * 5),
     "cache_model": (5, None, "magic"),
     "controller": (5, None, "pid"),
-    "control_window_ns": ("5", True, 0.0, -1.0, math.nan),
+    "control_window_ns": ("5", True, 0.0, -1.0, 999.0, math.nan),
     "mode": (5, None, "warp"),
     "engine_profile": ("yes", 1, None),
     "seed": (1.5, "7", True, -1),
@@ -165,12 +167,16 @@ def solo_records(draw, devices=device_records()) -> NicSimParams:
 #: Finite positive reals of the fabric knobs (weights, shares, quanta).
 POSITIVE = st.integers(1, 16) | st.floats(0.1, 16.0)
 
+#: Control windows from the records' 1 us floor up to 100 us.
+CONTROL_WINDOWS = st.integers(1_000, 100_000) | st.floats(
+    MIN_CONTROL_WINDOW_NS, 100_000.0
+)
+
 
 @st.composite
 def contention_records(
     draw,
     devices=st.lists(device_records(), min_size=1, max_size=4),
-    control_windows=POSITIVE,
 ) -> ContentionParams:
     """A shared-host run over 1-4 devices with every fabric knob drawn."""
     devices = draw(devices)
@@ -208,7 +214,7 @@ def contention_records(
         cache_model=draw(st.sampled_from(("statistical", "faithful"))),
         controller=controller,
         control_window_ns=(
-            None if controller == "static" else draw(st.none() | control_windows)
+            None if controller == "static" else draw(st.none() | CONTROL_WINDOWS)
         ),
         mode=draw(st.sampled_from(("exact", "batch"))),
         engine_profile=draw(st.booleans()),
@@ -297,10 +303,7 @@ def test_a_solo_record_that_constructs_runs(record):
 
 @given(
     params=contention_records(
-        devices=st.lists(RUN_DEVICES, min_size=1, max_size=4),
-        # A control tick costs the same whatever the window, so sub-packet
-        # windows only make a run slow: draw 1-100 us ones.
-        control_windows=st.floats(1_000.0, 100_000.0),
+        devices=st.lists(RUN_DEVICES, min_size=1, max_size=4)
     )
 )
 @settings(max_examples=80, deadline=None)
