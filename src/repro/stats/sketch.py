@@ -34,6 +34,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from ..errors import ValidationError
 
 #: Default relative accuracy: 0.5%, half the 1% acceptance budget used by
@@ -112,13 +114,7 @@ class QuantileSketch:
         :meth:`add`); bucket indices use ``numpy.log``, which may differ
         from ``math.log`` in the last ulp exactly at a bucket boundary —
         within the sketch's stated relative-error guarantee either way.
-        Falls back to :meth:`add_many` when numpy is unavailable.
         """
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy is a test-env dep
-            self.add_many(values)
-            return
         arr = np.asarray(values, dtype=np.float64)
         if arr.size == 0:
             return
