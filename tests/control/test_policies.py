@@ -36,9 +36,7 @@ def make_window(
 ):
     """A DeviceWindow whose derived signals hit the requested values."""
     count = len(values)
-    latency_sum_ns = 0.0
-    for value in values:
-        latency_sum_ns += value
+    latency_sum_ns = sum(values, 0.0)
     mean = latency_sum_ns / count if count else 0.0
     if num_queues is None:
         num_queues = 1 + max(rss_table) if rss_table else 1
