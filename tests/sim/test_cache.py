@@ -70,6 +70,46 @@ class TestSetAssociativeCache:
         assert cache.read(lines[1]).hit is True
         assert cache.read(lines[2]).hit is True
 
+    def test_write_hit_updates_in_place_and_takes_no_ddio_way(self):
+        cache = self.make(ways=4, ddio_fraction=0.25)  # 1 DDIO way per set
+        host_line, device_line = 0, cache.sets  # same set
+        cache.host_touch(host_line, dirty=False)
+        result = cache.write(host_line)
+        assert result.hit is True
+        assert result.allocated is False
+        assert result.writeback_required is False
+        assert cache.occupancy() == 1
+        # The hit left the set's DDIO way free: the next write miss
+        # allocates into it without evicting anything.
+        result = cache.write(device_line)
+        assert result.allocated is True
+        assert result.writeback_required is False
+        assert cache.read(host_line).hit is True
+        assert cache.read(device_line).hit is True
+
+    def test_overflow_eviction_frees_the_evicted_lines_ddio_way(self):
+        # One set of four ways, two of them DDIO ways.
+        cache = SetAssociativeCache(64 * 4, ways=4, ddio_fraction=0.5)
+        assert (cache.sets, cache.ddio_ways) == (1, 2)
+        cache.write(0)
+        for line in (1, 2, 3, 4):
+            cache.host_touch(line, dirty=False)
+        # The fifth line overflowed the set: LRU line 0 went, DDIO or not.
+        assert not cache.resident(0)
+        # Line 0's DDIO way went with it, so two writes allocate without a
+        # DDIO eviction, each overflowing the set's LRU host line instead.
+        for line in (5, 6):
+            assert cache.write(line).writeback_required is False
+        assert [cache.resident(line) for line in range(7)] == [
+            False, False, False, True, True, True, True,
+        ]
+        # Now both DDIO ways are taken: the next write evicts the oldest
+        # DDIO line and writes it back.
+        assert cache.write(7).writeback_required is True
+        assert [cache.resident(line) for line in (3, 4, 5, 6, 7)] == [
+            True, True, False, True, True,
+        ]
+
     def test_thrash_empties_cache(self):
         cache = self.make()
         cache.host_touch(1)

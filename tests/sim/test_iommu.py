@@ -111,6 +111,17 @@ class TestIommuTranslate:
         iommu.invalidate()
         assert iommu.translate(0).hit is False
 
+    def test_invalidate_is_not_a_translation(self):
+        iommu = Iommu(IommuConfig(enabled=True))
+        iommu.translate(0)
+        iommu.translate(0)
+        iommu.invalidate()
+        stats = iommu.stats
+        assert (stats.translations, stats.hits, stats.misses) == (2, 1, 1)
+        # The first touch after the flush walks again and counts a miss.
+        iommu.translate(0)
+        assert (stats.translations, stats.hits, stats.misses) == (3, 1, 2)
+
     def test_negative_address_rejected(self):
         with pytest.raises(ValidationError):
             Iommu(IommuConfig(enabled=True)).translate(-1)
