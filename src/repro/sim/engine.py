@@ -25,8 +25,9 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from ..errors import SimulationError, ValidationError, record_reader
 
@@ -142,8 +143,23 @@ class EngineProfile:
         )
 
 
+#: A fed arrival's handler, called ``handler(time, arg)``.
+_Handler = Callable[[float, object], None]
+
+
+def _objects(column: Sequence[object]) -> np.ndarray:
+    """``column`` as a 1-D object array, numpy numbers as Python ones.
+
+    ``fromiter`` keeps a list's elements as they are without the nested
+    sequence probing ``np.array`` does; an ndarray column converts in C.
+    """
+    if isinstance(column, np.ndarray):
+        return column.astype(object)
+    return np.fromiter(column, dtype=object, count=len(column))
+
+
 class EventLoop:
-    """The shared discrete-event scheduler: one binary heap.
+    """The shared discrete-event scheduler: one binary heap and one feed.
 
     Events are ``(time, sequence, fn)`` records popped in time order with
     FIFO tie-break on the insertion sequence — the determinism contract
@@ -152,11 +168,15 @@ class EventLoop:
 
     * :meth:`at` — dynamic events scheduled while the loop runs, pushed
       on the heap.
-    * :meth:`feed` — the pre-generated workload arrivals.  A run begins
-      with every arrival already known and nearly sorted; keeping them
-      out of the heap entirely (one stable sort, then a pointer walk)
-      beats paying per-event scheduling for half of all events, and
-      keeps the heap small.
+    * :meth:`feed` — the pre-generated workload arrivals, one column of
+      times and one of arguments per source.  A run begins with every
+      arrival already known and nearly sorted, so the arrivals never
+      enter the heap: :meth:`run` merges every source fed since the last
+      run into three parallel lists (times, handlers, arguments), stably
+      sorted on time over the sources in feed order, and walks them with
+      a pointer.  That beats paying per-event scheduling for half of all
+      events, and keeps the heap small.  Arrivals are fed before
+      :meth:`run`; a running loop refuses them.
 
     ``peek_time`` exposes the earliest pending event.
     :class:`ArbitratedResource` grants read the same state directly, and
@@ -168,8 +188,11 @@ class EventLoop:
     __slots__ = (
         "_heap",
         "_sequence",
-        "_stream",
-        "_stream_pos",
+        "_fed",
+        "_times",
+        "_handlers",
+        "_args",
+        "_position",
         "processed",
         "running",
     )
@@ -177,8 +200,14 @@ class EventLoop:
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable[[float], None]]] = []
         self._sequence = 0
-        self._stream: list[tuple[float, Callable[[float, object], None], object]] = []
-        self._stream_pos = 0
+        #: Sources fed since the last merge: (times, handlers, args) columns.
+        self._fed: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        #: The merged arrivals, dispatched ``handler(time, arg)`` from
+        #: ``_position`` on.
+        self._times: list[float] = []
+        self._handlers: list[_Handler] = []
+        self._args: list[object] = []
+        self._position = 0
         #: Events dispatched by :meth:`run` (the profiling hook's counter).
         self.processed = 0
         #: True while :meth:`run` is draining.  Arbitrated resources
@@ -194,54 +223,115 @@ class EventLoop:
         self._sequence = sequence + 1
         heapq.heappush(self._heap, (time, sequence, fn))
 
-    def feed(self, time: float, fn: Callable[[float, object], None], arg: object) -> None:
-        """Pre-load one externally generated event, dispatched ``fn(time, arg)``.
+    def feed(
+        self,
+        times: Sequence[float],
+        handler: _Handler | Sequence[_Handler],
+        args: Sequence[object],
+    ) -> None:
+        """Pre-load one source of externally generated events.
 
-        Must be called before :meth:`run`.  Fed events are sorted once
-        (stably, so same-time entries keep feed order) and precede any
-        dynamic event at the same timestamp — the exact order a heap
-        gives arrivals scheduled before the loop starts.
+        Entry ``i`` dispatches ``handler(times[i], args[i])`` — or
+        ``handler[i](times[i], args[i])`` when ``handler`` is a sequence of
+        one callable per entry — with the time as a float.  ``times`` and
+        ``args`` are sequences of equal length.
+
+        Must be called before :meth:`run`: a running loop raises
+        :class:`ValidationError`.  The next run merges every source fed
+        since the last one, stably sorted on time over the sources in feed
+        order, so same-time entries keep feed order within and across
+        sources, and all of them precede any dynamic event at the same
+        timestamp — the exact order a heap gives arrivals scheduled before
+        the loop starts.
         """
-        self._stream.append((time, fn, arg))
+        if self.running:
+            raise ValidationError(
+                "arrivals must be fed before the event loop runs"
+            )
+        times = np.array(times, dtype=np.float64)
+        count = len(args)
+        if times.shape != (count,):
+            raise ValidationError(
+                f"feed needs one argument per time, got {times.size} times "
+                f"and {count} arguments"
+            )
+        if callable(handler):
+            handlers = np.full(count, handler, dtype=object)
+        elif len(handler) == count:
+            handlers = _objects(handler)
+        else:
+            raise ValidationError(
+                f"feed needs one handler or one per time, got {len(handler)} "
+                f"handlers for {count} times"
+            )
+        if count:
+            self._fed.append((times, handlers, _objects(args)))
 
-    def feed_many(self, entries) -> None:
-        """Pre-load ``(time, fn, arg)`` tuples in bulk (see :meth:`feed`).
+    def _merge(self) -> None:
+        """Merge the fed sources behind the arrivals still pending.
 
-        One ``list.extend`` replaces a method call per arrival — with the
-        workload pre-converted via ``ndarray.tolist()``, feeding a run's
-        whole arrival schedule costs a few C-level calls total.
+        Arrivals not yet dispatched (a run that raised, or a merge by
+        :meth:`peek_time`) were fed first, so they lead the stable sort.
         """
-        self._stream.extend(entries)
+        sources = self._fed
+        self._fed = []
+        position = self._position
+        if position < len(self._times):
+            sources.insert(
+                0,
+                (
+                    np.array(self._times[position:], dtype=np.float64),
+                    _objects(self._handlers[position:]),
+                    _objects(self._args[position:]),
+                ),
+            )
+        if len(sources) == 1:
+            times, handlers, args = sources[0]
+        else:
+            times, handlers, args = (
+                np.concatenate(column) for column in zip(*sources)
+            )
+        if (times[1:] < times[:-1]).any():
+            order = np.argsort(times, kind="stable")
+            times, handlers, args = times[order], handlers[order], args[order]
+        self._times = times.tolist()
+        self._handlers = handlers.tolist()
+        self._args = args.tolist()
+        self._position = 0
 
     def peek_time(self) -> float:
         """Earliest pending event time (``inf`` when idle)."""
+        if self._fed:
+            self._merge()
         head = self._heap[0][0] if self._heap else math.inf
-        if self._stream_pos < len(self._stream):
-            stream_time = self._stream[self._stream_pos][0]
-            if stream_time < head:
-                head = stream_time
+        position = self._position
+        if position < len(self._times) and self._times[position] < head:
+            head = self._times[position]
         return head
 
     def run(self) -> None:
         """Dispatch events until none remain."""
-        self._stream.sort(key=itemgetter(0))
-        stream = self._stream
-        stream_len = len(stream)
+        if self._fed:
+            self._merge()
+        times = self._times
+        handlers = self._handlers
+        args = self._args
+        count = len(times)
         heap = self._heap
         heappop = heapq.heappop
         processed = self.processed
         self.running = True
         try:
             while True:
-                pos = self._stream_pos
-                if pos < stream_len:
-                    entry = stream[pos]
+                position = self._position
+                if position < count:
+                    time = times[position]
                     # Fed events precede any dynamic event at the same time:
                     # they were all scheduled before the loop started.
-                    if not heap or entry[0] <= heap[0][0]:
-                        self._stream_pos = pos + 1
+                    if not heap or time <= heap[0][0]:
+                        self._position = position + 1
                         processed += 1
-                        entry[1](entry[0], entry[2])
+                        handlers[position](time, args[position])
                         continue
                 if not heap:
                     break
@@ -872,9 +962,9 @@ class ArbitratedResource:
                 self._unused_wake = -1
                 heapq.heappush(heap, (end, wake_sequence, self._dispatch))
                 return
-            stream = loop._stream
-            position = loop._stream_pos
-            if position < len(stream) and stream[position][0] <= end:
+            times = loop._times
+            position = loop._position
+            if position < len(times) and times[position] <= end:
                 self._unused_wake = -1
                 heapq.heappush(heap, (end, wake_sequence, self._dispatch))
                 return

@@ -75,10 +75,10 @@ the record is built, so a record that constructs, runs.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cache, partial
-from itertools import repeat
 from time import perf_counter
 from typing import Callable
 
@@ -1228,10 +1228,13 @@ class _Datapath:
         #: done, size and the traced packet id (``None`` untraced).
         self._pending: list[tuple[float, float, int, int | None]] = []
 
-        self.arrivals: list[float] = []
-        self.dones: list[float] = []
-        self.notifies: list[float] = []
-        self.delivered_sizes: list[int] = []
+        #: Retained mode's per-packet columns, in delivery order.  Read
+        #: only after the run: a numpy view of a column makes its
+        #: ``append`` raise ``BufferError``.
+        self.arrivals = array("d")
+        self.dones = array("d")
+        self.notifies = array("d")
+        self.delivered_sizes = array("q")
         self.offered = 0
         self.offered_bytes = 0
         self.dropped_bytes = 0
@@ -1843,17 +1846,17 @@ class _Device:
         seed: int,
         steered: bool,
     ) -> None:
-        """Hand one direction's arrivals to the loop's sorted stream.
+        """Feed one direction's arrivals to the loop as one source.
 
         The arrivals are pre-generated and nearly sorted, so feeding them
-        costs one stable sort and a pointer walk instead of scheduling
+        costs one stable merge and a pointer walk instead of scheduling
         each one.  The RSS key derives from ``seed``: reseeding the run
         reprograms the hash, like a driver re-keying Toeplitz.
         """
-        times = schedule.arrival_times_ns.tolist()
-        sizes = schedule.sizes.tolist()
+        times = schedule.arrival_times_ns
+        sizes = schedule.sizes
         if len(queues) == 1:
-            loop.feed_many(zip(times, repeat(queues[0].on_arrival), sizes))
+            loop.feed(times, queues[0].on_arrival, sizes)
             return
         if schedule.flows is None:
             raise ValidationError(
@@ -1870,10 +1873,9 @@ class _Device:
             ]
         else:
             targets = [queues[queue].on_arrival for queue in table]
-        buckets = rss_buckets(schedule.flows, len(table), seed=seed).tolist()
-        loop.feed_many(
-            zip(times, [targets[bucket] for bucket in buckets], sizes)
-        )
+        targets = np.fromiter(targets, dtype=object, count=len(targets))
+        buckets = rss_buckets(schedule.flows, len(table), seed=seed)
+        loop.feed(times, targets[buckets], sizes)
 
     def finish(self) -> NicSimResult:
         """Account unreported packets and summarise the device after the run.
@@ -1917,10 +1919,7 @@ class _Device:
                     histogram.sketch.merge(queue.stream.sketch)
                 elif queue.notifies:
                     histogram.observe_many(
-                        (
-                            np.asarray(queue.notifies, dtype=np.float64)
-                            - np.asarray(queue.arrivals, dtype=np.float64)
-                        ).tolist()
+                        np.subtract(queue.notifies, queue.arrivals).tolist()
                     )
         metrics.gauge(dev + ".link.up_utilisation").set(result.link_utilisation_up)
         metrics.gauge(dev + ".link.down_utilisation").set(
@@ -1929,22 +1928,24 @@ class _Device:
 
 
 def _path_statistics(
-    arrivals: list[float] | np.ndarray,
-    dones: list[float] | np.ndarray,
-    notifies: list[float] | np.ndarray,
-    sizes: list[int] | np.ndarray,
+    arrivals: array | np.ndarray,
+    dones: array | np.ndarray,
+    notifies: array | np.ndarray,
+    sizes: array | np.ndarray,
     *,
     ring_depth: int,
 ) -> tuple[float, float, LatencySummary | None]:
     """Steady-state throughput, packet rate and latency of one packet set.
 
     Shared by the per-queue and the merged per-direction summaries so both
-    apply exactly the same warmup and measurement-window rules.
+    apply exactly the same warmup and measurement-window rules.  The
+    columns are read through the buffer protocol, without a copy.
     """
     delivered = len(dones)
     if delivered < 2:
         return 0.0, 0.0, None
-    order = np.argsort(np.asarray(dones), kind="stable")
+    dones = np.asarray(dones)
+    order = np.argsort(dones, kind="stable")
     # The pipeline-fill transient lasts about one ring depth of
     # packets; skip at least that much (up to half the run) on top
     # of the warmup fraction.
@@ -1956,8 +1957,8 @@ def _path_statistics(
     measured = order[warmup:]
     throughput = 0.0
     rate = 0.0
-    done_times = np.asarray(dones, dtype=np.float64)[measured]
-    measured_sizes = np.asarray(sizes, dtype=np.int64)[measured]
+    done_times = dones[measured]
+    measured_sizes = np.asarray(sizes)[measured]
     elapsed = float(done_times[-1] - done_times[0])
     if elapsed > 0.0:
         # The first measured packet marks t0; its own bytes precede it.
@@ -1965,11 +1966,13 @@ def _path_statistics(
             int(measured_sizes[1:].sum()), elapsed
         )
         rate = (measured_sizes.size - 1) / ns_to_s(elapsed)
-    samples = (
-        np.asarray(notifies, dtype=np.float64)
-        - np.asarray(arrivals, dtype=np.float64)
-    )[measured]
+    samples = np.subtract(notifies, arrivals)[measured]
     return throughput, rate, LatencySummary.from_samples(samples)
+
+
+def _merged(queues: list["_Datapath"], column: str) -> np.ndarray:
+    """One retained per-packet column of ``queues``, in queue order."""
+    return np.concatenate([getattr(queue, column) for queue in queues])
 
 
 def _direction_result(
@@ -1995,15 +1998,11 @@ def _direction_result(
             merged.merge(queue.stream)
         throughput, rate, latency = merged.statistics()
     else:
-        arrivals = [time for queue in queues for time in queue.arrivals]
-        dones = [time for queue in queues for time in queue.dones]
-        notifies = [time for queue in queues for time in queue.notifies]
-        sizes = [size for queue in queues for size in queue.delivered_sizes]
         throughput, rate, latency = _path_statistics(
-            arrivals,
-            dones,
-            notifies,
-            sizes,
+            _merged(queues, "arrivals"),
+            _merged(queues, "dones"),
+            _merged(queues, "notifies"),
+            _merged(queues, "delivered_sizes"),
             ring_depth=params.ring_depth,
         )
     ring = RingStats(
@@ -2229,22 +2228,13 @@ class NicDatapathSimulator:
         self.last_traces = {
             direction: PathTrace(
                 direction=direction,
-                arrivals_ns=np.asarray(
-                    [t for q in queues for t in q.arrivals], dtype=np.float64
-                ),
-                dones_ns=np.asarray(
-                    [t for q in queues for t in q.dones], dtype=np.float64
-                ),
-                notifies_ns=np.asarray(
-                    [t for q in queues for t in q.notifies], dtype=np.float64
-                ),
-                sizes=np.asarray(
-                    [s for q in queues for s in q.delivered_sizes],
-                    dtype=np.int64,
-                ),
-                queue_ids=np.asarray(
-                    [q.queue_index for q in queues for _ in q.dones],
-                    dtype=np.int64,
+                arrivals_ns=_merged(queues, "arrivals"),
+                dones_ns=_merged(queues, "dones"),
+                notifies_ns=_merged(queues, "notifies"),
+                sizes=_merged(queues, "delivered_sizes"),
+                queue_ids=np.repeat(
+                    np.array([q.queue_index for q in queues], dtype=np.int64),
+                    [len(q.dones) for q in queues],
                 ),
             )
             for direction, queues in nic.directions

@@ -106,9 +106,10 @@ class TestRuntimeTicks:
     def test_windows_carry_per_window_deltas(self):
         controller = RecordingController()
         loop, runtime, tx, steering = build_runtime(controller)
-        loop.feed_many(
-            (100.0 * (i + 1), partial(steering.dispatch, i % 4), 64)
-            for i in range(12)
+        loop.feed(
+            [100.0 * (i + 1) for i in range(12)],
+            [partial(steering.dispatch, i % 4) for i in range(12)],
+            [64] * 12,
         )
         runtime.start()
         loop.run()
@@ -133,12 +134,11 @@ class TestRuntimeTicks:
         # queue 1; a packet's latency is its size.  Deliveries alternate
         # between the queues, so delivery order would sum to 1.3.
         first_window = [(0, 0.1), (1, 0.2), (0, 0.7), (1, 0.3)]
-        loop.feed_many(
-            [
-                (100.0 * (i + 1), partial(steering.dispatch, bucket), latency)
-                for i, (bucket, latency) in enumerate(first_window)
-            ]
-            + [(1500.0, partial(steering.dispatch, 1), 5.0)]
+        loop.feed(
+            [100.0 * (i + 1) for i in range(len(first_window))] + [1500.0],
+            [partial(steering.dispatch, bucket) for bucket, _ in first_window]
+            + [partial(steering.dispatch, 1)],
+            [latency for _, latency in first_window] + [5.0],
         )
         runtime.start()
         loop.run()
@@ -157,7 +157,7 @@ class TestRuntimeTicks:
     def test_tick_chain_dies_with_the_traffic(self):
         controller = RecordingController()
         loop, runtime, tx, _ = build_runtime(controller)
-        loop.feed_many([(50.0, tx[0].on_arrival, 64)])
+        loop.feed([50.0], tx[0].on_arrival, [64])
         runtime.start()
         loop.run()
         # One tick fires at t=1000 (the loop still held it); with no
@@ -168,9 +168,10 @@ class TestRuntimeTicks:
     def test_sampler_rides_every_tick_after_the_controller(self):
         controller = RecordingController()
         loop, runtime, tx, steering = build_runtime(controller)
-        loop.feed_many(
-            (100.0 * (i + 1), partial(steering.dispatch, i % 4), 64)
-            for i in range(12)
+        loop.feed(
+            [100.0 * (i + 1) for i in range(12)],
+            [partial(steering.dispatch, i % 4) for i in range(12)],
+            [64] * 12,
         )
         samples = []
         runtime.sampler = lambda now: samples.append((now, len(controller.ticks)))
@@ -191,8 +192,7 @@ class TestRuntimeTicks:
         loop, runtime, tx, _ = build_runtime(controller)
         coupling = runtime._devices[0].coupling
         coupling.counters = (10, 5)
-        loop.feed_many([(100.0, tx[0].on_arrival, 64),
-                        (1100.0, tx[0].on_arrival, 64)])
+        loop.feed([100.0, 1100.0], tx[0].on_arrival, [64, 64])
         runtime.start()
         loop.run()
         assert controller.ticks[0][1][0].descriptor_hit_rate == 0.5
@@ -210,8 +210,7 @@ class TestRuntimeTicks:
             return last[index]
 
         runtime.bind_port_stats(source)
-        loop.feed_many([(100.0, tx[0].on_arrival, 64),
-                        (1100.0, tx[0].on_arrival, 64)])
+        loop.feed([100.0, 1100.0], tx[0].on_arrival, [64, 64])
         runtime.start()
         loop.run()
         first = controller.ticks[0][1][0]

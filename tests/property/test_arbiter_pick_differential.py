@@ -378,9 +378,9 @@ def _simulate(cls, scenario) -> tuple:
             submit(label, client, time, duration, chain)
         elif scenario["submission"] == "feed":
             loop.feed(
-                time,
+                [time],
                 lambda now, arg: submit(arg[0], arg[1], now, arg[2], arg[3]),
-                (label, client, duration, chain),
+                [(label, client, duration, chain)],
             )
         else:
             loop.at(

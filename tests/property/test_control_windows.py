@@ -73,13 +73,14 @@ def run_windows(queues: int, stream, wait_totals=None) -> list[DeviceWindow]:
         runtime.bind_port_stats(
             lambda index: (wait_totals[runtime.windows_ticked], 0.0)
         )
-    entries = []
+    times, handlers, latencies = [], [], []
     for position, window in enumerate(stream):
         spacing = WINDOW_NS / (len(window) + 1)
         for slot, (queue, latency) in enumerate(window):
-            time = position * WINDOW_NS + (slot + 1) * spacing
-            entries.append((time, tx[queue].on_arrival, latency))
-    loop.feed_many(entries)
+            times.append(position * WINDOW_NS + (slot + 1) * spacing)
+            handlers.append(tx[queue].on_arrival)
+            latencies.append(latency)
+    loop.feed(times, handlers, latencies)
     runtime.start()
     loop.run()
     assert runtime.windows_ticked == len(controller.windows)
