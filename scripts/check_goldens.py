@@ -161,8 +161,7 @@ def experiment_record(result) -> dict:
         "checks": [
             {
                 "description": check.description,
-                # A check comparing numpy scalars passes a numpy.bool_.
-                "passed": bool(check.passed),
+                "passed": check.passed,
                 "detail": check.detail,
             }
             for check in result.checks

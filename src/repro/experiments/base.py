@@ -13,17 +13,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..analysis.table import format_series_table, format_table
-from ..errors import AnalysisError
+from ..errors import AnalysisError, ValidationError
 
 
 @dataclass(frozen=True)
 class Check:
-    """One qualitative expectation derived from the paper."""
+    """One qualitative expectation derived from the paper.
+
+    ``passed`` is stored as a Python ``bool``: a check comparing numpy
+    scalars hands in a ``numpy.bool_``, which is converted; any other
+    type is refused, so every check serialises as JSON.
+    """
 
     description: str
     passed: bool
     detail: str = ""
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.passed, (bool, np.bool_)):
+            raise ValidationError(
+                f"check {self.description!r} needs a bool verdict, got "
+                f"{type(self.passed).__name__}"
+            )
+        object.__setattr__(self, "passed", bool(self.passed))
 
     def status(self) -> str:
         """``PASS`` or ``FAIL`` marker used in reports."""

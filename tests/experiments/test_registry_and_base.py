@@ -1,5 +1,8 @@
 """Tests for the experiment registry and the shared result/check helpers."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.errors import ValidationError
@@ -68,6 +71,23 @@ class TestCheckHelpers:
     def test_check_status(self):
         assert Check("x", True).status() == "PASS"
         assert Check("x", False).status() == "FAIL"
+
+    @pytest.mark.parametrize("verdict", [True, False, np.True_, np.False_])
+    def test_passed_is_a_python_bool(self, verdict):
+        check = Check("x", verdict)
+        assert type(check.passed) is bool
+        assert check.passed == bool(verdict)
+        assert json.loads(json.dumps({"passed": check.passed})) == {
+            "passed": bool(verdict)
+        }
+
+    @pytest.mark.parametrize(
+        "verdict", [1, 0, None, "yes", 1.0, np.int64(1)],
+        ids=["int-1", "int-0", "none", "str", "float", "numpy-int"],
+    )
+    def test_passed_of_any_other_type_is_refused(self, verdict):
+        with pytest.raises(ValidationError):
+            Check("x", verdict)
 
     def test_monotonic_increasing_with_tolerance(self):
         points = [(1, 10.0), (2, 9.9), (3, 11.0)]

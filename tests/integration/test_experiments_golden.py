@@ -41,7 +41,7 @@ def _record(result) -> dict:
         "checks": [
             {
                 "description": check.description,
-                "passed": bool(check.passed),
+                "passed": check.passed,
                 "detail": check.detail,
             }
             for check in result.checks
