@@ -285,12 +285,9 @@ class EventLoop:
                     _objects(self._args[position:]),
                 ),
             )
-        if len(sources) == 1:
-            times, handlers, args = sources[0]
-        else:
-            times, handlers, args = (
-                np.concatenate(column) for column in zip(*sources)
-            )
+        times, handlers, args = (
+            np.concatenate(column) for column in zip(*sources)
+        )
         if (times[1:] < times[:-1]).any():
             order = np.argsort(times, kind="stable")
             times, handlers, args = times[order], handlers[order], args[order]
